@@ -1,7 +1,7 @@
 """Kernel term language: nameless (de Bruijn) syntax and structural utilities.
 
-Terms are immutable after construction; nothing here mutates its input, so
-terms can be shared freely between threads and sessions.
+Terms are immutable after construction and nothing here mutates its input,
+so terms can be shared freely.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ rejected). Unsolved metas are fatal per declaration. Every core term
 returned to callers is meta-free and re-checks in the kernel with no
 elaborator involvement.
 
-An ElabCtx is confined to one elaboration session; distinct files may
-elaborate concurrently against a frozen shared GlobalEnv.
+An ElabCtx belongs to one elaboration session.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import (
     Type,
     Var,
     pretty,
+    shift,
 )
 from .kernel import (
     Closure,
@@ -146,9 +146,6 @@ class MetaStore:
         self._metas: dict[int, MetaVar] = {}
         self._next = 0
         self._log: list[int] = []
-        # bumped on every rollback; closure memos use it to drop results
-        # that may embed retracted solutions
-        self.rollbacks = 0
 
     def fresh(self, depth: int, expected_type: Value | None, span: SourceSpan) -> MetaVar:
         m = MetaVar(self._next, depth, expected_type, span)
@@ -180,7 +177,6 @@ class MetaStore:
             m = self._metas[meta_id]
             m.solution = None
         del self._log[mark:]
-        self.rollbacks += 1
         # Cached values computed during the speculation may embed the
         # rolled-back solutions, so all caches are dropped.
         for m in self._metas.values():
@@ -242,73 +238,10 @@ class ElabCtx:
             v = sol
         return v
 
-    def quote(self, depth: int, v: Value, strict: bool = False) -> CoreTerm:
-        """Read a value back to a term, resolving solved metas.
-
-        With strict=True an unsolved meta raises; otherwise it is emitted
-        as a Meta node (for interim terms that will be zonked later).
-        """
-        v = self.force(v)
-        if isinstance(v, VTop):
-            t: CoreTerm = Global(v.name)
-            for elim in v.spine:
-                match elim:
-                    case EApp(arg):
-                        t = App(t, self.quote(depth, arg, strict))
-                    case EJ(m, b, e):
-                        t = J(
-                            self.quote(depth, m, strict),
-                            self.quote(depth, b, strict),
-                            self.quote(depth, e, strict),
-                            t,
-                        )
-            return t
-        match v:
-            case VLam(h, clo, dom, imp):
-                body = self.quote(depth + 1, clo.apply(fresh_var(depth)), strict)
-                ann = self.quote(depth, dom, strict) if dom is not None else None
-                return Lam(h, body, ann, imp)
-            case VPi(h, dom, clo, imp):
-                cod = self.quote(depth + 1, clo.apply(fresh_var(depth)), strict)
-                return Pi(h, self.quote(depth, dom, strict), cod, imp)
-            case VType(lvl):
-                return Type(lvl)
-            case VId(ty, l, r):
-                return Id(
-                    self.quote(depth, ty, strict),
-                    self.quote(depth, l, strict),
-                    self.quote(depth, r, strict),
-                )
-            case VRefl(p):
-                return Refl(self.quote(depth, p, strict))
-            case VNeutral(head, spine):
-                match head:
-                    case HVar(lvl):
-                        # A level beyond `depth` yields a negative index;
-                        # _solve uses that to detect scope escapes.
-                        t: CoreTerm = Var(depth - 1 - lvl)
-                    case HGlobal(name):
-                        t = Global(name)
-                    case HMeta(i):
-                        if strict:
-                            m = self.metas.get(i)
-                            raise UnsolvedMeta(m.span, i)
-                        t = Meta(i)
-                    case _:
-                        raise AssertionError(head)
-                for elim in spine:
-                    match elim:
-                        case EApp(arg):
-                            t = App(t, self.quote(depth, arg, strict))
-                        case EJ(m, b, e):
-                            t = J(
-                                self.quote(depth, m, strict),
-                                self.quote(depth, b, strict),
-                                self.quote(depth, e, strict),
-                                t,
-                            )
-                return t
-        raise AssertionError(f"cannot quote {v!r}")
+    def quote(self, depth: int, v: Value) -> CoreTerm:
+        """Read a value back to a term, resolving solved metas; unsolved
+        metas stay as Meta nodes, to be zonked later."""
+        return kernel.readback(depth, v, force=self.force)
 
     def show(self, v: Value) -> str:
         names = [n for (n, _, _) in self.bindings]
@@ -586,8 +519,6 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
         case SArrow(domain=d, codomain=c, span=span):
             d_core, _ = _as_type(ctx, d)
             c_core, _ = _as_type(ctx, c)
-            from .core import shift
-
             dom_v = ctx.eval(d_core)
             lvl = max(universe_of(ctx, dom_v), universe_of(ctx, ctx.eval(c_core)))
             return Pi("_", d_core, shift(c_core, 0, 1), False), VType(Level(lvl))
@@ -861,8 +792,6 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
 
 
 def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
-    from .core import shift
-
     match t:
         case Meta(i):
             m = ctx.metas.get(i)

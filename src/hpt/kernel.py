@@ -10,20 +10,23 @@ conversion first tries spine equality of same-named tops before falling
 back to the unfolding, so neutral heads proper are only bound variables,
 axioms, and unsolved metavariables.
 
-A GlobalEnv is frozen once loaded; eval/conv/infer_type are pure given
-frozen globals and may run concurrently. check_decl extends a GlobalEnv
-owned by a single session (copy-on-extend, so older environments stay
-valid).
+A GlobalEnv is read-only once loaded; check_decl returns an extended
+copy, so older environments stay valid.
 
 A step budget (default 10**8) turns runaway evaluation of malformed input
-into a BudgetExhausted error instead of a hang; it is charged at closure
-application and J elimination, which any divergent computation must pass
-through.
+into a BudgetExhausted error instead of a hang. It is charged once on every
+closure application and every J elimination, which any divergent
+computation must pass through; nothing is memoized, so a repeated
+application is charged again.
+
+Readback memoizes per top-level call: a value reached twice at the same
+depth is read back once, so the normal form shares that subterm in memory.
 """
 
 from __future__ import annotations
 
 import contextvars
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -172,14 +175,11 @@ class EJ(Elim):
 class Closure:
     """A suspended body over a captured environment.
 
-    Application is memoized by argument identity: normalization applies the
-    same closure to the same (shared) fresh variable many times over. When
-    the closure's term still contains metavariables, memo entries are
-    tagged with the store's rollback counter so that results embedding
-    speculatively-made (and later retracted) solutions are not reused.
+    Each application charges one budget step and evaluates the body in the
+    environment extended by the argument. Results are not memoized.
     """
 
-    __slots__ = ("env", "term", "globals", "metas", "_memo")
+    __slots__ = ("env", "term", "globals", "metas")
 
     def __init__(
         self,
@@ -192,18 +192,10 @@ class Closure:
         self.term = term
         self.globals = globals
         self.metas = metas
-        self._memo: list[tuple[Value, Value, int]] = []
 
     def apply(self, v: Value) -> Value:
-        stamp = 0 if self.metas is None else getattr(self.metas, "rollbacks", 0)
-        for key, result, mark in self._memo:
-            if key is v and mark == stamp:
-                return result
         _tick()
-        result = eval_term(list(self.env) + [v], self.globals, self.term, self.metas)
-        if len(self._memo) < 8:
-            self._memo.append((v, result, stamp))
-        return result
+        return eval_term(self.env + (v,), self.globals, self.term, self.metas)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -334,63 +326,64 @@ class GlobalEnv:
 
 
 def eval_term(
-    env: list[Value], globals: GlobalEnv, t: CoreTerm, metas: object | None = None
+    env: Sequence[Value], globals: GlobalEnv, t: CoreTerm, metas: object | None = None
 ) -> Value:
-    match t:
-        case Var(i):
-            return env[len(env) - 1 - i]
-        case App(f, x):
-            fv = eval_term(env, globals, f, metas)
-            xv = eval_term(env, globals, x, metas)
-            return apply_value(fv, xv)
-        case Global(name):
-            entry = globals.get(name)
-            if entry is None:
-                raise KernelError(f"unknown global {name!r}")
-            if entry.body_value is not None:
-                return VTop(name, (), entry)
-            return VNeutral(HGlobal(name))
-        case Lam(h, body, ann):
-            dom = eval_term(env, globals, ann, metas) if ann is not None else None
-            return VLam(h, Closure(tuple(env), body, globals, metas), dom, t.implicit)
-        case Pi(h, dom, cod, imp):
-            return VPi(h, eval_term(env, globals, dom, metas), Closure(tuple(env), cod, globals, metas), imp)
-        case Type(lvl):
-            return VType(lvl)
-        case Id(ty, l, r):
-            return VId(
-                eval_term(env, globals, ty, metas),
-                eval_term(env, globals, l, metas),
-                eval_term(env, globals, r, metas),
-            )
-        case Refl(p):
-            return VRefl(eval_term(env, globals, p, metas))
-        case J(m, b, e, p):
-            mv = eval_term(env, globals, m, metas)
-            bv = eval_term(env, globals, b, metas)
-            ev = eval_term(env, globals, e, metas)
-            pv = eval_term(env, globals, p, metas)
-            return j_apply(mv, bv, ev, pv)
-        case Meta(i):
-            if metas is not None:
-                entry = metas.solution_entry(i)  # type: ignore[attr-defined]
-                if entry is not None:
-                    d, term = entry
-                    # The solution is an open term over the meta's first
-                    # `d` binders; evaluate it under the env prefix.
-                    return eval_term(env[:d], globals, term, metas)
-            return VNeutral(HMeta(i))
+    # Exact-type tests, most frequent first; no term class is subclassed.
+    tt = type(t)
+    if tt is Var:
+        return env[-1 - t.index]
+    if tt is App:
+        return apply_value(eval_term(env, globals, t.fn, metas), eval_term(env, globals, t.arg, metas))
+    if tt is Lam:
+        dom = eval_term(env, globals, t.ann, metas) if t.ann is not None else None
+        return VLam(t.hint, Closure(tuple(env), t.body, globals, metas), dom, t.implicit)
+    if tt is Refl:
+        return VRefl(eval_term(env, globals, t.point, metas))
+    if tt is Id:
+        return VId(
+            eval_term(env, globals, t.type, metas),
+            eval_term(env, globals, t.lhs, metas),
+            eval_term(env, globals, t.rhs, metas),
+        )
+    if tt is Global:
+        entry = globals.get(t.name)
+        if entry is None:
+            raise KernelError(f"unknown global {t.name!r}")
+        if entry.body_value is not None:
+            return VTop(t.name, (), entry)
+        return VNeutral(HGlobal(t.name))
+    if tt is J:
+        return j_apply(
+            eval_term(env, globals, t.motive, metas),
+            eval_term(env, globals, t.base, metas),
+            eval_term(env, globals, t.endpoint, metas),
+            eval_term(env, globals, t.path, metas),
+        )
+    if tt is Pi:
+        dom = eval_term(env, globals, t.domain, metas)
+        return VPi(t.hint, dom, Closure(tuple(env), t.codomain, globals, metas), t.implicit)
+    if tt is Meta:
+        if metas is not None:
+            entry = metas.solution_entry(t.id)  # type: ignore[attr-defined]
+            if entry is not None:
+                d, term = entry
+                # The solution is an open term over the meta's first
+                # `d` binders; evaluate it under the env prefix.
+                return eval_term(env[:d], globals, term, metas)
+        return VNeutral(HMeta(t.id))
+    if tt is Type:
+        return VType(t.level)
     raise KernelError(f"cannot evaluate {t!r}")
 
 
 def apply_value(f: Value, x: Value) -> Value:
-    match f:
-        case VLam(_, clo, _, _):
-            return clo.apply(x)
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (EApp(x),))
-    if isinstance(f, VTop):
+    tf = type(f)
+    if tf is VTop:
         return VTop(f.name, f.spine + (EApp(x),), f.entry)
+    if tf is VLam:
+        return f.closure.apply(x)
+    if tf is VNeutral:
+        return VNeutral(f.head, f.spine + (EApp(x),))
     raise KernelError("applied a non-function value (ill-typed input)")
 
 
@@ -411,59 +404,70 @@ def j_apply(motive: Value, base: Value, endpoint: Value, path: Value) -> Value:
 # Readback
 
 
-def readback(depth: int, v: Value, unfold_top: bool = False) -> CoreTerm:
+def readback(
+    depth: int,
+    v: Value,
+    unfold_top: bool = False,
+    force: Callable[[Value], Value] | None = None,
+) -> CoreTerm:
     """Read a value back to a beta-normal core term.
 
     With unfold_top=True defined globals are unfolded away (full normal
     forms, as printed by evaluation commands); otherwise glued global
-    applications read back as the global applied to its spine.
+    applications read back as the global applied to its spine. `force`,
+    if given, is applied to every value before it is read back (the
+    elaborator passes its meta resolution here).
     Eta-expansion is not performed here; conversion handles eta for Pi by
     comparing values applicatively.
+
+    Results are memoized by depth and value identity (values hash and
+    compare by identity) for the duration of this call, so a value reached
+    twice is read back once and its normal form is shared.
     """
-    if isinstance(v, VTop):
+    memo: dict[int, dict[Value, CoreTerm]] = {}
+
+    def rb(depth: int, v: Value) -> CoreTerm:
+        seen = memo.get(depth)
+        if seen is None:
+            seen = memo[depth] = {}
+        t = seen.get(v)
+        if t is not None:
+            return t
+        w = v if force is None else force(v)
         if unfold_top:
-            v = force_top(v)
+            w = force_top(w)
+        tw = type(w)
+        if tw is VNeutral:
+            t = spine(depth, _readback_head(depth, w.head), w.spine)
+        elif tw is VTop:
+            t = spine(depth, Global(w.name), w.spine)
+        elif tw is VLam:
+            body = rb(depth + 1, w.closure.apply(fresh_var(depth)))
+            ann = rb(depth, w.domain) if w.domain is not None else None
+            t = Lam(w.hint, body, ann, w.implicit)
+        elif tw is VId:
+            t = Id(rb(depth, w.type), rb(depth, w.lhs), rb(depth, w.rhs))
+        elif tw is VRefl:
+            t = Refl(rb(depth, w.point))
+        elif tw is VPi:
+            cod = rb(depth + 1, w.closure.apply(fresh_var(depth)))
+            t = Pi(w.hint, rb(depth, w.domain), cod, w.implicit)
+        elif tw is VType:
+            t = Type(w.level)
         else:
-            t: CoreTerm = Global(v.name)
-            return _readback_spine(depth, t, v.spine, unfold_top)
-    match v:
-        case VLam(h, clo, dom, imp):
-            body = readback(depth + 1, clo.apply(fresh_var(depth)), unfold_top)
-            ann = readback(depth, dom, unfold_top) if dom is not None else None
-            return Lam(h, body, ann, imp)
-        case VPi(h, dom, clo, imp):
-            cod = readback(depth + 1, clo.apply(fresh_var(depth)), unfold_top)
-            return Pi(h, readback(depth, dom, unfold_top), cod, imp)
-        case VType(lvl):
-            return Type(lvl)
-        case VId(ty, l, r):
-            return Id(
-                readback(depth, ty, unfold_top),
-                readback(depth, l, unfold_top),
-                readback(depth, r, unfold_top),
-            )
-        case VRefl(p):
-            return Refl(readback(depth, p, unfold_top))
-        case VNeutral(head, spine):
-            return _readback_spine(depth, _readback_head(depth, head), spine, unfold_top)
-    raise KernelError(f"cannot read back {v!r}")
+            raise KernelError(f"cannot read back {w!r}")
+        seen[v] = t
+        return t
 
+    def spine(depth: int, t: CoreTerm, elims: tuple[Elim, ...]) -> CoreTerm:
+        for elim in elims:
+            if type(elim) is EApp:
+                t = App(t, rb(depth, elim.arg))
+            else:
+                t = J(rb(depth, elim.motive), rb(depth, elim.base), rb(depth, elim.endpoint), t)
+        return t
 
-def _readback_spine(
-    depth: int, t: CoreTerm, spine: tuple[Elim, ...], unfold_top: bool
-) -> CoreTerm:
-    for elim in spine:
-        match elim:
-            case EApp(arg):
-                t = App(t, readback(depth, arg, unfold_top))
-            case EJ(m, b, e):
-                t = J(
-                    readback(depth, m, unfold_top),
-                    readback(depth, b, unfold_top),
-                    readback(depth, e, unfold_top),
-                    t,
-                )
-    return t
+    return rb(depth, v)
 
 
 def _readback_head(depth: int, head: Head) -> CoreTerm:
@@ -485,56 +489,53 @@ def conv(depth: int, a: Value, b: Value) -> bool:
     """Definitional equality of two values of a common type."""
     if a is b:
         return True
-    if isinstance(a, VTop):
-        if isinstance(b, VTop) and a.name == b.name and _conv_spines(depth, a.spine, b.spine):
+    ta = type(a)
+    tb = type(b)
+    if ta is VTop:
+        if tb is VTop and a.name == b.name and _conv_spines(depth, a.spine, b.spine):
             return True
-        return conv(depth, a.force(), b.force() if isinstance(b, VTop) else b)
-    if isinstance(b, VTop):
+        return conv(depth, a.force(), b.force() if tb is VTop else b)
+    if tb is VTop:
         return conv(depth, a, b.force())
-    match a, b:
-        case VType(l1), VType(l2):
-            return l1 == l2
-        case VId(t1, l1, r1), VId(t2, l2, r2):
-            return conv(depth, t1, t2) and conv(depth, l1, l2) and conv(depth, r1, r2)
-        case VRefl(p1), VRefl(p2):
-            return conv(depth, p1, p2)
-        case VPi(_, d1, c1, i1), VPi(_, d2, c2, i2):
-            if i1 != i2 or not conv(depth, d1, d2):
-                return False
-            x = fresh_var(depth)
-            return conv(depth + 1, c1.apply(x), c2.apply(x))
-        case VLam(), _:
-            if not isinstance(b, (VLam, VNeutral)):
-                return False
-            x = fresh_var(depth)
-            return conv(depth + 1, a.closure.apply(x), apply_value(b, x))
-        case _, VLam():
-            if not isinstance(a, (VLam, VNeutral)):
-                return False
-            x = fresh_var(depth)
-            return conv(depth + 1, apply_value(a, x), b.closure.apply(x))
-        case VNeutral(h1, sp1), VNeutral(h2, sp2):
-            if h1 != h2:
-                return False
-            return _conv_spines(depth, sp1, sp2)
-        case _:
+    if ta is VNeutral and tb is VNeutral:
+        return a.head == b.head and _conv_spines(depth, a.spine, b.spine)
+    if ta is VLam:
+        if tb is not VLam and tb is not VNeutral:
             return False
+        x = fresh_var(depth)
+        return conv(depth + 1, a.closure.apply(x), apply_value(b, x))
+    if tb is VLam:
+        if ta is not VNeutral:
+            return False
+        x = fresh_var(depth)
+        return conv(depth + 1, apply_value(a, x), b.closure.apply(x))
+    if ta is not tb:
+        return False
+    if ta is VId:
+        return conv(depth, a.type, b.type) and conv(depth, a.lhs, b.lhs) and conv(depth, a.rhs, b.rhs)
+    if ta is VRefl:
+        return conv(depth, a.point, b.point)
+    if ta is VPi:
+        if a.implicit != b.implicit or not conv(depth, a.domain, b.domain):
+            return False
+        x = fresh_var(depth)
+        return conv(depth + 1, a.closure.apply(x), b.closure.apply(x))
+    return ta is VType and a.level == b.level
 
 
 def _conv_spines(depth: int, sp1: tuple[Elim, ...], sp2: tuple[Elim, ...]) -> bool:
     if len(sp1) != len(sp2):
         return False
     for e1, e2 in zip(sp1, sp2):
-        match e1, e2:
-            case EApp(x1), EApp(x2):
-                if not conv(depth, x1, x2):
-                    return False
-            case EJ(m1, b1, _), EJ(m2, b2, _):
-                # endpoints are determined by the shared scrutinee
-                if not (conv(depth, m1, m2) and conv(depth, b1, b2)):
-                    return False
-            case _:
+        kind = type(e1)
+        if kind is not type(e2):
+            return False
+        if kind is EApp:
+            if not conv(depth, e1.arg, e2.arg):
                 return False
+        # endpoints are determined by the shared scrutinee
+        elif not (conv(depth, e1.motive, e2.motive) and conv(depth, e1.base, e2.base)):
+            return False
     return True
 
 

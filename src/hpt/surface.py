@@ -24,8 +24,7 @@ letters, digits, `_`, `'`, or `-` (a `-` is taken into the identifier only
 when followed by another identifier character, so `a--b` is `a` plus a
 comment and `a->b` is `a -> b`).
 
-Everything here is a pure function of its input and safe to call
-concurrently.
+Everything here is a pure function of its input.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from hpt import corpus, elab, kernel
-from hpt.core import Lam, Pi, Var, alpha_eq
+from hpt.core import Global, Lam, Pi, Var, alpha_eq
 from hpt.elab import (
     ElabCtx,
     OccursCheck,
@@ -15,7 +15,7 @@ from hpt.elab import (
     elaborate_term,
     unify,
 )
-from hpt.kernel import GlobalEnv, VId, VType, eval_term
+from hpt.kernel import GlobalEnv, VId, VTop, VType, apply_value, eval_term
 from hpt.surface import DUMMY_SPAN, parse_file, parse_term
 
 
@@ -126,6 +126,24 @@ def test_unify_decomposes_id(env):
     star_v = eval_term([], env, elaborate_term(env, parse_term("star"))[0])
     unify(ctx, VId(m, star_v, star_v), VId(a_v, star_v, star_v), DUMMY_SPAN)
     assert ctx.force(m) is not m  # solved
+
+
+def test_speculative_spine_unification_rolls_back(env):
+    """Same-named glued globals whose spines fail after a meta was solved:
+    the solution is retracted and unification succeeds by unfolding."""
+    local = kernel.check_decl(env, _decl(env, "def pick (x y : A) : A := star"))
+    a_v = eval_term([], local, Global("A"))
+    ctx = ElabCtx(local).bound("x", a_v, False).bound("y", a_v, False)
+    _, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
+    x, y = ctx.env()
+    pick = eval_term([], local, Global("pick"))
+    # Spines [?m, x] and [y, y]: ?m := y is made, then x = y fails.
+    lhs = apply_value(apply_value(pick, m), x)
+    rhs = apply_value(apply_value(pick, y), y)
+    assert isinstance(lhs, VTop) and isinstance(rhs, VTop)
+    unify(ctx, lhs, rhs, DUMMY_SPAN)
+    assert ctx.force(m) is m
+    assert [meta.id for meta in ctx.metas.unsolved()] == [m.head.id]
 
 
 def test_unify_symmetric_on_corpus_constraints(env):

@@ -120,6 +120,35 @@ def test_step_budget_reports_runaway(env):
             normalize(env, core)
 
 
+def test_step_budget_charges_every_application(env):
+    # Applying one closure twice to the same argument costs two steps.
+    lam = eval_term([], env, Lam("x", Var(0), Global("A")))
+    star = eval_term([], env, Global("star"))
+    with step_budget(1):
+        lam.closure.apply(star)
+        with pytest.raises(BudgetExhausted):
+            lam.closure.apply(star)
+    # Normalizing a corpus body needs exactly its step count, every time.
+    body = env.get("EH").body_core
+    with step_budget():
+        normalize(env, body)
+        used = kernel.DEFAULT_STEP_BUDGET - kernel._budget_var.get().remaining
+    assert used > 0
+    with step_budget(used):
+        normalize(env, body)
+    with pytest.raises(BudgetExhausted):
+        with step_budget(used - 1):
+            normalize(env, body)
+
+
+def test_readback_shares_repeated_values(env):
+    # `#check refl star`: the type is VId(A, pv, pv) with one value twice.
+    ty = kernel.infer_type([], env, Refl(Global("star")))
+    t = kernel.readback(0, ty)
+    assert t == Id(Global("A"), Global("star"), Global("star"))
+    assert t.lhs is t.rhs
+
+
 # ---------------------------------------------------------------------------
 # Corpus-wide properties
 
@@ -133,15 +162,39 @@ def test_readback_eval_idempotent_glued(env):
         assert alpha_eq(nf1, nf2), entry.name
 
 
+# Tree sizes of the normal forms of every corpus body up to 120,000 nodes,
+# as read back without sharing; a shared readback must keep every tree.
+NF_TREE_SIZES = {
+    "concat": 33, "inv": 27, "concat-assoc": 114, "concat-1-L": 46, "concat-1-R": 31,
+    "concat-inv-R": 61, "concat-inv-L": 61, "whisk-L": 98, "whisk-R": 98, "par-concat": 162,
+    "exchange": 1147, "whisk-L-R": 775, "concat-cancel-R": 80, "concat-cancel-inv-R": 92,
+    "concat-cancel-inv-L": 230, "concat-cancel-L": 242, "squash-down": 112,
+    "squash-down-inv": 166, "squash-down-sect": 276, "squash-down-retr": 279,
+    "squash-right": 181, "squash-right-inv": 97, "squash-right-sect": 912,
+    "squash-right-retr": 915, "concat-1-L-nat": 470, "concat-1-R-nat": 230, "EH": 3515,
+    "whisk-L-R-1-L": 1898, "whisk-L-R-1-R": 816, "EH-1-L-gen-base": 268, "EH-1-L-gen": 739,
+    "EH-1-L": 13065, "EH-1-R-gen-base": 391, "EH-1-R-gen": 955, "EH-1-R": 19063,
+    "EH-L-nat": 11341, "EH-R-nat": 11341, "paste-vert": 1194, "paste-horiz": 1330,
+    "flip-vert": 503, "flip-horiz": 548, "EH-L-nat-refl-gen": 45940,
+    "EH-R-nat-refl-gen": 33477, "EH-L-nat-refl": 66640, "EH-R-nat-refl": 52473,
+    "syllepsis-triangle-core": 27031, "syllepsis-triangle": 57845, "syllepsis-hexagon": 6000,
+}
+
+
 def test_readback_eval_idempotent_unfolded_small(env):
+    covered = set()
     for entry in env:
         if entry.body_core is None:
             continue
         nf1 = normalize(env, entry.body_core)
-        if term_size(nf1) > 120_000:
+        size = term_size(nf1)
+        if size > 120_000:
             continue
+        assert size == NF_TREE_SIZES[entry.name], entry.name
+        covered.add(entry.name)
         nf2 = normalize(env, nf1)
         assert alpha_eq(nf1, nf2), entry.name
+    assert covered == set(NF_TREE_SIZES)
 
 
 def test_conv_equivalence_on_corpus_values(env):
