@@ -14,11 +14,11 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import driver, elab, kernel
 from .core import pretty
-from .driver import whole_file_span
 from .kernel import GlobalEnv, KernelError
 from .surface import SourceSpan, SurfaceError, parse_term
 
@@ -28,7 +28,6 @@ class Diagnostic:
     severity: str  # "error" | "warning" | "info"
     span: SourceSpan
     message: str
-    notes: tuple[str, ...] = ()
 
 
 @dataclass
@@ -84,8 +83,6 @@ def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> s
             end = d.span.end_col if d.span.end_line == d.span.start_line else len(src)
             width = max(1, end - start + 1)
             out.append("    " + " " * (start - 1) + "^" + "~" * (width - 1))
-    for note in d.notes:
-        out.append(f"  note: {note}")
     return "\n".join(out)
 
 
@@ -106,8 +103,7 @@ def _collect_file_result(report: CheckReport, result: driver.FileResult) -> None
                 Diagnostic("error", event.span, f"definitional assertion failed: {event.text}")
             )
     if result.error is not None:
-        span = result.error_span or SourceSpan(result.filename, 1, 1, 1, 1)
-        report.diagnostics.append(_error_to_diagnostic(result.error, span))
+        report.diagnostics.append(_error_to_diagnostic(result.error, result.error_span))
 
 
 def _print_report(report: CheckReport, sources: dict[str, str], out, color: bool) -> None:
@@ -122,14 +118,15 @@ def _print_report(report: CheckReport, sources: dict[str, str], out, color: bool
     )
 
 
-def _load_corpus_env(report: CheckReport) -> GlobalEnv | None:
-    env = GlobalEnv()
-    for filename, text in corpus_mod.prelude_sources():
-        env, result = driver.check_source(env, text, filename)
-        if result.error is not None:
-            span = result.error_span or whole_file_span(filename, text)
-            report.diagnostics.append(_error_to_diagnostic(result.error, span))
-            return None
+def _open_corpus(report: CheckReport, sources: dict[str, str]) -> GlobalEnv | None:
+    """The corpus environment for --open-corpus, or None with the corpus's
+    error in `report`. The corpus sources join `sources` for rendering."""
+    corpus_sources = corpus_mod.prelude_sources()
+    sources.update(corpus_sources)
+    env, results = driver.check_sources(GlobalEnv(), corpus_sources)
+    if results and results[-1].error is not None:
+        report.diagnostics.append(_error_to_diagnostic(results[-1].error, results[-1].error_span))
+        return None
     return env
 
 
@@ -137,15 +134,12 @@ def cmd_check(args, out) -> int:
     report = CheckReport()
     sources: dict[str, str] = {}
     started = time.monotonic()
-    env0: GlobalEnv | None = GlobalEnv()
-    if args.open_corpus:
-        env0 = _load_corpus_env(report)
-    if env0 is not None:
-        env = env0
+    env = _open_corpus(report, sources) if args.open_corpus else GlobalEnv()
+    if env is not None:
         for path in args.files:
             try:
-                text = open(path, encoding="utf-8").read()
-            except OSError as e:
+                text = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as e:
                 report.files.append(path)
                 report.diagnostics.append(
                     Diagnostic("error", SourceSpan(path, 1, 1, 1, 1), f"cannot read file: {e}")
@@ -171,10 +165,9 @@ def cmd_eval(args, out) -> int:
     if args.expr is None:
         print("error: eval requires -e <expr>", file=sys.stderr)
         return 2
-    env: GlobalEnv | None = GlobalEnv()
-    if args.open_corpus:
-        env = _load_corpus_env(report)
-    if env is not None and not report.diagnostics:
+    sources = {"<expr>": args.expr}
+    env = _open_corpus(report, sources) if args.open_corpus else GlobalEnv()
+    if env is not None:
         try:
             term = parse_term(args.expr, "<expr>")
             core, ty = elab.elaborate_term(env, term)
@@ -188,51 +181,38 @@ def cmd_eval(args, out) -> int:
         except (SurfaceError, KernelError) as e:
             report.diagnostics.append(_error_to_diagnostic(e, SourceSpan("<expr>", 1, 1, 1, 1)))
     for d in report.diagnostics:
-        print(_render_diagnostic(d, {"<expr>": args.expr}, args.color), file=out)
+        print(_render_diagnostic(d, sources, args.color), file=out)
     return 1
 
 
 def cmd_corpus(args, out) -> int:
     report = CheckReport()
-    sources: dict[str, str] = {}
     started = time.monotonic()
-    env = GlobalEnv()
-    failed = False
-    for filename, text in corpus_mod.prelude_sources():
-        sources[filename] = text
-        env, result = driver.check_source(env, text, filename)
+    sources = dict(corpus_mod.prelude_sources())
+    env, results = driver.check_sources(GlobalEnv(), sources.items())
+    for result in results:
         _collect_file_result(report, result)
-        if result.error is not None:
-            failed = True
-            break
 
     lines: list[str] = []
-    if not failed:
-        man = corpus_mod.manifest()
-        for entry in man.entries:
-            present = entry.decl_name in env
-            mark = "ok  " if present else "FAIL"
-            lines.append(f"{mark} {entry.paper_anchor}  [{entry.kind}] {entry.decl_name}")
-            if not present:
-                failed = True
-                report.diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        SourceSpan("manifest.tsv", 1, 1, 1, 1),
-                        f"manifest entry {entry.decl_name!r} not present after corpus load",
-                    )
-                )
+    if not any(r.error is not None for r in results):
         try:
+            for entry in corpus_mod.manifest():
+                present = entry.decl_name in env
+                mark = "ok  " if present else "FAIL"
+                lines.append(f"{mark} {entry.paper_anchor}  [{entry.kind}] {entry.decl_name}")
+                if not present:
+                    message = f"manifest entry {entry.decl_name!r} not present after corpus load"
+                    report.diagnostics.append(
+                        Diagnostic("error", SourceSpan("manifest.tsv", 1, 1, 1, 1), message)
+                    )
             for label, ok in corpus_mod.run_required_assertions(env):
                 mark = "ok  " if ok else "FAIL"
                 lines.append(f"{mark} definitional assertion  {label}")
-                if not ok:
-                    failed = True
-                    report.assertions_failed += 1
-                else:
+                if ok:
                     report.assertions_passed += 1
+                else:
+                    report.assertions_failed += 1
         except (SurfaceError, KernelError) as e:
-            failed = True
             report.diagnostics.append(
                 _error_to_diagnostic(e, SourceSpan("<assertions>", 1, 1, 1, 1))
             )
@@ -244,7 +224,7 @@ def cmd_corpus(args, out) -> int:
         for line in lines:
             print(line, file=out)
         _print_report(report, sources, out, args.color)
-    return 0 if report.ok and not failed else 1
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

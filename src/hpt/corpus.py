@@ -4,7 +4,9 @@ The corpus is a dependency-ordered sequence of sources (numeric filename
 prefixes fix the order) that parse, elaborate, and kernel-check with zero
 errors, together with a manifest cross-indexing every declaration to its
 anchor in the written development and a pinned list of definitional
-assertions that must hold.
+assertions that must hold. Both the sources and the pinned assertions are
+checked through `driver`: the sources with `driver.check_sources`, the
+assertions as `#assert defeq` directives of one more source.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import driver, elab, kernel
+from . import driver
 from .driver import FileResult
-from .kernel import GlobalEnv
+from .kernel import GlobalEnv, KernelError
+from .surface import SourceSpan, SurfaceError
 
 _BUNDLED = Path(__file__).resolve().parent / "corpus"
 
@@ -28,12 +31,6 @@ class CorpusEntry:
     statement_summary: str
     paper_anchor: str
     kind: str
-
-
-@dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple[CorpusEntry, ...]
-    assertion_count: int
 
 
 def corpus_dir() -> Path:
@@ -50,24 +47,34 @@ def prelude_sources() -> list[tuple[str, str]]:
     return [(p.name, p.read_text(encoding="utf-8")) for p in files]
 
 
-def manifest() -> CorpusManifest:
-    """Parse the shipped manifest table (name, kind, anchor, summary per line)."""
-    path = corpus_dir() / "manifest.tsv"
+def manifest() -> list[CorpusEntry]:
+    """Parse the shipped manifest table (name, kind, anchor, summary per line).
+
+    A missing file, a row of fewer than three tab-separated columns or an
+    unknown kind raises a SurfaceError located in manifest.tsv.
+    """
+
+    def error(line: int, message: str) -> SurfaceError:
+        return SurfaceError(SourceSpan("manifest.tsv", line, 1, line, 1), message)
+
+    try:
+        text = (corpus_dir() / "manifest.tsv").read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(1, f"cannot read manifest: {e}") from e
     entries = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
-        name, kind, anchor = parts[0], parts[1], parts[2]
+        if len(parts) < 3:
+            raise error(lineno, f"expected name, kind and anchor, found {len(parts)} column(s)")
+        name, kind, anchor = parts[:3]
         summary = parts[3] if len(parts) > 3 else ""
         if kind not in KINDS:
-            raise ValueError(f"manifest: unknown kind {kind!r} for {name!r}")
+            raise error(lineno, f"unknown kind {kind!r} for {name!r}")
         entries.append(CorpusEntry(name, summary, anchor, kind))
-    count = 0
-    for _, text in prelude_sources():
-        count += sum(1 for ln in text.splitlines() if ln.strip().startswith("#assert"))
-    return CorpusManifest(tuple(entries), count)
+    return entries
 
 
 def required_assertions() -> list[tuple[str, str, str]]:
@@ -95,32 +102,28 @@ def required_assertions() -> list[tuple[str, str, str]]:
 
 
 def load_corpus(globals: GlobalEnv | None = None) -> tuple[GlobalEnv, list[FileResult]]:
-    """Check the whole corpus in order. Raises on the first error."""
-    env = globals if globals is not None else GlobalEnv()
-    results = []
-    for filename, text in prelude_sources():
-        env, result = driver.check_source(env, text, filename)
-        results.append(result)
+    """Check the whole corpus in order. Raises on the first error or failed
+    assertion."""
+    env, results = driver.check_sources(
+        globals if globals is not None else GlobalEnv(), prelude_sources()
+    )
+    for result in results:
         if result.error is not None:
             raise result.error
         if result.assertions_failed:
-            raise kernel.KernelError(
-                f"{filename}: {result.assertions_failed} definitional assertion(s) failed"
+            raise KernelError(
+                f"{result.filename}: {result.assertions_failed} definitional assertion(s) failed"
             )
     return env, results
 
 
 def run_required_assertions(env: GlobalEnv) -> list[tuple[str, bool]]:
-    """Evaluate every pinned assertion against a loaded corpus environment."""
-    from .surface import parse_term
-
-    out = []
-    for lhs, rhs, ty in required_assertions():
-        ty_core, _ = elab.elaborate_term(env, parse_term(ty))
-        ty_v = kernel.eval_term([], env, ty_core)
-        ctx = elab.ElabCtx(env)
-        l_core = elab.zonk(ctx, elab.check(ctx, parse_term(lhs), ty_v))
-        r_core = elab.zonk(ctx, elab.check(ctx, parse_term(rhs), ty_v))
-        ok = kernel.assert_defeq(env, l_core, r_core, ty_core)
-        out.append((f"{lhs} ~ {rhs}", ok))
-    return out
+    """Check every pinned assertion against a loaded corpus environment, as
+    the `#assert defeq` directives of one source named <assertions>.
+    Raises the source's error, if it has one."""
+    pinned = required_assertions()
+    text = "".join(f"#assert defeq {lhs} ~ {rhs} : {ty}\n" for lhs, rhs, ty in pinned)
+    _, result = driver.check_source(env, text, "<assertions>")
+    if result.error is not None:
+        raise result.error
+    return [(f"{lhs} ~ {rhs}", e.ok) for (lhs, rhs, _), e in zip(pinned, result.events)]

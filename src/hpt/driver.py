@@ -4,10 +4,11 @@ parse, elaborate, kernel-check, and run directives in source order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import elab, kernel
-from .core import CoreDecl, pretty
+from .core import pretty
 from .kernel import GlobalEnv, KernelError
 from .surface import (
     AssertDefeq,
@@ -50,11 +51,6 @@ class FileResult:
         return sum(1 for e in self.events if e.kind == "assert" and not e.ok)
 
 
-def whole_file_span(filename: str, text: str) -> SourceSpan:
-    lines = text.splitlines() or [""]
-    return SourceSpan(filename, 1, 1, len(lines), max(1, len(lines[-1])))
-
-
 def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
     """Elaborate and check one declaration or directive."""
     match d:
@@ -85,30 +81,30 @@ def check_source(globals: GlobalEnv, text: str, filename: str) -> tuple[GlobalEn
     """Check one file against (and extending) `globals`.
 
     Stops at the first error in the file; the returned environment contains
-    everything admitted before the error.
+    everything admitted before the error. A failed assertion is not an
+    error: checking continues so all assertion outcomes are visible.
     """
     result = FileResult(filename)
     try:
-        decls = parse_file(text, filename)
-    except SurfaceError as e:
-        result.error = e
-        result.error_span = e.span
-        return globals, result
-
-    for d in decls:
-        try:
+        for d in parse_file(text, filename):
             globals, event = process_decl(globals, d)
-        except SurfaceError as e:
-            result.error = e
-            result.error_span = e.span
-            return globals, result
-        except KernelError as e:
-            result.error = e
-            result.error_span = getattr(d, "span", whole_file_span(filename, text))
-            return globals, result
-        result.events.append(event)
-        if event.kind == "assert" and not event.ok:
-            # a failed assertion is an error for the report, but checking
-            # continues so all assertion outcomes are visible
-            continue
+            result.events.append(event)
+    except SurfaceError as e:
+        result.error, result.error_span = e, e.span
+    except KernelError as e:
+        result.error, result.error_span = e, d.span
     return globals, result
+
+
+def check_sources(
+    globals: GlobalEnv, sources: Iterable[tuple[str, str]]
+) -> tuple[GlobalEnv, list[FileResult]]:
+    """Check (filename, text) pairs in order, each against the environment
+    the previous ones built. Stops after the first file with an error."""
+    results = []
+    for filename, text in sources:
+        globals, result = check_source(globals, text, filename)
+        results.append(result)
+        if result.error is not None:
+            break
+    return globals, results

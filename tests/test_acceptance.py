@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hpt import corpus, elab, kernel
+from hpt import corpus, driver, elab, kernel
 from hpt.cli import main
 from hpt.core import CoreDecl, Global, Refl, Type, Level, Var, alpha_eq, term_size
 from hpt.kernel import GlobalEnv, KernelError, conv, eval_term, step_budget
@@ -33,7 +33,7 @@ def test_criterion_corpus_check():
     started = time.monotonic()
     code = main(["corpus"], out=out)
     elapsed = time.monotonic() - started
-    entries = len(corpus.manifest().entries)
+    entries = len(corpus.manifest())
     ok = code == 0 and entries >= 25 and elapsed < 10.0
     _report(
         f"corpus check (exit={code}, entries={entries}, {elapsed:.2f}s < 10s)", ok
@@ -62,17 +62,14 @@ def test_criterion_definitional_reduction_suite(loaded):
             " = concat-1-R (refl (refl star)) * inv (concat-1-L (refl (refl star)))",
         ),
     ]
-    all_ok = True
-    for lhs, rhs, ty in pinned:
-        ty_core, _ = elab.elaborate_term(env, parse_term(ty))
-        ty_v = eval_term([], env, ty_core)
-        ctx = elab.ElabCtx(env)
-        l = elab.zonk(ctx, elab.check(ctx, parse_term(lhs), ty_v))
-        r = elab.zonk(ctx, elab.check(ctx, parse_term(rhs), ty_v))
-        ok = kernel.assert_defeq(env, l, r, ty_core)
-        print(f"  defeq {lhs} ~ {rhs}: {'ok' if ok else 'FAIL'}")
-        all_ok = all_ok and ok
-    _report("definitional-reduction suite (exact)", all_ok)
+    text = "".join(f"#assert defeq {lhs} ~ {rhs} : {ty}\n" for lhs, rhs, ty in pinned)
+    _, result = driver.check_source(env, text, "<pinned>")
+    assert result.error is None, result.error
+    events = result.events
+    assert [e.kind for e in events] == ["assert"] * len(pinned)
+    for (lhs, rhs, _), event in zip(pinned, events):
+        print(f"  defeq {lhs} ~ {rhs}: {'ok' if event.ok else 'FAIL'}")
+    _report("definitional-reduction suite (exact)", all(e.ok for e in events))
 
 
 def test_criterion_syllepsis_endpoints(loaded):

@@ -152,15 +152,65 @@ def test_corpus_json_agrees_with_counts():
     assert f"{man_count} declaration(s)" in human
 
 
-def test_corpus_missing_file_names_missing_global(tmp_path, monkeypatch):
+def copy_corpus(tmp_path, monkeypatch):
+    """Point HPT_CORPUS_DIR at a copy of the bundled corpus in tmp_path."""
     from hpt import corpus as corpus_mod
 
     src = corpus_mod.corpus_dir()
-    for p in src.glob("*.hpt"):
-        if not p.name.startswith("02-"):
-            (tmp_path / p.name).write_text(p.read_text())
-    (tmp_path / "manifest.tsv").write_text((src / "manifest.tsv").read_text())
+    for p in [*src.glob("*.hpt"), src / "manifest.tsv"]:
+        (tmp_path / p.name).write_text(p.read_text())
     monkeypatch.setenv("HPT_CORPUS_DIR", str(tmp_path))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "manifest, expected",
+    [
+        (None, "manifest.tsv:1:1: error: cannot read manifest"),
+        ("# comment\nA\taxiom\n", "manifest.tsv:2:1: error: expected name, kind and anchor"),
+        ("A\taxiom\tbase\nstar\tgizmo\tbase\n",
+         "manifest.tsv:2:1: error: unknown kind 'gizmo' for 'star'"),
+    ],
+    ids=["missing", "short-row", "unknown-kind"],
+)
+def test_corpus_manifest_fault_is_located(tmp_path, monkeypatch, manifest, expected):
+    path = copy_corpus(tmp_path, monkeypatch) / "manifest.tsv"
+    path.unlink()
+    if manifest is not None:
+        path.write_text(manifest)
+    code, out = run_cli(["corpus"])
+    assert code == 1
+    assert expected in out
+
+
+def test_open_corpus_failure_shows_source_line(tmp_path, monkeypatch, tmp_hpt):
+    (tmp_path / "corpus").mkdir()
+    whisker = copy_corpus(tmp_path / "corpus", monkeypatch) / "02-whisker.hpt"
+    bad = "#assert defeq whisk-L (refl star) (refl (refl star)) ~ refl (refl (refl star))"
+    text = whisker.read_text().replace(
+        "#assert defeq whisk-L (refl star) (refl (refl star)) ~ refl (refl star)", bad
+    )
+    whisker.write_text(text)
+    line = text.splitlines().index(bad) + 1
+    user = tmp_hpt("use.hpt", "axiom B : Type\n")
+    for args in (["check", "--open-corpus", user], ["eval", "--open-corpus", "-e", "star"]):
+        code, out = run_cli(args)
+        assert code == 1
+        assert f"02-whisker.hpt:{line}:56: error: type mismatch" in out
+        assert f"    {bad}\n" in out
+        assert "\n    " + " " * 55 + "^~~~" in out
+
+
+def test_check_undecodable_file_is_io_diagnostic(tmp_path):
+    path = tmp_path / "bytes.hpt"
+    path.write_bytes(b"\xff\xfe")
+    code, out = run_cli(["check", str(path)])
+    assert code == 1
+    assert f"{path}:1:1: error: cannot read file" in out
+
+
+def test_corpus_missing_file_names_missing_global(tmp_path, monkeypatch):
+    (copy_corpus(tmp_path, monkeypatch) / "02-whisker.hpt").unlink()
     code, out = run_cli(["corpus"])
     assert code == 1
     assert "whisk-L" in out or "whisk-R" in out  # names the missing global
