@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import driver, elab, kernel
@@ -121,9 +120,8 @@ def _print_report(report: CheckReport, sources: dict[str, str], out, color: bool
 def _open_corpus(report: CheckReport, sources: dict[str, str]) -> GlobalEnv | None:
     """The corpus environment for --open-corpus, or None with the corpus's
     error in `report`. The corpus sources join `sources` for rendering."""
-    corpus_sources = corpus_mod.prelude_sources()
+    env, corpus_sources, results = corpus_mod.check_corpus(GlobalEnv())
     sources.update(corpus_sources)
-    env, results = driver.check_sources(GlobalEnv(), corpus_sources)
     if results and results[-1].error is not None:
         report.diagnostics.append(_error_to_diagnostic(results[-1].error, results[-1].error_span))
         return None
@@ -138,12 +136,10 @@ def cmd_check(args, out) -> int:
     if env is not None:
         for path in args.files:
             try:
-                text = Path(path).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as e:
+                text = driver.read_source(path, path)
+            except SurfaceError as e:
                 report.files.append(path)
-                report.diagnostics.append(
-                    Diagnostic("error", SourceSpan(path, 1, 1, 1, 1), f"cannot read file: {e}")
-                )
+                report.diagnostics.append(_error_to_diagnostic(e, e.span))
                 continue
             sources[path] = text
             env, result = driver.check_source(env, text, path)
@@ -188,8 +184,7 @@ def cmd_eval(args, out) -> int:
 def cmd_corpus(args, out) -> int:
     report = CheckReport()
     started = time.monotonic()
-    sources = dict(corpus_mod.prelude_sources())
-    env, results = driver.check_sources(GlobalEnv(), sources.items())
+    env, sources, results = corpus_mod.check_corpus(GlobalEnv())
     for result in results:
         _collect_file_result(report, result)
 

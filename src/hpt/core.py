@@ -140,34 +140,34 @@ def alpha_eq(a: CoreTerm, b: CoreTerm) -> bool:
 
 
 def shift(t: CoreTerm, cutoff: int, amount: int) -> CoreTerm:
-    """Add `amount` to every free index >= cutoff. Bound indices untouched."""
+    """Add `amount` to every free index >= cutoff. Bound indices untouched;
+    a subterm with no free index >= cutoff comes back as the same object."""
     match t:
         case Var(i):
             return Var(i + amount) if i >= cutoff else t
         case Global() | Type() | Meta():
             return t
         case Lam(h, body, ann, imp):
-            return Lam(
-                h,
-                shift(body, cutoff + 1, amount),
-                None if ann is None else shift(ann, cutoff, amount),
-                imp,
-            )
+            body2 = shift(body, cutoff + 1, amount)
+            ann2 = None if ann is None else shift(ann, cutoff, amount)
+            return t if body2 is body and ann2 is ann else Lam(h, body2, ann2, imp)
         case App(f, x):
-            return App(shift(f, cutoff, amount), shift(x, cutoff, amount))
+            f2, x2 = shift(f, cutoff, amount), shift(x, cutoff, amount)
+            return t if f2 is f and x2 is x else App(f2, x2)
         case Pi(h, dom, cod, imp):
-            return Pi(h, shift(dom, cutoff, amount), shift(cod, cutoff + 1, amount), imp)
+            dom2, cod2 = shift(dom, cutoff, amount), shift(cod, cutoff + 1, amount)
+            return t if dom2 is dom and cod2 is cod else Pi(h, dom2, cod2, imp)
         case Id(ty, l, r):
-            return Id(shift(ty, cutoff, amount), shift(l, cutoff, amount), shift(r, cutoff, amount))
+            ty2, l2 = shift(ty, cutoff, amount), shift(l, cutoff, amount)
+            r2 = shift(r, cutoff, amount)
+            return t if ty2 is ty and l2 is l and r2 is r else Id(ty2, l2, r2)
         case Refl(p):
-            return Refl(shift(p, cutoff, amount))
+            p2 = shift(p, cutoff, amount)
+            return t if p2 is p else Refl(p2)
         case J(m, b, e, p):
-            return J(
-                shift(m, cutoff, amount),
-                shift(b, cutoff, amount),
-                shift(e, cutoff, amount),
-                shift(p, cutoff, amount),
-            )
+            m2, b2 = shift(m, cutoff, amount), shift(b, cutoff, amount)
+            e2, p2 = shift(e, cutoff, amount), shift(p, cutoff, amount)
+            return t if m2 is m and b2 is b and e2 is e and p2 is p else J(m2, b2, e2, p2)
     raise TypeError(f"not a core term: {t!r}")
 
 

@@ -41,10 +41,19 @@ def corpus_dir() -> Path:
 
 
 def prelude_sources() -> list[tuple[str, str]]:
-    """The corpus sources in dependency order as (filename, text) pairs."""
-    root = corpus_dir()
-    files = sorted(p for p in root.glob("*.hpt"))
-    return [(p.name, p.read_text(encoding="utf-8")) for p in files]
+    """The corpus sources in dependency order as (filename, text) pairs; an
+    unreadable file raises a SurfaceError located at that file."""
+    return [(p.name, driver.read_source(p, p.name)) for p in sorted(corpus_dir().glob("*.hpt"))]
+
+
+def check_corpus(globals: GlobalEnv) -> tuple[GlobalEnv, dict[str, str], list[FileResult]]:
+    """Read and check the corpus; an unreadable file is a FileResult's error."""
+    try:
+        sources = dict(prelude_sources())
+    except SurfaceError as e:
+        return globals, {}, [FileResult(e.span.file, error=e, error_span=e.span)]
+    env, results = driver.check_sources(globals, sources.items())
+    return env, sources, results
 
 
 def manifest() -> list[CorpusEntry]:
@@ -57,10 +66,7 @@ def manifest() -> list[CorpusEntry]:
     def error(line: int, message: str) -> SurfaceError:
         return SurfaceError(SourceSpan("manifest.tsv", line, 1, line, 1), message)
 
-    try:
-        text = (corpus_dir() / "manifest.tsv").read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise error(1, f"cannot read manifest: {e}") from e
+    text = driver.read_source(corpus_dir() / "manifest.tsv", "manifest.tsv", "manifest")
     entries = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -104,9 +110,7 @@ def required_assertions() -> list[tuple[str, str, str]]:
 def load_corpus(globals: GlobalEnv | None = None) -> tuple[GlobalEnv, list[FileResult]]:
     """Check the whole corpus in order. Raises on the first error or failed
     assertion."""
-    env, results = driver.check_sources(
-        globals if globals is not None else GlobalEnv(), prelude_sources()
-    )
+    env, _, results = check_corpus(globals if globals is not None else GlobalEnv())
     for result in results:
         if result.error is not None:
             raise result.error

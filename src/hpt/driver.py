@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import elab, kernel
 from .core import pretty
@@ -49,6 +50,14 @@ class FileResult:
     @property
     def assertions_failed(self) -> int:
         return sum(1 for e in self.events if e.kind == "assert" and not e.ok)
+
+
+def read_source(path: str | Path, name: str, what: str = "file") -> str:
+    """The UTF-8 text of `path`; failing that, a SurfaceError at `name`:1:1."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise SurfaceError(SourceSpan(name, 1, 1, 1, 1), f"cannot read {what}: {e}") from e
 
 
 def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:

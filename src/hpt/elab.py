@@ -792,29 +792,41 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
 
 
 def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
-    match t:
-        case Meta(i):
-            m = ctx.metas.get(i)
-            if m.solution is None:
-                raise UnsolvedMeta(m.span, i)
-            if depth < m.depth:
-                raise ElabError(m.span, "meta solution escapes its context")
-            return zonk(ctx, shift(m.solution, 0, depth - m.depth), depth)
-        case Var() | Global() | Type():
-            return t
-        case Lam(h, body, ann, imp):
-            ann2 = zonk(ctx, ann, depth) if ann is not None else None
-            return Lam(h, zonk(ctx, body, depth + 1), ann2, imp)
-        case App(f, x):
-            return App(zonk(ctx, f, depth), zonk(ctx, x, depth))
-        case Pi(h, dom, cod, imp):
-            return Pi(h, zonk(ctx, dom, depth), zonk(ctx, cod, depth + 1), imp)
-        case Id(ty, l, r):
-            return Id(zonk(ctx, ty, depth), zonk(ctx, l, depth), zonk(ctx, r, depth))
-        case Refl(p):
-            return Refl(zonk(ctx, p, depth))
-        case J(m, b, e, p):
-            return J(zonk(ctx, m, depth), zonk(ctx, b, depth), zonk(ctx, e, depth), zonk(ctx, p, depth))
+    """Replace each solved meta in `t` (under `depth` binders) by its zonked
+    solution; an unsolved meta raises UnsolvedMeta. Sharing: a node is rebuilt
+    only when a child changed, so a meta-free subterm comes back as itself."""
+    tt = type(t)  # exact-type tests, most frequent first
+    if tt is Var or tt is Global or tt is Type:
+        return t
+    if tt is App:
+        f, x = zonk(ctx, t.fn, depth), zonk(ctx, t.arg, depth)
+        return t if f is t.fn and x is t.arg else App(f, x)
+    if tt is Refl:
+        p = zonk(ctx, t.point, depth)
+        return t if p is t.point else Refl(p)
+    if tt is Meta:
+        m = ctx.metas.get(t.id)
+        if m.solution is None:
+            raise UnsolvedMeta(m.span, t.id)
+        if depth < m.depth:
+            raise ElabError(m.span, "meta solution escapes its context")
+        sol = m.solution if depth == m.depth else shift(m.solution, 0, depth - m.depth)
+        return zonk(ctx, sol, depth)
+    if tt is Id:
+        ty, l, r = zonk(ctx, t.type, depth), zonk(ctx, t.lhs, depth), zonk(ctx, t.rhs, depth)
+        return t if ty is t.type and l is t.lhs and r is t.rhs else Id(ty, l, r)
+    if tt is Lam:
+        ann = zonk(ctx, t.ann, depth) if t.ann is not None else None
+        body = zonk(ctx, t.body, depth + 1)
+        return t if body is t.body and ann is t.ann else Lam(t.hint, body, ann, t.implicit)
+    if tt is Pi:
+        dom, cod = zonk(ctx, t.domain, depth), zonk(ctx, t.codomain, depth + 1)
+        return t if dom is t.domain and cod is t.codomain else Pi(t.hint, dom, cod, t.implicit)
+    if tt is J:
+        m, b = zonk(ctx, t.motive, depth), zonk(ctx, t.base, depth)
+        e, p = zonk(ctx, t.endpoint, depth), zonk(ctx, t.path, depth)
+        same = m is t.motive and b is t.base and e is t.endpoint and p is t.path
+        return t if same else J(m, b, e, p)
     raise AssertionError(f"cannot zonk {t!r}")
 
 

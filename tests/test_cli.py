@@ -209,6 +209,14 @@ def test_check_undecodable_file_is_io_diagnostic(tmp_path):
     assert f"{path}:1:1: error: cannot read file" in out
 
 
+@pytest.mark.parametrize("args", [["corpus"], ["check", "--open-corpus"]])
+def test_undecodable_corpus_file_is_io_diagnostic(tmp_path, monkeypatch, args):
+    (copy_corpus(tmp_path, monkeypatch) / "08-bytes.hpt").write_bytes(b"\xff\xfe")
+    code, out = run_cli(args)
+    assert code == 1
+    assert "08-bytes.hpt:1:1: error: cannot read file" in out
+
+
 def test_corpus_missing_file_names_missing_global(tmp_path, monkeypatch):
     (copy_corpus(tmp_path, monkeypatch) / "02-whisker.hpt").unlink()
     code, out = run_cli(["corpus"])

@@ -95,6 +95,15 @@ def test_shift_examples():
     assert shift(Lam("x", Var(1)), 0, 2) == Lam("x", Var(3))
 
 
+def test_shift_returns_unshifted_subterms_themselves():
+    closed = Lam("x", App(Var(0), Refl(Global("star"))), Global("A"))
+    assert shift(closed, 0, 3) is closed
+    t = App(closed, Id(Global("A"), Var(0), Var(1)))
+    out = shift(t, 1, 2)
+    assert out == App(closed, Id(Global("A"), Var(0), Var(3)))
+    assert out.fn is closed and out.arg.type is t.arg.type and out.arg.lhs is t.arg.lhs
+
+
 def test_pretty_examples():
     assert pretty(Lam("a", Var(0))) == "fun (a : _) => a"
     assert pretty(Refl(Global("star"))) == "refl star"

@@ -3,7 +3,7 @@
 import pytest
 
 from hpt import corpus, elab, kernel
-from hpt.core import Global, Lam, Pi, Var, alpha_eq
+from hpt.core import App, Global, Id, Lam, Pi, Refl, Var, alpha_eq
 from hpt.elab import (
     ElabCtx,
     OccursCheck,
@@ -186,3 +186,35 @@ def test_elaborated_decls_recheck_core_only(env):
     for e in env:
         fresh = kernel.check_decl(fresh, CoreDecl(e.name, e.type_core, e.body_core))
     assert len(fresh) == len(env)
+
+
+def test_zonk_returns_meta_free_terms_themselves(env):
+    body = env.get("EH").body_core
+    assert elab.zonk(ElabCtx(env), body) is body
+
+
+def test_elaborated_type_keeps_readback_sharing(env):
+    _, ty = elaborate_term(env, parse_term("refl (refl (refl star))"))
+    assert ty.lhs is ty.rhs
+
+
+def test_zonk_rebuilds_only_the_path_to_a_solved_meta(env):
+    ctx = ElabCtx(env)
+    star = eval_term([], env, Global("star"))
+    meta, m = ctx.fresh_meta(None, DUMMY_SPAN)
+    unify(ctx, m, star, DUMMY_SPAN)
+    ty, rhs = Global("A"), Refl(Global("star"))
+    t = App(Lam("x", Var(0)), Id(ty, meta, rhs))
+    out = elab.zonk(ctx, t)
+    assert out == App(Lam("x", Var(0)), Id(ty, Global("star"), rhs))
+    assert out.fn is t.fn and out.arg.type is ty and out.arg.rhs is rhs
+
+
+def test_zonk_rejects_a_solution_escaping_its_context(env):
+    a_v = eval_term([], env, Global("A"))
+    ctx = ElabCtx(env).bound("x", a_v, False)
+    meta, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
+    unify(ctx, m, ctx.env()[0], DUMMY_SPAN)
+    assert elab.zonk(ctx, meta, 1) == Var(0)
+    with pytest.raises(elab.ElabError, match="meta solution escapes its context"):
+        elab.zonk(ctx, meta, 0)
