@@ -176,8 +176,11 @@ def cmd_eval(args, out) -> int:
             return 0
         except (SurfaceError, KernelError) as e:
             report.diagnostics.append(_error_to_diagnostic(e, SourceSpan("<expr>", 1, 1, 1, 1)))
-    for d in report.diagnostics:
-        print(_render_diagnostic(d, sources, args.color), file=out)
+    if args.json:
+        print(json.dumps(report.to_json(), indent=2), file=out)
+    else:
+        for d in report.diagnostics:
+            print(_render_diagnostic(d, sources, args.color), file=out)
     return 1
 
 

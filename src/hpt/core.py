@@ -171,20 +171,6 @@ def shift(t: CoreTerm, cutoff: int, amount: int) -> CoreTerm:
     raise TypeError(f"not a core term: {t!r}")
 
 
-def subterms(t: CoreTerm) -> list[tuple[CoreTerm, ...]]:
-    """All subterm positions as paths of terms from the root (root included)."""
-    out: list[tuple[CoreTerm, ...]] = []
-
-    def go(node: CoreTerm, path: tuple[CoreTerm, ...]) -> None:
-        here = path + (node,)
-        out.append(here)
-        for child in children(node):
-            go(child, here)
-
-    go(t, ())
-    return out
-
-
 def children(t: CoreTerm) -> tuple[CoreTerm, ...]:
     match t:
         case Var() | Global() | Type() | Meta():
@@ -330,7 +316,7 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
             return _parens(f"fun {open_b}{n} : {ann_s}{close_b} => {body_s}", prec, _PREC_ARROW)
         case Pi(h, dom, cod, imp):
             dom_s = _pp(dom, names, _PREC_ARROW)
-            if not imp and not _mentions_bound(cod, 0):
+            if not imp and not mentions(cod, 0, 1):
                 # non-dependent: print as an arrow; the domain is term1, so
                 # equations and nested arrows need parentheses
                 dom_head = _pp(dom, names, _PREC_CONCAT)
@@ -348,24 +334,28 @@ def _parens(s: str, outer: int, inner: int) -> str:
     return f"({s})" if inner < outer else s
 
 
-def _mentions_bound(t: CoreTerm, depth: int) -> bool:
+def mentions(t: CoreTerm, lo: int, n: int, meta: int | None = None) -> bool:
+    """Does `t` use a free index in [lo, lo + n) (counted at `t`'s root), or
+    contain Meta(meta)?"""
     match t:
         case Var(i):
-            return i == depth
-        case Global() | Type() | Meta():
+            return lo <= i < lo + n
+        case Meta(i):
+            return i == meta
+        case Global() | Type():
             return False
         case Lam(_, body, ann):
-            if ann is not None and _mentions_bound(ann, depth):
+            if ann is not None and mentions(ann, lo, n, meta):
                 return True
-            return _mentions_bound(body, depth + 1)
+            return mentions(body, lo + 1, n, meta)
         case App(f, x):
-            return _mentions_bound(f, depth) or _mentions_bound(x, depth)
+            return mentions(f, lo, n, meta) or mentions(x, lo, n, meta)
         case Pi(_, dom, cod, _):
-            return _mentions_bound(dom, depth) or _mentions_bound(cod, depth + 1)
+            return mentions(dom, lo, n, meta) or mentions(cod, lo + 1, n, meta)
         case Id(ty, l, r):
-            return any(_mentions_bound(u, depth) for u in (ty, l, r))
+            return any(mentions(u, lo, n, meta) for u in (ty, l, r))
         case Refl(p):
-            return _mentions_bound(p, depth)
+            return mentions(p, lo, n, meta)
         case J(m, b, e, p):
-            return any(_mentions_bound(u, depth) for u in (m, b, e, p))
+            return any(mentions(u, lo, n, meta) for u in (m, b, e, p))
     raise TypeError(f"not a core term: {t!r}")

@@ -29,6 +29,7 @@ from .core import (
     Refl,
     Type,
     Var,
+    mentions,
     pretty,
     shift,
 )
@@ -52,6 +53,7 @@ from .kernel import (
     eval_term,
     force_top,
     fresh_var,
+    identity_env,
     j_apply,
 )
 from .surface import (
@@ -199,7 +201,7 @@ class ElabCtx:
         return len(self.bindings)
 
     def env(self) -> list[Value]:
-        return _identity_env(self.depth)
+        return identity_env(self.depth)
 
     def bound(self, name: str, ty: Value, implicit: bool) -> "ElabCtx":
         return ElabCtx(self.globals, self.metas, self.bindings + [(name, ty, implicit)])
@@ -226,8 +228,7 @@ class ElabCtx:
                 return v
             sol = meta.cached_value
             if sol is None:
-                env = [fresh_var(i) for i in range(meta.depth)]
-                sol = eval_term(env, self.globals, meta.solution, self.metas)
+                sol = eval_term(identity_env(meta.depth), self.globals, meta.solution, self.metas)
                 meta.cached_value = sol
             for elim in v.spine:
                 match elim:
@@ -255,14 +256,6 @@ def whnf(ctx: ElabCtx, v: Value) -> Value:
     """Resolve metas and unfold glued globals to a canonical head."""
     return force_top(ctx.force(v))
 
-_IDENTITY_ENV_CACHE: list[Value] = []
-
-
-def _identity_env(depth: int) -> list[Value]:
-    while len(_IDENTITY_ENV_CACHE) < depth:
-        _IDENTITY_ENV_CACHE.append(fresh_var(len(_IDENTITY_ENV_CACHE)))
-    return _IDENTITY_ENV_CACHE[:depth]
-
 
 # ---------------------------------------------------------------------------
 # Unification
@@ -289,10 +282,10 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
             return
         raise UnifyFailure(span, ctx.show(l), ctx.show(r))
     if l_flex and not l.spine:
-        _solve(ctx, l.head.id, r, span)
+        _solve(ctx, l.head.id, r, depth, span)
         return
     if r_flex and not r.spine:
-        _solve(ctx, r.head.id, l, span)
+        _solve(ctx, r.head.id, l, depth, span)
         return
     if l_flex or r_flex:
         # A meta heading a non-empty spine (typically a stuck elimination
@@ -301,7 +294,7 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
         flex, other = (l, r) if l_flex else (r, l)
         if isinstance(other, VNeutral) and len(other.spine) >= len(flex.spine):
             cut = len(other.spine) - len(flex.spine)
-            _solve(ctx, flex.head.id, VNeutral(other.head, other.spine[:cut]), span)
+            _solve(ctx, flex.head.id, VNeutral(other.head, other.spine[:cut]), depth, span)
             _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
             return
         if isinstance(other, VTop):
@@ -309,7 +302,7 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
                 cut = len(other.spine) - len(flex.spine)
                 mark = ctx.metas.checkpoint()
                 try:
-                    _solve(ctx, flex.head.id, VTop(other.name, other.spine[:cut], other.entry), span)
+                    _solve(ctx, flex.head.id, VTop(other.name, other.spine[:cut], other.entry), depth, span)
                     _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
                     return
                 except ElabError:
@@ -393,70 +386,20 @@ def _unify_spines(ctx, depth, sp1, sp2, span) -> None:
                 raise UnifyFailure(span, "<spine>", "<spine>")
 
 
-def _solve(ctx: ElabCtx, meta_id: int, v: Value, span: SourceSpan) -> None:
+def _solve(ctx: ElabCtx, meta_id: int, v: Value, depth: int, span: SourceSpan) -> None:
+    # Every free variable of `v` has a level below the unification depth, so
+    # the variables readback makes for binders (levels >= depth) capture none.
     meta = ctx.metas.get(meta_id)
-    if _value_mentions_meta(ctx, v, meta_id):
-        raise OccursCheck(span, meta_id)
-    if not _value_scope_ok(ctx, v, meta.depth):
+    t = ctx.quote(depth, v)
+    # The free indices below depth - meta.depth name levels >= meta.depth,
+    # which lie outside the meta's scope.
+    outside = depth - meta.depth
+    if mentions(t, 0, outside, meta_id):
+        if mentions(t, 0, 0, meta_id):
+            raise OccursCheck(span, meta_id)
         raise UnifyFailure(span, f"?{meta_id}", "a value escaping its scope")
-    # Scope check passed, so quoting at the meta's depth cannot collide
-    # local quote variables with the value's free variables.
-    meta.solution = ctx.quote(meta.depth, v)
+    meta.solution = t if outside == 0 else shift(t, 0, -outside)
     ctx.metas.record_solved(meta_id)
-
-
-def _local(k: int) -> Value:
-    # Negative levels never occur in real contexts, so they safely tag
-    # binder variables introduced while walking under closures.
-    return VNeutral(HVar(-1 - k))
-
-
-def _walk_value(ctx: ElabCtx, v: Value, pred, local: int = 0) -> bool:
-    """Does `pred(head)` hold for some neutral head in v (closures opened
-    with tagged local variables)?"""
-    v = ctx.force(v)
-    match v:
-        case VLam(_, clo, dom, _):
-            if dom is not None and _walk_value(ctx, dom, pred, local):
-                return True
-            return _walk_value(ctx, clo.apply(_local(local)), pred, local + 1)
-        case VPi(_, dom, clo, _):
-            if _walk_value(ctx, dom, pred, local):
-                return True
-            return _walk_value(ctx, clo.apply(_local(local)), pred, local + 1)
-        case VType():
-            return False
-        case VId(t, l, r):
-            return any(_walk_value(ctx, u, pred, local) for u in (t, l, r))
-        case VRefl(p):
-            return _walk_value(ctx, p, pred, local)
-        case VNeutral(head, spine):
-            if pred(head):
-                return True
-            return _walk_spine(ctx, spine, pred, local)
-    if isinstance(v, VTop):
-        return _walk_spine(ctx, v.spine, pred, local)
-    raise AssertionError(f"cannot walk {v!r}")
-
-
-def _walk_spine(ctx: ElabCtx, spine, pred, local: int) -> bool:
-    for elim in spine:
-        match elim:
-            case EApp(arg):
-                if _walk_value(ctx, arg, pred, local):
-                    return True
-            case EJ(m, b, e):
-                if any(_walk_value(ctx, u, pred, local) for u in (m, b, e)):
-                    return True
-    return False
-
-
-def _value_mentions_meta(ctx: ElabCtx, v: Value, meta_id: int) -> bool:
-    return _walk_value(ctx, v, lambda h: isinstance(h, HMeta) and h.id == meta_id)
-
-
-def _value_scope_ok(ctx: ElabCtx, v: Value, max_level: int) -> bool:
-    return not _walk_value(ctx, v, lambda h: isinstance(h, HVar) and h.level >= max_level)
 
 
 # ---------------------------------------------------------------------------

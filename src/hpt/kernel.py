@@ -281,6 +281,17 @@ def fresh_var(depth: int) -> Value:
     return VNeutral(HVar(depth))
 
 
+_IDENTITY_ENV: list[Value] = []
+
+
+def identity_env(depth: int) -> list[Value]:
+    """A new list of the fresh variables of levels 0 .. depth-1; the
+    variables themselves are made once and shared."""
+    while len(_IDENTITY_ENV) < depth:
+        _IDENTITY_ENV.append(fresh_var(len(_IDENTITY_ENV)))
+    return _IDENTITY_ENV[:depth]
+
+
 # ---------------------------------------------------------------------------
 # Global environment
 
@@ -543,10 +554,6 @@ def _conv_spines(depth: int, sp1: tuple[Elim, ...], sp2: tuple[Elim, ...]) -> bo
 # Type checking
 
 
-def _env_of_depth(depth: int) -> list[Value]:
-    return [fresh_var(i) for i in range(depth)]
-
-
 def infer_type(
     ctx: list[Value],
     globals: GlobalEnv,
@@ -562,7 +569,7 @@ def infer_type(
     """
     depth = len(ctx)
     if env is None:
-        env = _env_of_depth(depth)
+        env = identity_env(depth)
 
     match t:
         case Var(i):
@@ -771,8 +778,7 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
 def normalize(globals: GlobalEnv, t: CoreTerm, depth: int = 0) -> CoreTerm:
     """Full normal form of a well-typed term (defined globals unfolded)."""
     with _ensure_budget():
-        env = _env_of_depth(depth)
-        return readback(depth, eval_term(env, globals, t), unfold_top=True)
+        return readback(depth, eval_term(identity_env(depth), globals, t), unfold_top=True)
 
 
 class _ensure_budget:

@@ -666,58 +666,3 @@ def _print(t: SurfaceTerm, prec: int) -> str:
 
 def _wrap(s: str, outer: int, inner: int) -> str:
     return f"({s})" if inner < outer else s
-
-
-# ---------------------------------------------------------------------------
-# Span-insensitive comparison (binder groups flattened)
-
-
-def surface_eq(a: SurfaceTerm, b: SurfaceTerm) -> bool:
-    """Equality modulo spans and binder-list regrouping."""
-    return _norm(a) == _norm(b)
-
-
-def _flatten_binders(bs: tuple[Binder, ...]):
-    out = []
-    for b in bs:
-        for n in b.names:
-            out.append((n, None if b.annotation is None else _norm(b.annotation), b.implicit))
-    return tuple(out)
-
-
-def _norm(t: SurfaceTerm):
-    match t:
-        case Name(name=n, explicit_all=ex):
-            return ("name", n, ex)
-        case Hole():
-            return ("hole",)
-        case TypeU(level=k):
-            return ("type", k)
-        case SLam(binders=bs, body=body):
-            body_n = _norm(body)
-            for name, ann, imp in reversed(_flatten_binders(bs)):
-                body_n = ("lam", name, ann, imp, body_n)
-            return body_n
-        case SPi(binders=bs, codomain=cod):
-            cod_n = _norm(cod)
-            for name, ann, imp in reversed(_flatten_binders(bs)):
-                cod_n = ("pi", name, ann, imp, cod_n)
-            return cod_n
-        case SArrow(domain=d, codomain=c):
-            return ("arrow", _norm(d), _norm(c))
-        case IdSugar(lhs=l, rhs=r):
-            return ("id", _norm(l), _norm(r))
-        case SApp(fn=f, arg=x):
-            return ("app", _norm(f), _norm(x))
-        case ReflSugar(point=None):
-            return ("refl",)
-        case ReflSugar(point=p):
-            return ("refl", _norm(p))
-        case JSugar(motive=m, base=b, path=p):
-            return (
-                "J",
-                None if m is None else _norm(m),
-                None if b is None else _norm(b),
-                None if p is None else _norm(p),
-            )
-    raise TypeError(f"not a surface term: {t!r}")

@@ -12,7 +12,7 @@ from hpt import corpus, driver, elab, kernel
 from hpt.cli import main
 from hpt.core import CoreDecl, Global, Refl, Type, Level, Var, alpha_eq, term_size
 from hpt.kernel import GlobalEnv, KernelError, conv, eval_term, step_budget
-from hpt.surface import parse_file, parse_term, print_surface, surface_eq
+from hpt.surface import parse_file, parse_term, print_surface
 
 
 @pytest.fixture(scope="module")
@@ -167,15 +167,13 @@ def test_criterion_parser_round_trip():
     gen_ok = 0
     for _ in range(1000):
         t = _gen_term(rng, rng.choice([1, 2, 3]))
-        if surface_eq(parse_term(print_surface(t)), t):
+        if parse_term(print_surface(t)) == t:
             gen_ok += 1
     corpus_ok = True
     for filename, text in corpus.prelude_sources():
         for d in parse_file(text, filename):
             for term in _decl_terms(d):
-                corpus_ok = corpus_ok and surface_eq(
-                    parse_term(print_surface(term)), term
-                )
+                corpus_ok = corpus_ok and parse_term(print_surface(term)) == term
     print(f"  generated round trips: {gen_ok}/1000; corpus declarations: {corpus_ok}")
     _report("parser round-trip (exact)", gen_ok == 1000 and corpus_ok)
 

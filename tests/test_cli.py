@@ -119,6 +119,13 @@ def test_eval_non_function_error():
     assert "error" in out
 
 
+def test_eval_json_failure_is_a_json_report():
+    code, out = run_cli(["eval", "--json", "-e", "nope"])
+    assert code == 1
+    (diag,) = json.loads(out)["diagnostics"]
+    assert diag["message"] == "unbound name 'nope'"
+
+
 def test_eval_requires_expression():
     code, _ = run_cli(["eval"])
     assert code == 2

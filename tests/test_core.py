@@ -10,11 +10,13 @@ from hpt.core import (
     J,
     Lam,
     Level,
+    Meta,
     Pi,
     Refl,
     Type,
     Var,
     alpha_eq,
+    mentions,
     pretty,
     shift,
     term_size,
@@ -102,6 +104,16 @@ def test_shift_returns_unshifted_subterms_themselves():
     out = shift(t, 1, 2)
     assert out == App(closed, Id(Global("A"), Var(0), Var(3)))
     assert out.fn is closed and out.arg.type is t.arg.type and out.arg.lhs is t.arg.lhs
+
+
+def test_mentions_counts_free_indices_from_the_root():
+    t = Lam("x", App(Var(0), Var(2)), Var(1))  # free index 1 in annotation and body
+    assert not mentions(t, 0, 1)
+    assert mentions(t, 1, 1)
+    assert not mentions(t, 2, 5)
+    assert not mentions(Pi("x", Global("A"), Var(0)), 0, 1)
+    assert mentions(J(Meta(3), Var(0), Var(0), Var(0)), 1, 0, meta=3)
+    assert not mentions(Meta(3), 0, 1, meta=4)
 
 
 def test_pretty_examples():

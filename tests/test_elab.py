@@ -218,3 +218,26 @@ def test_zonk_rejects_a_solution_escaping_its_context(env):
     assert elab.zonk(ctx, meta, 1) == Var(0)
     with pytest.raises(elab.ElabError, match="meta solution escapes its context"):
         elab.zonk(ctx, meta, 0)
+
+
+def test_solve_rejects_a_variable_escaping_the_meta_scope(env):
+    a_v = eval_term([], env, Global("A"))
+    ctx = ElabCtx(env)
+    _, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
+    inner = ctx.bound("x", a_v, False)
+    (x,) = inner.env()
+    with pytest.raises(UnifyFailure, match="escaping its scope"):
+        unify(inner, m, x, DUMMY_SPAN)
+    # A value that is both cyclic and out of scope fails the occurs check.
+    with pytest.raises(OccursCheck):
+        unify(inner, m, apply_value(x, m), DUMMY_SPAN)
+
+
+def test_solution_is_shifted_to_the_meta_depth(env):
+    a_v = eval_term([], env, Global("A"))
+    ctx = ElabCtx(env).bound("x", a_v, False)
+    meta, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
+    inner = ctx.bound("y", a_v, False)
+    x, _ = inner.env()
+    unify(inner, m, x, DUMMY_SPAN)
+    assert ctx.metas.get(meta.id).solution == Var(0)

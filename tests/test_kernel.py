@@ -262,7 +262,7 @@ def test_j_beta_random_instances(env):
 
 
 def test_mutation_never_crashes(env):
-    from hpt.core import replace_at, subterms, term_size
+    from hpt.core import replace_at, term_size
 
     rng = random.Random(99)
     bodies = [e for e in env if e.body_core is not None]

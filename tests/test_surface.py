@@ -26,7 +26,6 @@ from hpt.surface import (
     parse_file,
     parse_term,
     print_surface,
-    surface_eq,
 )
 
 
@@ -217,7 +216,7 @@ def test_print_parse_round_trip_generated():
         t = _gen_term(rng, rng.choice([1, 2, 3]))
         text = print_surface(t)
         back = parse_term(text)
-        assert surface_eq(t, back), f"round trip failed for {text!r}"
+        assert back == t, f"round trip failed for {text!r}"
 
 
 def test_round_trip_corpus_declarations():
@@ -228,7 +227,7 @@ def test_round_trip_corpus_declarations():
         for d in decls:
             for term in _decl_terms(d):
                 printed = print_surface(term)
-                assert surface_eq(parse_term(printed), term), (
+                assert parse_term(printed) == term, (
                     f"{filename}: round trip failed for {printed[:80]!r}"
                 )
 
