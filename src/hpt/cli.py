@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 
 from . import corpus as corpus_mod
@@ -36,7 +35,6 @@ class CheckReport:
     assertions_passed: int = 0
     assertions_failed: int = 0
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    elapsed_ms: int = 0
 
     @property
     def ok(self) -> bool:
@@ -131,7 +129,6 @@ def _open_corpus(report: CheckReport, sources: dict[str, str]) -> GlobalEnv | No
 def cmd_check(args, out) -> int:
     report = CheckReport()
     sources: dict[str, str] = {}
-    started = time.monotonic()
     env = _open_corpus(report, sources) if args.open_corpus else GlobalEnv()
     if env is not None:
         for path in args.files:
@@ -148,7 +145,6 @@ def cmd_check(args, out) -> int:
                 for event in result.events:
                     if event.kind in ("check", "eval"):
                         print(f"{path}:{event.span.start_line}: {event.text}", file=out)
-    report.elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.json:
         print(json.dumps(report.to_json(), indent=2), file=out)
     else:
@@ -186,7 +182,6 @@ def cmd_eval(args, out) -> int:
 
 def cmd_corpus(args, out) -> int:
     report = CheckReport()
-    started = time.monotonic()
     env, sources, results = corpus_mod.check_corpus(GlobalEnv())
     for result in results:
         _collect_file_result(report, result)
@@ -214,7 +209,6 @@ def cmd_corpus(args, out) -> int:
             report.diagnostics.append(
                 _error_to_diagnostic(e, SourceSpan("<assertions>", 1, 1, 1, 1))
             )
-    report.elapsed_ms = int((time.monotonic() - started) * 1000)
 
     if args.json:
         print(json.dumps(report.to_json(), indent=2), file=out)
@@ -225,6 +219,16 @@ def cmd_corpus(args, out) -> int:
     return 0 if report.ok else 1
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpt", description="check and evaluate .hpt developments"
@@ -233,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--step-budget", type=int, default=kernel.DEFAULT_STEP_BUDGET,
-                       metavar="N", help="kernel evaluation step budget")
+        p.add_argument("--step-budget", type=_non_negative_int,
+                       default=kernel.DEFAULT_STEP_BUDGET, metavar="N",
+                       help="kernel evaluation step budget")
         p.add_argument("--no-color", action="store_true", help="disable color output")
         p.add_argument("--open-corpus", action="store_true",
                        help="preload the bundled corpus")

@@ -49,12 +49,12 @@ from .kernel import (
     VTop,
     VType,
     Value,
+    apply_spine,
     apply_value,
     eval_term,
     force_top,
     fresh_var,
     identity_env,
-    j_apply,
 )
 from .surface import (
     AssertDefeq,
@@ -130,7 +130,9 @@ class MetaVar:
     `depth` binders; evaluating a solved meta under an environment means
     evaluating that term under the environment's first `depth` entries.
     This keeps solutions correct inside closures that are later applied
-    to values other than the original fresh variables.
+    to values other than the original fresh variables. Nothing caches a
+    solution's value: it is evaluated afresh wherever it is forced, so
+    `MetaStore.rollback` only has to clear `solution`.
     """
 
     id: int
@@ -138,9 +140,6 @@ class MetaVar:
     expected_type: Value | None
     span: SourceSpan
     solution: CoreTerm | None = None
-    # solution evaluated in the identity environment of `depth`, for reuse
-    # while forcing values during the same elaboration session
-    cached_value: Value | None = None
 
 
 class MetaStore:
@@ -179,10 +178,6 @@ class MetaStore:
             m = self._metas[meta_id]
             m.solution = None
         del self._log[mark:]
-        # Cached values computed during the speculation may embed the
-        # rolled-back solutions, so all caches are dropped.
-        for m in self._metas.values():
-            m.cached_value = None
 
     def record_solved(self, meta_id: int) -> None:
         self._log.append(meta_id)
@@ -226,17 +221,8 @@ class ElabCtx:
             meta = self.metas.get(v.head.id)
             if meta.solution is None:
                 return v
-            sol = meta.cached_value
-            if sol is None:
-                sol = eval_term(identity_env(meta.depth), self.globals, meta.solution, self.metas)
-                meta.cached_value = sol
-            for elim in v.spine:
-                match elim:
-                    case EApp(arg):
-                        sol = apply_value(sol, arg)
-                    case EJ(m, b, e):
-                        sol = j_apply(m, b, e, sol)
-            v = sol
+            sol = eval_term(identity_env(meta.depth), self.globals, meta.solution, self.metas)
+            v = apply_spine(sol, v.spine)
         return v
 
     def quote(self, depth: int, v: Value) -> CoreTerm:
@@ -490,10 +476,6 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             head, args = _spine(t)
             if isinstance(head, JSugar):
                 return _elab_j(ctx, head, args)
-            if isinstance(head, ReflSugar) and head.point is None and args:
-                inner = ReflSugar(args[0], head.span)
-                core, ty = infer(ctx, inner)
-                return _apply_args(ctx, core, ty, args[1:], False, t.span)
             core, ty = infer(ctx, head)
             ex = isinstance(head, Name) and head.explicit_all
             return _apply_args(ctx, core, ty, args, ex, t.span)
@@ -524,14 +506,10 @@ def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
         return Lam(expected.hint, body, ann, True)
 
     core, ty = infer(ctx, t)
-    ex = isinstance(t, Name) and t.explicit_all
-    if not ex:
-        core, ty = _insert_all_implicits(ctx, core, ty, t)
+    core, ty = _insert_all_implicits(ctx, core, ty, t)
     try:
         unify(ctx, ty, expected, span)
-    except (UnifyFailure, OccursCheck) as e:
-        if isinstance(e, OccursCheck):
-            raise
+    except UnifyFailure as e:
         raise TypeMismatch(span, ctx.show(expected), ctx.show(ty)) from e
     return core
 

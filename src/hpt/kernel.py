@@ -256,17 +256,7 @@ class VTop(Value):
     def force(self) -> Value:
         v = self._forced
         if v is None:
-            v = self.entry.body_value
-            assert v is not None
-            for elim in self.spine:
-                match elim:
-                    case EApp(arg):
-                        v = apply_value(v, arg)
-                    case EJ(m, b, e):
-                        v = j_apply(m, b, e, v)
-            while isinstance(v, VTop):
-                v = v.force()
-            self._forced = v
+            v = self._forced = force_top(apply_spine(self.entry.body_value, self.spine))
         return v
 
 
@@ -398,6 +388,16 @@ def apply_value(f: Value, x: Value) -> Value:
     raise KernelError("applied a non-function value (ill-typed input)")
 
 
+def apply_spine(v: Value, spine: tuple[Elim, ...]) -> Value:
+    """Replay a spine of eliminations on `v`, in order."""
+    for elim in spine:
+        if type(elim) is EApp:
+            v = apply_value(v, elim.arg)
+        else:
+            v = j_apply(elim.motive, elim.base, elim.endpoint, v)
+    return v
+
+
 def j_apply(motive: Value, base: Value, endpoint: Value, path: Value) -> Value:
     _tick()
     # The beta decision needs the path's canonical shape, so a glued
@@ -415,19 +415,14 @@ def j_apply(motive: Value, base: Value, endpoint: Value, path: Value) -> Value:
 # Readback
 
 
-def readback(
-    depth: int,
-    v: Value,
-    unfold_top: bool = False,
-    force: Callable[[Value], Value] | None = None,
-) -> CoreTerm:
+def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None) -> CoreTerm:
     """Read a value back to a beta-normal core term.
 
-    With unfold_top=True defined globals are unfolded away (full normal
-    forms, as printed by evaluation commands); otherwise glued global
-    applications read back as the global applied to its spine. `force`,
-    if given, is applied to every value before it is read back (the
-    elaborator passes its meta resolution here).
+    `force`, if given, is applied to every value before it is read back:
+    `normalize` passes `force_top` to unfold defined globals away (full
+    normal forms), and the elaborator passes its meta resolution. Without
+    it, glued global applications read back as the global applied to its
+    spine.
     Eta-expansion is not performed here; conversion handles eta for Pi by
     comparing values applicatively.
 
@@ -445,8 +440,6 @@ def readback(
         if t is not None:
             return t
         w = v if force is None else force(v)
-        if unfold_top:
-            w = force_top(w)
         tw = type(w)
         if tw is VNeutral:
             t = spine(depth, _readback_head(depth, w.head), w.spine)
@@ -778,7 +771,7 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
 def normalize(globals: GlobalEnv, t: CoreTerm, depth: int = 0) -> CoreTerm:
     """Full normal form of a well-typed term (defined globals unfolded)."""
     with _ensure_budget():
-        return readback(depth, eval_term(identity_env(depth), globals, t), unfold_top=True)
+        return readback(depth, eval_term(identity_env(depth), globals, t), force=force_top)
 
 
 class _ensure_budget:

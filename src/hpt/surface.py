@@ -114,6 +114,24 @@ _KEYWORDS = {
     "defeq": TokenKind.KW_DEFEQ,
 }
 
+# Two-character entries are tried before one-character ones.
+_PUNCTUATION = {
+    "**": TokenKind.STAR_STAR,
+    ":=": TokenKind.COLON_EQ,
+    "=>": TokenKind.FAT_ARROW,
+    "->": TokenKind.ARROW,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    ":": TokenKind.COLON,
+    "=": TokenKind.EQ,
+    "*": TokenKind.STAR,
+    "~": TokenKind.TILDE,
+    "_": TokenKind.UNDERSCORE,
+    "@": TokenKind.AT,
+}
+
 _HASH_DIRECTIVES = {
     "check": TokenKind.HASH_CHECK,
     "eval": TokenKind.HASH_EVAL,
@@ -196,43 +214,14 @@ def lex(text: str, filename: str = "<input>") -> list[Token]:
             col += j - i
             i = j
             continue
-        two = text[i : i + 2]
-        if two == "**":
-            tokens.append(Token(TokenKind.STAR_STAR, two, span_here(2)))
-            i += 2
-            col += 2
-            continue
-        if two == ":=":
-            tokens.append(Token(TokenKind.COLON_EQ, two, span_here(2)))
-            i += 2
-            col += 2
-            continue
-        if two == "=>":
-            tokens.append(Token(TokenKind.FAT_ARROW, two, span_here(2)))
-            i += 2
-            col += 2
-            continue
-        if two == "->":
-            tokens.append(Token(TokenKind.ARROW, two, span_here(2)))
-            i += 2
-            col += 2
-            continue
-        singles = {
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            "{": TokenKind.LBRACE,
-            "}": TokenKind.RBRACE,
-            ":": TokenKind.COLON,
-            "=": TokenKind.EQ,
-            "*": TokenKind.STAR,
-            "~": TokenKind.TILDE,
-            "_": TokenKind.UNDERSCORE,
-            "@": TokenKind.AT,
-        }
-        if c in singles:
-            tokens.append(Token(singles[c], c, span_here(1)))
-            i += 1
-            col += 1
+        punct = text[i : i + 2]
+        if punct not in _PUNCTUATION:
+            punct = c
+        kind = _PUNCTUATION.get(punct)
+        if kind is not None:
+            tokens.append(Token(kind, punct, span_here(len(punct))))
+            i += len(punct)
+            col += len(punct)
             continue
         raise LexError(span_here(1), f"illegal character {c!r}")
 

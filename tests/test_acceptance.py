@@ -10,9 +10,10 @@ import pytest
 
 from hpt import corpus, driver, elab, kernel
 from hpt.cli import main
-from hpt.core import CoreDecl, Global, Refl, Type, Level, Var, alpha_eq, term_size
+from hpt.core import CoreDecl, Global, Refl, Type, Level, Var
 from hpt.kernel import GlobalEnv, KernelError, conv, eval_term, step_budget
 from hpt.surface import parse_file, parse_term, print_surface
+from tests.terms import alpha_eq, replace_at, term_size
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +194,6 @@ def test_criterion_elaborator_soundness(loaded):
 
 
 def test_criterion_mutation_robustness(loaded):
-    from hpt.core import replace_at
-
     env, _ = loaded
     rng = random.Random(99)
     bodies = [e for e in env if e.body_core is not None]

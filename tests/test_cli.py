@@ -136,6 +136,12 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("budget, code", [("-1", 2), ("ten", 2), ("0", 0)])
+def test_step_budget_must_be_non_negative(tmp_hpt, budget, code):
+    path = tmp_hpt("ok.hpt", "axiom B : Type\n")
+    assert run_cli(["check", "--step-budget", budget, path])[0] == code
+
+
 def test_corpus_command_passes():
     code, out = run_cli(["corpus"])
     assert code == 0

@@ -15,12 +15,11 @@ from hpt.core import (
     Refl,
     Type,
     Var,
-    alpha_eq,
     mentions,
     pretty,
     shift,
-    term_size,
 )
+from tests.terms import alpha_eq, term_size
 
 
 def _terms(max_depth=4):

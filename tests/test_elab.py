@@ -3,7 +3,7 @@
 import pytest
 
 from hpt import corpus, elab, kernel
-from hpt.core import App, Global, Id, Lam, Pi, Refl, Var, alpha_eq
+from hpt.core import App, Global, Id, Lam, Meta, Pi, Refl, Var
 from hpt.elab import (
     ElabCtx,
     OccursCheck,
@@ -15,8 +15,9 @@ from hpt.elab import (
     elaborate_term,
     unify,
 )
-from hpt.kernel import GlobalEnv, VId, VTop, VType, apply_value, eval_term
+from hpt.kernel import GlobalEnv, VId, VRefl, VTop, VType, apply_value, eval_term
 from hpt.surface import DUMMY_SPAN, parse_file, parse_term
+from tests.terms import alpha_eq
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,23 @@ def test_speculative_spine_unification_rolls_back(env):
     unify(ctx, lhs, rhs, DUMMY_SPAN)
     assert ctx.force(m) is m
     assert [meta.id for meta in ctx.metas.unsolved()] == [m.head.id]
+
+
+def test_rollback_retracts_solutions_made_during_speculation(env):
+    """After rollback, forcing finds neither the retracted solution of ?b nor
+    the value ?a (solved before, as refl ?b) had while ?b was solved."""
+    a_ty = eval_term([], env, Global("A"))
+    star = eval_term([], env, Global("star"))
+    ctx = ElabCtx(env)
+    _, b = ctx.fresh_meta(a_ty, DUMMY_SPAN)
+    _, a = ctx.fresh_meta(None, DUMMY_SPAN)
+    unify(ctx, a, VRefl(b), DUMMY_SPAN)
+    mark = ctx.metas.checkpoint()
+    unify(ctx, b, star, DUMMY_SPAN)
+    assert ctx.quote(0, ctx.force(a)) == Refl(Global("star"))
+    ctx.metas.rollback(mark)
+    assert ctx.force(b) is b
+    assert ctx.quote(0, ctx.force(a)) == Refl(Meta(b.head.id))
 
 
 def test_unify_symmetric_on_corpus_constraints(env):

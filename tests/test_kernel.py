@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hpt import corpus, driver, elab, kernel
-from hpt.core import App, Global, Id, J, Lam, Level, Refl, Type, Var, alpha_eq, term_size
+from hpt.core import App, Global, Id, J, Lam, Level, Refl, Type, Var
 from hpt.kernel import (
     BudgetExhausted,
     DuplicateName,
@@ -21,6 +21,7 @@ from hpt.kernel import (
     step_budget,
 )
 from hpt.surface import parse_term
+from tests.terms import alpha_eq, replace_at, term_size
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def test_eval_beta(env):
     # (fun x => x) star evaluates to star
     t = App(Lam("x", Var(0), Global("A")), Global("star"))
     v = eval_term([], env, t)
-    nf = kernel.readback(0, v, unfold_top=True)
+    nf = kernel.readback(0, v, force=kernel.force_top)
     assert alpha_eq(nf, Global("star"))
 
 
@@ -52,6 +53,13 @@ def test_eval_j_beta(env):
 def test_eval_corpus_concat_refl(env):
     core, _ = _elab(env, "concat (refl star) (refl star)")
     assert alpha_eq(normalize(env, core), Refl(Global("star")))
+
+
+def test_readback_with_force_top_is_the_full_normal_form(env):
+    core, _ = _elab(env, "concat (refl star) (refl star)")
+    v = eval_term([], env, core)
+    assert kernel.readback(0, v) == core  # glued: `concat` stays applied
+    assert kernel.readback(0, v, force=kernel.force_top) == Refl(Global("star"))
 
 
 def test_readback_refl(env):
@@ -262,8 +270,6 @@ def test_j_beta_random_instances(env):
 
 
 def test_mutation_never_crashes(env):
-    from hpt.core import replace_at, term_size
-
     rng = random.Random(99)
     bodies = [e for e in env if e.body_core is not None]
     outcomes = {"type_error": 0, "still_checks": 0}

@@ -42,6 +42,24 @@ def test_lex_star_operator():
     assert kinds("p ** q") == [TokenKind.IDENT, TokenKind.STAR_STAR, TokenKind.IDENT]
 
 
+def test_lex_punctuation_prefers_two_characters():
+    toks = lex("=:=*=>***->:")[:-1]
+    assert [(t.kind, t.lexeme, t.span.start_col, t.span.end_col) for t in toks] == [
+        (TokenKind.EQ, "=", 1, 1),
+        (TokenKind.COLON_EQ, ":=", 2, 3),
+        (TokenKind.STAR, "*", 4, 4),
+        (TokenKind.FAT_ARROW, "=>", 5, 6),
+        (TokenKind.STAR_STAR, "**", 7, 8),
+        (TokenKind.STAR, "*", 9, 9),
+        (TokenKind.ARROW, "->", 10, 11),
+        (TokenKind.COLON, ":", 12, 12),
+    ]
+    # a lone '-' is no token
+    with pytest.raises(LexError) as exc:
+        lex("a - b")
+    assert exc.value.span.start_col == 3
+
+
 def test_lex_illegal_character():
     with pytest.raises(LexError) as exc:
         lex("⟦")
@@ -143,6 +161,14 @@ def test_parse_refl_and_j():
     assert isinstance(bare, JSugar) and bare.motive is None
     full = parse_term("J m c p")
     assert isinstance(full, JSugar) and full.path is not None
+
+
+def test_parse_folds_refl_into_its_point():
+    # also through parentheses, so no application has a bare `refl` head
+    point = ReflSugar(Name("x"))
+    assert parse_term("refl x") == point
+    assert parse_term("(refl) x") == point
+    assert parse_term("(refl) x y") == SApp(point, Name("y"))
 
 
 def test_parse_type_levels():
