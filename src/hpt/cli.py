@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--step-budget", type=_non_negative_int,
                        default=kernel.DEFAULT_STEP_BUDGET, metavar="N",
-                       help="kernel evaluation step budget")
+                       help="evaluation step budget per declaration")
         p.add_argument("--no-color", action="store_true", help="disable color output")
         p.add_argument("--open-corpus", action="store_true",
                        help="preload the bundled corpus")

@@ -61,28 +61,30 @@ def read_source(path: str | Path, name: str, what: str = "file") -> str:
 
 
 def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
-    """Elaborate and check one declaration or directive."""
-    match d:
-        case Def() | Axiom():
-            core = elab.elaborate_decl(globals, d)
-            globals = kernel.check_decl(globals, core)
-            return globals, Event("decl", d.span, d.name)
-        case CheckDirective(term=t, span=span):
-            core, ty = elab.elaborate_term(globals, t)
-            return globals, Event("check", span, f"{pretty(core)} : {pretty(ty)}")
-        case EvalDirective(term=t, span=span):
-            core, ty = elab.elaborate_term(globals, t)
-            nf = kernel.normalize(globals, core)
-            return globals, Event("eval", span, f"{pretty(nf)} : {pretty(ty)}")
-        case AssertDefeq(lhs=l, rhs=r, at_type=ty, span=span):
-            ty_core, _ = elab.elaborate_term(globals, ty)
-            ty_v = kernel.eval_term([], globals, ty_core)
-            ctx = elab.ElabCtx(globals)
-            l_core = elab.zonk(ctx, elab.check(ctx, l, ty_v))
-            r_core = elab.zonk(ctx, elab.check(ctx, r, ty_v))
-            ok = kernel.assert_defeq(globals, l_core, r_core, ty_core)
-            text = f"{pretty(l_core)} ~ {pretty(r_core)}"
-            return globals, Event("assert", span, text, ok)
+    """Elaborate and check one declaration or directive under a fresh step
+    budget, whose limit is the enclosing budget's (the default if none)."""
+    with kernel.step_budget():
+        match d:
+            case Def() | Axiom():
+                core = elab.elaborate_decl(globals, d)
+                globals = kernel.check_decl(globals, core)
+                return globals, Event("decl", d.span, d.name)
+            case CheckDirective(term=t, span=span):
+                core, ty = elab.elaborate_term(globals, t)
+                return globals, Event("check", span, f"{pretty(core)} : {pretty(ty)}")
+            case EvalDirective(term=t, span=span):
+                core, ty = elab.elaborate_term(globals, t)
+                nf = kernel.normalize(globals, core)
+                return globals, Event("eval", span, f"{pretty(nf)} : {pretty(ty)}")
+            case AssertDefeq(lhs=l, rhs=r, at_type=ty, span=span):
+                ty_core, _ = elab.elaborate_term(globals, ty)
+                ty_v = kernel.eval_term([], globals, ty_core)
+                ctx = elab.ElabCtx(globals)
+                l_core = elab.zonk(ctx, elab.check(ctx, l, ty_v))
+                r_core = elab.zonk(ctx, elab.check(ctx, r, ty_v))
+                ok = kernel.assert_defeq(globals, l_core, r_core, ty_core)
+                text = f"{pretty(l_core)} ~ {pretty(r_core)}"
+                return globals, Event("assert", span, text, ok)
     raise ValueError(f"unknown declaration {d!r}")
 
 

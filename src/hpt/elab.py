@@ -87,7 +87,6 @@ class ElabError(SurfaceError):
 class UnboundName(ElabError):
     def __init__(self, span: SourceSpan, name: str):
         super().__init__(span, f"unbound name {name!r}")
-        self.name = name
 
 
 class UnsolvedMeta(ElabError):
@@ -96,7 +95,6 @@ class UnsolvedMeta(ElabError):
         if note:
             msg += f" ({note})"
         super().__init__(span, msg)
-        self.meta_id = meta_id
 
 
 class TypeMismatch(ElabError):
@@ -105,21 +103,16 @@ class TypeMismatch(ElabError):
         if note:
             msg += f"\n  while {note}"
         super().__init__(span, msg)
-        self.expected = expected
-        self.found = found
 
 
 class OccursCheck(ElabError):
     def __init__(self, span: SourceSpan, meta_id: int):
         super().__init__(span, f"occurs check failed: ?{meta_id} would be cyclic")
-        self.meta_id = meta_id
 
 
 class UnifyFailure(ElabError):
     def __init__(self, span: SourceSpan, lhs: str, rhs: str):
         super().__init__(span, f"cannot unify\n  {lhs}\nwith\n  {rhs}")
-        self.lhs = lhs
-        self.rhs = rhs
 
 
 @dataclass
@@ -137,7 +130,6 @@ class MetaVar:
 
     id: int
     depth: int
-    expected_type: Value | None
     span: SourceSpan
     solution: CoreTerm | None = None
 
@@ -148,8 +140,8 @@ class MetaStore:
         self._next = 0
         self._log: list[int] = []
 
-    def fresh(self, depth: int, expected_type: Value | None, span: SourceSpan) -> MetaVar:
-        m = MetaVar(self._next, depth, expected_type, span)
+    def fresh(self, depth: int, span: SourceSpan) -> MetaVar:
+        m = MetaVar(self._next, depth, span)
         self._metas[m.id] = m
         self._next += 1
         return m
@@ -189,7 +181,7 @@ class ElabCtx:
 
     globals: GlobalEnv
     metas: MetaStore = field(default_factory=MetaStore)
-    bindings: list[tuple[str, Value, bool]] = field(default_factory=list)
+    bindings: list[tuple[str, Value]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -198,11 +190,11 @@ class ElabCtx:
     def env(self) -> list[Value]:
         return identity_env(self.depth)
 
-    def bound(self, name: str, ty: Value, implicit: bool) -> "ElabCtx":
-        return ElabCtx(self.globals, self.metas, self.bindings + [(name, ty, implicit)])
+    def bound(self, name: str, ty: Value) -> "ElabCtx":
+        return ElabCtx(self.globals, self.metas, self.bindings + [(name, ty)])
 
     def lookup(self, name: str) -> tuple[int, Value] | None:
-        for i, (n, ty, _) in enumerate(reversed(self.bindings)):
+        for i, (n, ty) in enumerate(reversed(self.bindings)):
             if n == name:
                 return i, ty
         return None
@@ -212,8 +204,8 @@ class ElabCtx:
 
     # -- meta machinery ------------------------------------------------------
 
-    def fresh_meta(self, expected_type: Value | None, span: SourceSpan) -> tuple[CoreTerm, Value]:
-        m = self.metas.fresh(self.depth, expected_type, span)
+    def fresh_meta(self, span: SourceSpan) -> tuple[CoreTerm, Value]:
+        m = self.metas.fresh(self.depth, span)
         return Meta(m.id), VNeutral(HMeta(m.id))
 
     def force(self, v: Value) -> Value:
@@ -231,11 +223,8 @@ class ElabCtx:
         return kernel.readback(depth, v, force=self.force)
 
     def show(self, v: Value) -> str:
-        names = [n for (n, _, _) in self.bindings]
+        names = [n for (n, _) in self.bindings]
         return pretty(self.quote(self.depth, v), names)
-
-
-_NOSPAN = SourceSpan("<internal>", 1, 1, 1, 1)
 
 
 def whnf(ctx: ElabCtx, v: Value) -> Value:
@@ -389,7 +378,8 @@ def _solve(ctx: ElabCtx, meta_id: int, v: Value, depth: int, span: SourceSpan) -
 
 
 # ---------------------------------------------------------------------------
-# Universe estimation for inferred Id/Pi formation
+# Universe estimation for the carrier of `=` (arrows and Pi binders take
+# theirs from `_as_type`)
 
 
 def universe_of(ctx: ElabCtx, v: Value, depth: int | None = None) -> int:
@@ -430,7 +420,7 @@ def universe_of(ctx: ElabCtx, v: Value, depth: int | None = None) -> int:
 
 def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
     match t:
-        case Name(name=n, span=span, explicit_all=ex):
+        case Name(name=n, span=span):
             hit = ctx.lookup(n)
             if hit is not None:
                 idx, ty = hit
@@ -440,22 +430,20 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
                 return Global(n), entry.type_value
             raise UnboundName(span, n)
         case Hole(span=span):
-            _, ty_v = ctx.fresh_meta(None, span)
-            core, _ = ctx.fresh_meta(ty_v, span)
+            _, ty_v = ctx.fresh_meta(span)
+            core, _ = ctx.fresh_meta(span)
             return core, ty_v
         case TypeU(level=k):
             return Type(Level(k)), VType(Level(k + 1))
-        case SArrow(domain=d, codomain=c, span=span):
-            d_core, _ = _as_type(ctx, d)
-            c_core, _ = _as_type(ctx, c)
-            dom_v = ctx.eval(d_core)
-            lvl = max(universe_of(ctx, dom_v), universe_of(ctx, ctx.eval(c_core)))
-            return Pi("_", d_core, shift(c_core, 0, 1), False), VType(Level(lvl))
-        case SPi(binders=bs, codomain=cod, span=span):
+        case SArrow(domain=d, codomain=c):
+            d_core, d_lvl = _as_type(ctx, d)
+            c_core, c_lvl = _as_type(ctx, c)
+            return Pi("_", d_core, shift(c_core, 0, 1), False), VType(Level(max(d_lvl, c_lvl)))
+        case SPi(binders=bs, codomain=cod):
             return _elab_pi(ctx, list(_each_binder(bs)), cod)
-        case SLam(binders=bs, body=body, span=span):
+        case SLam(binders=bs, body=body):
             return _infer_lam(ctx, list(_each_binder(bs)), body)
-        case IdSugar(lhs=l, rhs=r, span=span):
+        case IdSugar(lhs=l, rhs=r):
             l_core, l_ty = infer(ctx, l)
             l_core, l_ty = _insert_all_implicits(ctx, l_core, l_ty, l)
             r_core = check(ctx, r, l_ty)
@@ -463,14 +451,14 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             return Id(ty_core, l_core, r_core), VType(Level(universe_of(ctx, l_ty)))
         case ReflSugar(point=p, span=span):
             if p is None:
-                pt_ty_core, pt_ty = ctx.fresh_meta(None, span)
-                pt_core, pt_v = ctx.fresh_meta(pt_ty, span)
+                _, pt_ty = ctx.fresh_meta(span)
+                pt_core, pt_v = ctx.fresh_meta(span)
                 return Refl(pt_core), VId(pt_ty, pt_v, pt_v)
             p_core, p_ty = infer(ctx, p)
             p_core, p_ty = _insert_all_implicits(ctx, p_core, p_ty, p)
             pv = ctx.eval(p_core)
             return Refl(p_core), VId(p_ty, pv, pv)
-        case JSugar(span=span):
+        case JSugar():
             return _elab_j(ctx, t, [])
         case SApp():
             head, args = _spine(t)
@@ -478,20 +466,20 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
                 return _elab_j(ctx, head, args)
             core, ty = infer(ctx, head)
             ex = isinstance(head, Name) and head.explicit_all
-            return _apply_args(ctx, core, ty, args, ex, t.span)
-    raise ElabError(getattr(t, "span", _NOSPAN), f"cannot elaborate {t!r}")
+            return _apply_args(ctx, core, ty, args, ex)
+    raise ElabError(t.span, f"cannot elaborate {t!r}")
 
 
 def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
     expected = whnf(ctx, expected)
-    span = getattr(t, "span", _NOSPAN)
+    span = t.span
 
     match t:
-        case Hole(span=hspan):
-            core, _ = ctx.fresh_meta(expected, hspan)
+        case Hole():
+            core, _ = ctx.fresh_meta(span)
             return core
-        case ReflSugar(point=None, span=rspan) if isinstance(expected, VId):
-            unify(ctx, expected.lhs, expected.rhs, rspan)
+        case ReflSugar(point=None) if isinstance(expected, VId):
+            unify(ctx, expected.lhs, expected.rhs, span)
             return Refl(ctx.quote(ctx.depth, expected.lhs))
         case SLam(binders=bs, body=body):
             return _check_lam(ctx, list(_each_binder(bs)), body, expected, span)
@@ -500,7 +488,7 @@ def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
 
     # implicit function expected, term is not an implicit lambda: wrap
     if isinstance(expected, VPi) and expected.implicit:
-        inner_ctx = ctx.bound(expected.hint, expected.domain, True)
+        inner_ctx = ctx.bound(expected.hint, expected.domain)
         body = check(inner_ctx, t, expected.closure.apply(fresh_var(ctx.depth)))
         ann = ctx.quote(ctx.depth, expected.domain)
         return Lam(expected.hint, body, ann, True)
@@ -522,18 +510,19 @@ def _each_binder(bs: tuple[Binder, ...]):
 
 def _elab_binder_annotation(
     ctx: ElabCtx, ann: SurfaceTerm | None, span: SourceSpan
-) -> tuple[CoreTerm, Value]:
+) -> tuple[CoreTerm, Value, int]:
+    """The core, value and universe level of a binder's type."""
     if ann is None or isinstance(ann, Hole):
-        core, v = ctx.fresh_meta(None, span if ann is None else ann.span)
-        return core, v
-    core, _ = _as_type(ctx, ann)
-    return core, ctx.eval(core)
+        core, v = ctx.fresh_meta(span if ann is None else ann.span)
+        return core, v, 0
+    core, lvl = _as_type(ctx, ann)
+    return core, ctx.eval(core), lvl
 
 
 def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
-    span = getattr(t, "span", _NOSPAN)
+    span = t.span
     if isinstance(t, Hole):
-        core, _ = ctx.fresh_meta(None, span)
+        core, _ = ctx.fresh_meta(span)
         return core, 0
     core, ty = infer(ctx, t)
     core, ty = _insert_all_implicits(ctx, core, ty, t)
@@ -551,19 +540,17 @@ def _elab_pi(ctx: ElabCtx, binders: list, cod: SurfaceTerm) -> tuple[CoreTerm, V
         core, lvl = _as_type(ctx, cod)
         return core, VType(Level(lvl))
     name, ann, implicit, span = binders[0]
-    ann_core, ann_v = _elab_binder_annotation(ctx, ann, span)
-    inner = ctx.bound(name, ann_v, implicit)
-    cod_core, cod_ty = _elab_pi(inner, binders[1:], cod)
-    lvl = max(universe_of(ctx, ann_v), cod_ty.level.index if isinstance(cod_ty, VType) else 0)
-    return Pi(name, ann_core, cod_core, implicit), VType(Level(lvl))
+    ann_core, ann_v, ann_lvl = _elab_binder_annotation(ctx, ann, span)
+    cod_core, cod_ty = _elab_pi(ctx.bound(name, ann_v), binders[1:], cod)
+    return Pi(name, ann_core, cod_core, implicit), VType(Level(max(ann_lvl, cod_ty.level.index)))
 
 
 def _infer_lam(ctx: ElabCtx, binders: list, body: SurfaceTerm) -> tuple[CoreTerm, Value]:
     if not binders:
         return infer(ctx, body)
     name, ann, implicit, span = binders[0]
-    ann_core, ann_v = _elab_binder_annotation(ctx, ann, span)
-    inner = ctx.bound(name, ann_v, implicit)
+    ann_core, ann_v, _ = _elab_binder_annotation(ctx, ann, span)
+    inner = ctx.bound(name, ann_v)
     body_core, body_ty = _infer_lam(inner, binders[1:], body)
     cod_core = inner.quote(inner.depth, body_ty)
     pi_v = VPi(name, ann_v, Closure(tuple(ctx.env()), cod_core, ctx.globals, ctx.metas), implicit)
@@ -583,7 +570,7 @@ def _check_lam(
         )
     if expected.implicit and not implicit:
         # insert an implicit lambda and retry the same binders
-        inner_ctx = ctx.bound(expected.hint, expected.domain, True)
+        inner_ctx = ctx.bound(expected.hint, expected.domain)
         inner = _check_lam(
             inner_ctx, binders, body, expected.closure.apply(fresh_var(ctx.depth)), span
         )
@@ -598,7 +585,7 @@ def _check_lam(
         unify(ctx, ann_v, expected.domain, bspan)
     else:
         ann_core = ctx.quote(ctx.depth, expected.domain)
-    inner_ctx = ctx.bound(name, expected.domain, implicit)
+    inner_ctx = ctx.bound(name, expected.domain)
     body_core = _check_lam(
         inner_ctx, binders[1:], body, expected.closure.apply(fresh_var(ctx.depth)), span
     )
@@ -619,10 +606,9 @@ def _insert_all_implicits(
 ) -> tuple[CoreTerm, Value]:
     if isinstance(t, Name) and t.explicit_all:
         return core, ty
-    span = getattr(t, "span", _NOSPAN)
     ty = whnf(ctx, ty)
     while isinstance(ty, VPi) and ty.implicit:
-        m_core, m_val = ctx.fresh_meta(ty.domain, span)
+        m_core, m_val = ctx.fresh_meta(t.span)
         core = App(core, m_core)
         ty = whnf(ctx, ty.closure.apply(m_val))
     return core, ty
@@ -634,19 +620,18 @@ def _apply_args(
     ty: Value,
     args: list[SurfaceTerm],
     explicit_all: bool,
-    span: SourceSpan,
 ) -> tuple[CoreTerm, Value]:
     for arg in args:
         if not explicit_all:
             ty = whnf(ctx, ty)
             while isinstance(ty, VPi) and ty.implicit:
-                m_core, m_val = ctx.fresh_meta(ty.domain, getattr(arg, "span", span))
+                m_core, m_val = ctx.fresh_meta(arg.span)
                 core = App(core, m_core)
                 ty = whnf(ctx, ty.closure.apply(m_val))
         ty = whnf(ctx, ty)
         if not isinstance(ty, VPi):
             raise TypeMismatch(
-                getattr(arg, "span", span),
+                arg.span,
                 "a function type",
                 ctx.show(ty),
                 note="applying an argument",
@@ -661,7 +646,7 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
     parts = [p for p in (head.motive, head.base, head.path) if p is not None]
     args = parts + extra
     if len(args) < 3:
-        m = ctx.metas.fresh(ctx.depth, None, head.span)
+        m = ctx.metas.fresh(ctx.depth, head.span)
         raise UnsolvedMeta(head.span, m.id, "the motive of J is underdetermined")
     motive_s, base_s, path_s = args[0], args[1], args[2]
     rest = args[3:]
@@ -670,14 +655,14 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
     path_core, path_ty = _insert_all_implicits(ctx, path_core, path_ty, path_s)
     path_ty = whnf(ctx, path_ty)
     if isinstance(path_ty, VNeutral) and isinstance(path_ty.head, HMeta):
-        t_core, t_v = ctx.fresh_meta(None, head.span)
-        a_core, a_v = ctx.fresh_meta(t_v, head.span)
-        b_core, b_v = ctx.fresh_meta(t_v, head.span)
-        unify(ctx, path_ty, VId(t_v, a_v, b_v), getattr(path_s, "span", head.span))
+        _, t_v = ctx.fresh_meta(head.span)
+        _, a_v = ctx.fresh_meta(head.span)
+        _, b_v = ctx.fresh_meta(head.span)
+        unify(ctx, path_ty, VId(t_v, a_v, b_v), path_s.span)
         path_ty = whnf(ctx, path_ty)
     if not isinstance(path_ty, VId):
         raise TypeMismatch(
-            getattr(path_s, "span", head.span),
+            path_s.span,
             "an identity type",
             ctx.show(path_ty),
             note="elaborating the path argument of J",
@@ -686,7 +671,7 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
 
     motive_core, motive_ty = infer(ctx, motive_s)
     motive_ty = whnf(ctx, motive_ty)
-    mspan = getattr(motive_s, "span", head.span)
+    mspan = motive_s.span
     if not isinstance(motive_ty, VPi):
         raise TypeMismatch(mspan, "a two-argument function", ctx.show(motive_ty),
                            note="elaborating the motive of J")
@@ -705,7 +690,7 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
     endpoint_core = ctx.quote(ctx.depth, whnf(ctx, b_v))
     core: CoreTerm = J(motive_core, base_core, endpoint_core, path_core)
     result_ty = apply_value(apply_value(motive_v, b_v), ctx.eval(path_core))
-    return _apply_args(ctx, core, result_ty, rest, False, head.span)
+    return _apply_args(ctx, core, result_ty, rest, False)
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +748,9 @@ def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:
     ctx = ElabCtx(globals)
     binder_info: list[tuple[str, CoreTerm, bool]] = []
     for name, ann, implicit, bspan in _each_binder(d.binders):
-        ann_core, ann_v = _elab_binder_annotation(ctx, ann, bspan)
+        ann_core, ann_v, _ = _elab_binder_annotation(ctx, ann, bspan)
         binder_info.append((name, ann_core, implicit))
-        ctx = ctx.bound(name, ann_v, implicit)
+        ctx = ctx.bound(name, ann_v)
 
     result_core, _ = _as_type(ctx, d.result_type)
 
@@ -788,18 +773,12 @@ def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:
     return CoreDecl(d.name, type_core, body_core)
 
 
-def elaborate_term(
-    globals: GlobalEnv, t: SurfaceTerm, expected: Value | None = None
-) -> tuple[CoreTerm, CoreTerm]:
+def elaborate_term(globals: GlobalEnv, t: SurfaceTerm) -> tuple[CoreTerm, CoreTerm]:
     """Elaborate a closed term; returns (term, type) as meta-free cores."""
     ctx = ElabCtx(globals)
-    if expected is None:
-        # No trailing implicit insertion at top level: an implicit-Pi-typed
-        # result (say, a bare polymorphic global) stays as it is.
-        core, ty = infer(ctx, t)
-    else:
-        core = check(ctx, t, expected)
-        ty = expected
+    # No trailing implicit insertion at top level: an implicit-Pi-typed
+    # result (say, a bare polymorphic global) stays as it is.
+    core, ty = infer(ctx, t)
     core = zonk(ctx, core)
     ty_core = zonk(ctx, ctx.quote(0, ty))
     return core, ty_core

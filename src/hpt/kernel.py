@@ -17,7 +17,9 @@ A step budget (default 10**8) turns runaway evaluation of malformed input
 into a BudgetExhausted error instead of a hang. It is charged once on every
 closure application and every J elimination, which any divergent
 computation must pass through; nothing is memoized, so a repeated
-application is charged again.
+application is charged again. One budget is active at a time, held in a
+module-level variable: `step_budget` installs a fresh one for a block, and
+the driver opens one per declaration.
 
 Readback memoizes per top-level call: a value reached twice at the same
 depth is read back once, so the normal form shares that subterm in memory.
@@ -25,8 +27,8 @@ depth is read back once, so the normal form shares that subterm in memory.
 
 from __future__ import annotations
 
-import contextvars
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 
 from .core import (
@@ -61,7 +63,6 @@ class BudgetExhausted(KernelError):
 class DuplicateName(KernelError):
     def __init__(self, name: str) -> None:
         super().__init__(f"duplicate global name {name!r}")
-        self.name = name
 
 
 class KernelTypeError(KernelError):
@@ -88,42 +89,47 @@ class KernelTypeError(KernelError):
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int) -> None:
+        self.limit = limit
         self.remaining = limit
 
-    def tick(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExhausted()
+
+# The active budget; None outside every `step_budget` block.
+_budget: _Budget | None = None
 
 
-_budget_var: contextvars.ContextVar[_Budget | None] = contextvars.ContextVar(
-    "hpt_kernel_budget", default=None
-)
+@contextmanager
+def step_budget(limit: int | None = None) -> Iterator[_Budget]:
+    """Install a fresh step budget of `limit` steps for the block and yield it.
+
+    The limit defaults to that of the enclosing budget, or to
+    DEFAULT_STEP_BUDGET when none is active. Steps taken inside the block are
+    not charged to the enclosing budget.
+    """
+    global _budget
+    outer = _budget
+    if limit is None:
+        limit = DEFAULT_STEP_BUDGET if outer is None else outer.limit
+    _budget = _Budget(limit)
+    try:
+        yield _budget
+    finally:
+        _budget = outer
 
 
-class step_budget:
-    """Context manager installing an evaluation step budget."""
-
-    def __init__(self, limit: int = DEFAULT_STEP_BUDGET) -> None:
-        self.limit = limit
-        self._token: contextvars.Token | None = None
-
-    def __enter__(self) -> "step_budget":
-        self._token = _budget_var.set(_Budget(self.limit))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._token is not None
-        _budget_var.reset(self._token)
+def _ensure_budget() -> AbstractContextManager:
+    """A default step budget, unless one is already active."""
+    return step_budget() if _budget is None else nullcontext()
 
 
 def _tick() -> None:
-    budget = _budget_var.get()
+    budget = _budget
     if budget is not None:
-        budget.tick()
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExhausted()
 
 
 # ---------------------------------------------------------------------------
@@ -768,24 +774,8 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
         return conv(0, eval_term([], globals, l), eval_term([], globals, r))
 
 
-def normalize(globals: GlobalEnv, t: CoreTerm, depth: int = 0) -> CoreTerm:
-    """Full normal form of a well-typed term (defined globals unfolded)."""
+def normalize(globals: GlobalEnv, t: CoreTerm) -> CoreTerm:
+    """Full normal form of a well-typed closed term (defined globals unfolded)."""
     with _ensure_budget():
-        return readback(depth, eval_term(identity_env(depth), globals, t), force=force_top)
+        return readback(0, eval_term([], globals, t), force=force_top)
 
-
-class _ensure_budget:
-    """Install the default budget unless one is already active."""
-
-    def __init__(self) -> None:
-        self._inner: step_budget | None = None
-
-    def __enter__(self):
-        if _budget_var.get() is None:
-            self._inner = step_budget(DEFAULT_STEP_BUDGET)
-            self._inner.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._inner is not None:
-            self._inner.__exit__(*exc)

@@ -1,4 +1,4 @@
-"""Surface language: lexer, parser, and printer for `.hpt` sources.
+"""Surface language: lexer and parser for `.hpt` sources.
 
 Grammar (keywords spelled exactly as below):
 
@@ -66,12 +66,8 @@ class LexError(SurfaceError):
 
 class ParseError(SurfaceError):
     def __init__(self, span: SourceSpan, expected: frozenset[str] | str, found: str):
-        if isinstance(expected, str):
-            expected = frozenset([expected])
-        names = ", ".join(sorted(expected))
+        names = expected if isinstance(expected, str) else ", ".join(sorted(expected))
         super().__init__(span, f"expected {names}, found {found}")
-        self.expected = expected
-        self.found = found
 
 
 class TokenKind(enum.Enum):
@@ -323,7 +319,6 @@ class Def(SurfaceDecl):
     result_type: SurfaceTerm
     body: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
-    name_span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
 @dataclass(frozen=True)
@@ -332,7 +327,6 @@ class Axiom(SurfaceDecl):
     binders: tuple[Binder, ...]
     result_type: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
-    name_span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
 @dataclass(frozen=True)
@@ -401,30 +395,28 @@ class _Parser:
         tok = self.peek()
         if tok.kind is TokenKind.KW_DEF:
             self.next()
-            name_tok = self.expect(TokenKind.IDENT)
+            name = self.expect(TokenKind.IDENT).lexeme
             binders = self.parse_binders()
             self.expect(TokenKind.COLON)
             ty = self.parse_term()
             self.expect(TokenKind.COLON_EQ)
             body = self.parse_term()
-            span = tok.span.cover(_term_span(body))
-            return Def(name_tok.lexeme, tuple(binders), ty, body, span, name_tok.span)
+            return Def(name, tuple(binders), ty, body, tok.span.cover(body.span))
         if tok.kind is TokenKind.KW_AXIOM:
             self.next()
-            name_tok = self.expect(TokenKind.IDENT)
+            name = self.expect(TokenKind.IDENT).lexeme
             binders = self.parse_binders()
             self.expect(TokenKind.COLON)
             ty = self.parse_term()
-            span = tok.span.cover(_term_span(ty))
-            return Axiom(name_tok.lexeme, tuple(binders), ty, span, name_tok.span)
+            return Axiom(name, tuple(binders), ty, tok.span.cover(ty.span))
         if tok.kind is TokenKind.HASH_CHECK:
             self.next()
             t = self.parse_term()
-            return CheckDirective(t, tok.span.cover(_term_span(t)))
+            return CheckDirective(t, tok.span.cover(t.span))
         if tok.kind is TokenKind.HASH_EVAL:
             self.next()
             t = self.parse_term()
-            return EvalDirective(t, tok.span.cover(_term_span(t)))
+            return EvalDirective(t, tok.span.cover(t.span))
         if tok.kind is TokenKind.HASH_ASSERT:
             self.next()
             self.expect(TokenKind.KW_DEFEQ)
@@ -433,7 +425,7 @@ class _Parser:
             rhs = self.parse_term()
             self.expect(TokenKind.COLON)
             ty = self.parse_term()
-            return AssertDefeq(lhs, rhs, ty, tok.span.cover(_term_span(ty)))
+            return AssertDefeq(lhs, rhs, ty, tok.span.cover(ty.span))
         raise ParseError(
             tok.span,
             frozenset(["'def'", "'axiom'", "'#check'", "'#eval'", "'#assert'"]),
@@ -469,7 +461,7 @@ class _Parser:
                 raise ParseError(self.peek().span, "a binder", _describe(self.peek()))
             self.expect(TokenKind.FAT_ARROW)
             body = self.parse_term()
-            return SLam(tuple(binders), body, tok.span.cover(_term_span(body)))
+            return SLam(tuple(binders), body, tok.span.cover(body.span))
         if tok.kind in (TokenKind.LPAREN, TokenKind.LBRACE):
             saved = self.pos
             try:
@@ -477,7 +469,7 @@ class _Parser:
                 if self.at(TokenKind.ARROW):
                     self.next()
                     cod = self.parse_term()
-                    return SPi((binder,), cod, tok.span.cover(_term_span(cod)))
+                    return SPi((binder,), cod, tok.span.cover(cod.span))
                 self.pos = saved
             except ParseError:
                 if tok.kind is TokenKind.LBRACE:
@@ -487,11 +479,11 @@ class _Parser:
         if self.at(TokenKind.ARROW):
             self.next()
             cod = self.parse_term()
-            return SArrow(t, cod, _term_span(t).cover(_term_span(cod)))
+            return SArrow(t, cod, t.span.cover(cod.span))
         if self.at(TokenKind.EQ):
             self.next()
             rhs = self.parse_term1()
-            return IdSugar(t, rhs, _term_span(t).cover(_term_span(rhs)))
+            return IdSugar(t, rhs, t.span.cover(rhs.span))
         return t
 
     def parse_term1(self) -> SurfaceTerm:
@@ -499,7 +491,7 @@ class _Parser:
         while self.at(TokenKind.STAR):
             op = self.next()
             r = self.parse_term2()
-            span = _term_span(t).cover(_term_span(r))
+            span = t.span.cover(r.span)
             t = SApp(SApp(Name("concat", op.span), t, span), r, span)
         return t
 
@@ -508,7 +500,7 @@ class _Parser:
         while self.at(TokenKind.STAR_STAR):
             op = self.next()
             r = self.parse_term3()
-            span = _term_span(t).cover(_term_span(r))
+            span = t.span.cover(r.span)
             t = SApp(SApp(Name("par-concat", op.span), t, span), r, span)
         return t
 
@@ -520,13 +512,13 @@ class _Parser:
         rest = atoms[1:]
         if isinstance(head, ReflSugar) and head.point is None and rest:
             point = rest.pop(0)
-            head = ReflSugar(point, head.span.cover(_term_span(point)))
+            head = ReflSugar(point, head.span.cover(point.span))
         elif isinstance(head, JSugar) and head.motive is None and len(rest) >= 3:
             motive, base, path = rest[0], rest[1], rest[2]
             rest = rest[3:]
-            head = JSugar(motive, base, path, head.span.cover(_term_span(path)))
+            head = JSugar(motive, base, path, head.span.cover(path.span))
         for arg in rest:
-            head = SApp(head, arg, _term_span(head).cover(_term_span(arg)))
+            head = SApp(head, arg, head.span.cover(arg.span))
         return head
 
     def parse_atom(self) -> SurfaceTerm:
@@ -567,10 +559,6 @@ def _describe(tok: Token) -> str:
     return f"'{tok.lexeme}'"
 
 
-def _term_span(t: SurfaceTerm | SurfaceDecl) -> SourceSpan:
-    return t.span  # type: ignore[union-attr]
-
-
 def _respan(t: SurfaceTerm, span: SourceSpan) -> SurfaceTerm:
     return replace(t, span=span)  # type: ignore[arg-type]
 
@@ -586,72 +574,3 @@ def parse_term(text: str, filename: str = "<input>") -> SurfaceTerm:
     if tok.kind is not TokenKind.EOF:
         raise ParseError(tok.span, "end of input", _describe(tok))
     return t
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-_PREC_LOW = 0  # fun, ->
-_PREC_ID = 1
-_PREC_CONCAT = 2
-_PREC_PAR = 3
-_PREC_APP = 4
-_PREC_ATOM = 5
-
-
-def print_surface(t: SurfaceTerm) -> str:
-    return _print(t, _PREC_LOW)
-
-
-def _print_binder(b: Binder) -> str:
-    open_b, close_b = ("{", "}") if b.implicit else ("(", ")")
-    ann = _print(b.annotation, _PREC_LOW) if b.annotation is not None else "_"
-    return f"{open_b}{' '.join(b.names)} : {ann}{close_b}"
-
-
-def _print(t: SurfaceTerm, prec: int) -> str:
-    match t:
-        case Name(name=n, explicit_all=ex):
-            return f"@{n}" if ex else n
-        case Hole():
-            return "_"
-        case TypeU(level=0):
-            return "Type"
-        case TypeU(level=k):
-            return _wrap(f"Type {k}", prec, _PREC_APP)
-        case SLam(binders=bs, body=body):
-            head = " ".join(_print_binder(b) for b in bs)
-            return _wrap(f"fun {head} => {_print(body, _PREC_LOW)}", prec, _PREC_LOW)
-        case SPi(binders=bs, codomain=cod):
-            s = _print(cod, _PREC_LOW)
-            for b in reversed(bs):
-                s = f"{_print_binder(b)} -> {s}"
-            return _wrap(s, prec, _PREC_LOW)
-        case SArrow(domain=d, codomain=c):
-            # arrow domains are term1: equations and nested arrows need parens
-            return _wrap(f"{_print(d, _PREC_CONCAT)} -> {_print(c, _PREC_LOW)}", prec, _PREC_LOW)
-        case IdSugar(lhs=l, rhs=r):
-            return _wrap(f"{_print(l, _PREC_CONCAT)} = {_print(r, _PREC_CONCAT)}", prec, _PREC_ID)
-        case SApp(fn=SApp(fn=Name(name="concat", explicit_all=False), arg=l), arg=r):
-            return _wrap(f"{_print(l, _PREC_CONCAT)} * {_print(r, _PREC_PAR)}", prec, _PREC_CONCAT)
-        case SApp(fn=SApp(fn=Name(name="par-concat", explicit_all=False), arg=l), arg=r):
-            return _wrap(f"{_print(l, _PREC_PAR)} ** {_print(r, _PREC_APP)}", prec, _PREC_PAR)
-        case SApp(fn=f, arg=x):
-            return _wrap(f"{_print(f, _PREC_APP)} {_print(x, _PREC_ATOM)}", prec, _PREC_APP)
-        case ReflSugar(point=None):
-            return "refl"
-        case ReflSugar(point=p):
-            return _wrap(f"refl {_print(p, _PREC_ATOM)}", prec, _PREC_APP)
-        case JSugar(motive=None):
-            return "J"
-        case JSugar(motive=m, base=b, path=p):
-            parts = ["J"]
-            for part in (m, b, p):
-                if part is not None:
-                    parts.append(_print(part, _PREC_ATOM))
-            return _wrap(" ".join(parts), prec, _PREC_APP)
-    raise TypeError(f"not a surface term: {t!r}")
-
-
-def _wrap(s: str, outer: int, inner: int) -> str:
-    return f"({s})" if inner < outer else s

@@ -1,9 +1,24 @@
-"""Structural helpers over core terms that only the tests use: alpha
-equivalence, subterm replacement by preorder position, and tree size."""
+"""Helpers that only the tests use: over core terms, alpha equivalence,
+subterm replacement by preorder position, and tree size; over surface
+terms, a printer whose output parses back to the same term."""
 
 from __future__ import annotations
 
 from hpt.core import App, CoreTerm, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var
+from hpt.surface import (
+    Binder,
+    Hole,
+    IdSugar,
+    JSugar,
+    Name,
+    ReflSugar,
+    SApp,
+    SArrow,
+    SLam,
+    SPi,
+    SurfaceTerm,
+    TypeU,
+)
 
 
 def alpha_eq(a: CoreTerm, b: CoreTerm) -> bool:
@@ -87,8 +102,6 @@ def replace_at(t: CoreTerm, pos: int, new: CoreTerm) -> CoreTerm:
     return go(t)
 
 
-
-
 def term_size(t: CoreTerm) -> int:
     """Tree size: a subterm shared by several parents counts once for each.
     Each node object is walked once per call, so a DAG costs its DAG size."""
@@ -101,3 +114,72 @@ def term_size(t: CoreTerm) -> int:
         return n
 
     return go(t)
+
+
+# ---------------------------------------------------------------------------
+# Printing surface terms
+
+_PREC_LOW = 0  # fun, ->
+_PREC_ID = 1
+_PREC_CONCAT = 2
+_PREC_PAR = 3
+_PREC_APP = 4
+_PREC_ATOM = 5
+
+
+def print_surface(t: SurfaceTerm) -> str:
+    return _print(t, _PREC_LOW)
+
+
+def _print_binder(b: Binder) -> str:
+    open_b, close_b = ("{", "}") if b.implicit else ("(", ")")
+    ann = _print(b.annotation, _PREC_LOW) if b.annotation is not None else "_"
+    return f"{open_b}{' '.join(b.names)} : {ann}{close_b}"
+
+
+def _print(t: SurfaceTerm, prec: int) -> str:
+    match t:
+        case Name(name=n, explicit_all=ex):
+            return f"@{n}" if ex else n
+        case Hole():
+            return "_"
+        case TypeU(level=0):
+            return "Type"
+        case TypeU(level=k):
+            return _wrap(f"Type {k}", prec, _PREC_APP)
+        case SLam(binders=bs, body=body):
+            head = " ".join(_print_binder(b) for b in bs)
+            return _wrap(f"fun {head} => {_print(body, _PREC_LOW)}", prec, _PREC_LOW)
+        case SPi(binders=bs, codomain=cod):
+            s = _print(cod, _PREC_LOW)
+            for b in reversed(bs):
+                s = f"{_print_binder(b)} -> {s}"
+            return _wrap(s, prec, _PREC_LOW)
+        case SArrow(domain=d, codomain=c):
+            # arrow domains are term1: equations and nested arrows need parens
+            return _wrap(f"{_print(d, _PREC_CONCAT)} -> {_print(c, _PREC_LOW)}", prec, _PREC_LOW)
+        case IdSugar(lhs=l, rhs=r):
+            return _wrap(f"{_print(l, _PREC_CONCAT)} = {_print(r, _PREC_CONCAT)}", prec, _PREC_ID)
+        case SApp(fn=SApp(fn=Name(name="concat", explicit_all=False), arg=l), arg=r):
+            return _wrap(f"{_print(l, _PREC_CONCAT)} * {_print(r, _PREC_PAR)}", prec, _PREC_CONCAT)
+        case SApp(fn=SApp(fn=Name(name="par-concat", explicit_all=False), arg=l), arg=r):
+            return _wrap(f"{_print(l, _PREC_PAR)} ** {_print(r, _PREC_APP)}", prec, _PREC_PAR)
+        case SApp(fn=f, arg=x):
+            return _wrap(f"{_print(f, _PREC_APP)} {_print(x, _PREC_ATOM)}", prec, _PREC_APP)
+        case ReflSugar(point=None):
+            return "refl"
+        case ReflSugar(point=p):
+            return _wrap(f"refl {_print(p, _PREC_ATOM)}", prec, _PREC_APP)
+        case JSugar(motive=None):
+            return "J"
+        case JSugar(motive=m, base=b, path=p):
+            parts = ["J"]
+            for part in (m, b, p):
+                if part is not None:
+                    parts.append(_print(part, _PREC_ATOM))
+            return _wrap(" ".join(parts), prec, _PREC_APP)
+    raise TypeError(f"not a surface term: {t!r}")
+
+
+def _wrap(s: str, outer: int, inner: int) -> str:
+    return f"({s})" if inner < outer else s

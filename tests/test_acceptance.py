@@ -12,8 +12,8 @@ from hpt import corpus, driver, elab, kernel
 from hpt.cli import main
 from hpt.core import CoreDecl, Global, Refl, Type, Level, Var
 from hpt.kernel import GlobalEnv, KernelError, conv, eval_term, step_budget
-from hpt.surface import parse_file, parse_term, print_surface
-from tests.terms import alpha_eq, replace_at, term_size
+from hpt.surface import parse_file, parse_term
+from tests.terms import alpha_eq, print_surface, replace_at, term_size
 
 
 @pytest.fixture(scope="module")

@@ -142,6 +142,31 @@ def test_step_budget_must_be_non_negative(tmp_hpt, budget, code):
     assert run_cli(["check", "--step-budget", budget, path])[0] == code
 
 
+def test_step_budget_is_per_declaration(tmp_hpt):
+    """Files that pass alone at a budget pass together: no declaration's
+    steps are charged to a later one."""
+    base = tmp_hpt("base.hpt", "axiom A : Type\naxiom star : A\ndef id (x : A) : A := x\n")
+    one = tmp_hpt("one.hpt", "#eval id (id (id star))\n")
+    two = tmp_hpt("two.hpt", "#eval id (id (id star))\n")
+    for files in ([base, one], [base, two], [base, one, two]):
+        code, out = run_cli(["check", "--step-budget", "7", *files])
+        assert code == 0, out
+
+
+def test_step_budget_stops_a_runaway_declaration(tmp_hpt):
+    # d12 star unfolds into 2**12 applications of d0.
+    defs = "".join(f"def d{k} (x : A) : A := d{k - 1} (d{k - 1} x)\n" for k in range(1, 13))
+    path = tmp_hpt(
+        "runaway.hpt",
+        "axiom A : Type\naxiom star : A\ndef d0 (x : A) : A := x\n" + defs + "#eval d12 star\n",
+    )
+    code, out = run_cli(["check", "--step-budget", "1000", path])
+    assert code == 1
+    assert f"{path}:16:1: error: evaluation step budget exhausted" in out
+    assert "15 declaration(s)" in out
+    assert run_cli(["check", path])[0] == 0
+
+
 def test_corpus_command_passes():
     code, out = run_cli(["corpus"])
     assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hpt import corpus, elab, kernel
+from hpt import corpus, driver, elab, kernel
 from hpt.core import App, Global, Id, Lam, Meta, Pi, Refl, Var
 from hpt.elab import (
     ElabCtx,
@@ -48,6 +48,21 @@ def test_elaborate_universe_vs_element():
 def test_unbound_name():
     with pytest.raises(UnboundName):
         _decl(GlobalEnv(), "def f : missing := missing")
+
+
+@pytest.mark.parametrize("body", ["P a -> P a", "(x : P a) -> A"])
+def test_arrow_and_pi_take_their_level_from_their_parts(body):
+    """`P a : Type 1`, so a function type over it lives in `Type 1`."""
+    text = f"axiom A : Type\ndef f (P : A -> Type 1) (a : A) : Type 1 := {body}\n"
+    _, result = driver.check_source(GlobalEnv(), text, "f.hpt")
+    assert result.error is None and result.declarations_checked == 2
+
+
+def test_arrow_in_too_small_a_universe_fails_in_the_elaborator():
+    text = "axiom A : Type\ndef f (P : A -> Type 1) (a : A) : Type := P a -> P a\n"
+    _, result = driver.check_source(GlobalEnv(), text, "f.hpt")
+    assert isinstance(result.error, TypeMismatch)
+    assert (result.error_span.start_line, result.error_span.start_col) == (2, 43)
 
 
 def test_corpus_eh_is_meta_free_and_rechecks(env):
@@ -103,7 +118,7 @@ def test_unsolved_hole_is_fatal(env):
 
 def test_occurs_check(env):
     ctx = ElabCtx(env)
-    _, m = ctx.fresh_meta(None, DUMMY_SPAN)
+    _, m = ctx.fresh_meta(DUMMY_SPAN)
     from hpt.kernel import Closure
     from hpt.core import Var as CVar
 
@@ -122,7 +137,7 @@ def test_unify_rigid_universe_mismatch(env):
 
 def test_unify_decomposes_id(env):
     ctx = ElabCtx(env)
-    _, m = ctx.fresh_meta(None, DUMMY_SPAN)
+    _, m = ctx.fresh_meta(DUMMY_SPAN)
     a_v = eval_term([], env, elaborate_term(env, parse_term("A"))[0])
     star_v = eval_term([], env, elaborate_term(env, parse_term("star"))[0])
     unify(ctx, VId(m, star_v, star_v), VId(a_v, star_v, star_v), DUMMY_SPAN)
@@ -134,8 +149,8 @@ def test_speculative_spine_unification_rolls_back(env):
     the solution is retracted and unification succeeds by unfolding."""
     local = kernel.check_decl(env, _decl(env, "def pick (x y : A) : A := star"))
     a_v = eval_term([], local, Global("A"))
-    ctx = ElabCtx(local).bound("x", a_v, False).bound("y", a_v, False)
-    _, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
+    ctx = ElabCtx(local).bound("x", a_v).bound("y", a_v)
+    _, m = ctx.fresh_meta(DUMMY_SPAN)
     x, y = ctx.env()
     pick = eval_term([], local, Global("pick"))
     # Spines [?m, x] and [y, y]: ?m := y is made, then x = y fails.
@@ -153,8 +168,8 @@ def test_rollback_retracts_solutions_made_during_speculation(env):
     a_ty = eval_term([], env, Global("A"))
     star = eval_term([], env, Global("star"))
     ctx = ElabCtx(env)
-    _, b = ctx.fresh_meta(a_ty, DUMMY_SPAN)
-    _, a = ctx.fresh_meta(None, DUMMY_SPAN)
+    _, b = ctx.fresh_meta(DUMMY_SPAN)
+    _, a = ctx.fresh_meta(DUMMY_SPAN)
     unify(ctx, a, VRefl(b), DUMMY_SPAN)
     mark = ctx.metas.checkpoint()
     unify(ctx, b, star, DUMMY_SPAN)
@@ -219,7 +234,7 @@ def test_elaborated_type_keeps_readback_sharing(env):
 def test_zonk_rebuilds_only_the_path_to_a_solved_meta(env):
     ctx = ElabCtx(env)
     star = eval_term([], env, Global("star"))
-    meta, m = ctx.fresh_meta(None, DUMMY_SPAN)
+    meta, m = ctx.fresh_meta(DUMMY_SPAN)
     unify(ctx, m, star, DUMMY_SPAN)
     ty, rhs = Global("A"), Refl(Global("star"))
     t = App(Lam("x", Var(0)), Id(ty, meta, rhs))
@@ -230,8 +245,8 @@ def test_zonk_rebuilds_only_the_path_to_a_solved_meta(env):
 
 def test_zonk_rejects_a_solution_escaping_its_context(env):
     a_v = eval_term([], env, Global("A"))
-    ctx = ElabCtx(env).bound("x", a_v, False)
-    meta, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
+    ctx = ElabCtx(env).bound("x", a_v)
+    meta, m = ctx.fresh_meta(DUMMY_SPAN)
     unify(ctx, m, ctx.env()[0], DUMMY_SPAN)
     assert elab.zonk(ctx, meta, 1) == Var(0)
     with pytest.raises(elab.ElabError, match="meta solution escapes its context"):
@@ -241,8 +256,8 @@ def test_zonk_rejects_a_solution_escaping_its_context(env):
 def test_solve_rejects_a_variable_escaping_the_meta_scope(env):
     a_v = eval_term([], env, Global("A"))
     ctx = ElabCtx(env)
-    _, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
-    inner = ctx.bound("x", a_v, False)
+    _, m = ctx.fresh_meta(DUMMY_SPAN)
+    inner = ctx.bound("x", a_v)
     (x,) = inner.env()
     with pytest.raises(UnifyFailure, match="escaping its scope"):
         unify(inner, m, x, DUMMY_SPAN)
@@ -253,9 +268,9 @@ def test_solve_rejects_a_variable_escaping_the_meta_scope(env):
 
 def test_solution_is_shifted_to_the_meta_depth(env):
     a_v = eval_term([], env, Global("A"))
-    ctx = ElabCtx(env).bound("x", a_v, False)
-    meta, m = ctx.fresh_meta(a_v, DUMMY_SPAN)
-    inner = ctx.bound("y", a_v, False)
+    ctx = ElabCtx(env).bound("x", a_v)
+    meta, m = ctx.fresh_meta(DUMMY_SPAN)
+    inner = ctx.bound("y", a_v)
     x, _ = inner.env()
     unify(inner, m, x, DUMMY_SPAN)
     assert ctx.metas.get(meta.id).solution == Var(0)

@@ -138,9 +138,9 @@ def test_step_budget_charges_every_application(env):
             lam.closure.apply(star)
     # Normalizing a corpus body needs exactly its step count, every time.
     body = env.get("EH").body_core
-    with step_budget():
+    with step_budget() as budget:
         normalize(env, body)
-        used = kernel.DEFAULT_STEP_BUDGET - kernel._budget_var.get().remaining
+        used = kernel.DEFAULT_STEP_BUDGET - budget.remaining
     assert used > 0
     with step_budget(used):
         normalize(env, body)

@@ -1,4 +1,4 @@
-"""Lexer, parser, and printer for the surface language."""
+"""Lexer and parser for the surface language, and the parse/print round trip."""
 
 import random
 
@@ -25,8 +25,8 @@ from hpt.surface import (
     lex,
     parse_file,
     parse_term,
-    print_surface,
 )
+from tests.terms import print_surface
 
 
 def kinds(text):
