@@ -23,7 +23,6 @@ from .surface import SourceSpan, SurfaceError, parse_term
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning" | "info"
     span: SourceSpan
     message: str
 
@@ -38,9 +37,7 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.assertions_failed == 0 and not any(
-            d.severity == "error" for d in self.diagnostics
-        )
+        return self.assertions_failed == 0 and not self.diagnostics
 
     def to_json(self) -> dict:
         return {
@@ -50,7 +47,7 @@ class CheckReport:
             "assertions_failed": self.assertions_failed,
             "diagnostics": [
                 {
-                    "severity": d.severity,
+                    "severity": "error",
                     "file": d.span.file,
                     "line": d.span.start_line,
                     "col": d.span.start_col,
@@ -62,10 +59,7 @@ class CheckReport:
 
 
 def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> str:
-    sev = d.severity
-    if color:
-        colors = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
-        sev = f"{colors.get(d.severity, '')}{d.severity}\x1b[0m"
+    sev = "\x1b[31merror\x1b[0m" if color else "error"
     first_line = d.message.splitlines()[0] if d.message else ""
     rest = d.message.splitlines()[1:]
     out = [f"{d.span.file}:{d.span.start_line}:{d.span.start_col}: {sev}: {first_line}"]
@@ -85,8 +79,8 @@ def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> s
 
 def _error_to_diagnostic(err: Exception, fallback_span: SourceSpan) -> Diagnostic:
     if isinstance(err, SurfaceError):
-        return Diagnostic("error", err.span, err.message)
-    return Diagnostic("error", fallback_span, str(err))
+        return Diagnostic(err.span, err.message)
+    return Diagnostic(fallback_span, str(err))
 
 
 def _collect_file_result(report: CheckReport, result: driver.FileResult) -> None:
@@ -97,7 +91,7 @@ def _collect_file_result(report: CheckReport, result: driver.FileResult) -> None
     for event in result.events:
         if event.kind == "assert" and not event.ok:
             report.diagnostics.append(
-                Diagnostic("error", event.span, f"definitional assertion failed: {event.text}")
+                Diagnostic(event.span, f"definitional assertion failed: {event.text}")
             )
     if result.error is not None:
         report.diagnostics.append(_error_to_diagnostic(result.error, result.error_span))
@@ -196,7 +190,7 @@ def cmd_corpus(args, out) -> int:
                 if not present:
                     message = f"manifest entry {entry.decl_name!r} not present after corpus load"
                     report.diagnostics.append(
-                        Diagnostic("error", SourceSpan("manifest.tsv", 1, 1, 1, 1), message)
+                        Diagnostic(SourceSpan("manifest.tsv", 1, 1, 1, 1), message)
                     )
             for label, ok in corpus_mod.run_required_assertions(env):
                 mark = "ok  " if ok else "FAIL"

@@ -156,9 +156,6 @@ class MetaStore:
             return None
         return m.depth, m.solution
 
-    def unsolved(self) -> list[MetaVar]:
-        return [m for m in self._metas.values() if m.solution is None]
-
     # A log of solved metas supports speculative unification: glued
     # globals first try spine equality and roll back their solutions if
     # the spines turn out not to match.
@@ -378,40 +375,40 @@ def _solve(ctx: ElabCtx, meta_id: int, v: Value, depth: int, span: SourceSpan) -
 
 
 # ---------------------------------------------------------------------------
-# Universe estimation for the carrier of `=` (arrows and Pi binders take
-# theirs from `_as_type`)
+# The level of the carrier of `=` (arrows and Pi binders take theirs from
+# `_as_type`)
 
 
-def universe_of(ctx: ElabCtx, v: Value, depth: int | None = None) -> int:
-    """Universe index of a type value. Flexible types default to 0; the
-    kernel re-check is the authority."""
-    v = force_top(ctx.force(v))
-    d = ctx.depth if depth is None else depth
+def universe_of(ctx: ElabCtx, v: Value) -> int:
+    """The level of the type value `v`, read off its sort. A type headed by
+    an unsolved meta gets 0; the kernel re-check is the authority."""
+    v = whnf(ctx, v)
     match v:
         case VType(lvl):
             return lvl.index + 1
         case VId(t, _, _):
-            return universe_of(ctx, t, d)
-        case VPi(_, dom, clo, _):
-            a = universe_of(ctx, dom, d)
-            b = universe_of(ctx, clo.apply(fresh_var(d)), d + 1)
-            return max(a, b)
-        case VNeutral(head, _):
-            match head:
-                case HGlobal(name):
-                    entry = ctx.globals.get(name)
-                    if entry is not None and isinstance(entry.type_value, VType):
-                        return entry.type_value.level.index
-                    return 0
-                case HVar(lvl):
-                    if lvl < len(ctx.bindings):
-                        ty = ctx.force(ctx.bindings[lvl][1])
-                        if isinstance(ty, VType):
-                            return ty.level.index
-                    return 0
-                case _:
-                    return 0
-    return 0
+            return universe_of(ctx, t)
+        case VPi(hint, dom, clo, _):
+            cod = clo.apply(fresh_var(ctx.depth))
+            return max(universe_of(ctx, dom), universe_of(ctx.bound(hint, dom), cod))
+        case VNeutral(HVar(lvl), spine):
+            ty = ctx.bindings[lvl][1]
+        case VNeutral(HGlobal(name), spine):
+            ty = ctx.globals.get(name).type_value
+        case _:
+            return 0
+    # Type the neutral: replay its spine on the type of its head.
+    for k, elim in enumerate(spine):
+        ty = whnf(ctx, ty)
+        if type(elim) is EApp:
+            if not isinstance(ty, VPi):
+                return 0
+            ty = ty.closure.apply(elim.arg)
+        else:
+            scrutinee = VNeutral(v.head, spine[:k])
+            ty = apply_value(apply_value(elim.motive, elim.endpoint), scrutinee)
+    ty = whnf(ctx, ty)
+    return ty.level.index if isinstance(ty, VType) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +437,24 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             c_core, c_lvl = _as_type(ctx, c)
             return Pi("_", d_core, shift(c_core, 0, 1), False), VType(Level(max(d_lvl, c_lvl)))
         case SPi(binders=bs, codomain=cod):
-            return _elab_pi(ctx, list(_each_binder(bs)), cod)
+            inner, bound = _bind(ctx, bs)
+            core, lvl = _as_type(inner, cod)
+            for name, ann_core, _, ann_lvl, implicit in reversed(bound):
+                core = Pi(name, ann_core, core, implicit)
+                lvl = max(lvl, ann_lvl)
+            return core, VType(Level(lvl))
         case SLam(binders=bs, body=body):
-            return _infer_lam(ctx, list(_each_binder(bs)), body)
+            inner, bound = _bind(ctx, bs)
+            core, ty = infer(inner, body)
+            depth = inner.depth
+            for name, ann_core, ann_v, _, implicit in reversed(bound):
+                cod_core = inner.quote(depth, ty)
+                depth -= 1
+                clo = Closure(tuple(identity_env(depth)), cod_core, ctx.globals, ctx.metas)
+                core, ty = Lam(name, core, ann_core, implicit), VPi(name, ann_v, clo, implicit)
+            return core, ty
         case IdSugar(lhs=l, rhs=r):
-            l_core, l_ty = infer(ctx, l)
-            l_core, l_ty = _insert_all_implicits(ctx, l_core, l_ty, l)
+            l_core, l_ty = _infer_inserted(ctx, l)
             r_core = check(ctx, r, l_ty)
             ty_core = ctx.quote(ctx.depth, l_ty)
             return Id(ty_core, l_core, r_core), VType(Level(universe_of(ctx, l_ty)))
@@ -454,8 +463,7 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
                 _, pt_ty = ctx.fresh_meta(span)
                 pt_core, pt_v = ctx.fresh_meta(span)
                 return Refl(pt_core), VId(pt_ty, pt_v, pt_v)
-            p_core, p_ty = infer(ctx, p)
-            p_core, p_ty = _insert_all_implicits(ctx, p_core, p_ty, p)
+            p_core, p_ty = _infer_inserted(ctx, p)
             pv = ctx.eval(p_core)
             return Refl(p_core), VId(p_ty, pv, pv)
         case JSugar():
@@ -493,8 +501,7 @@ def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
         ann = ctx.quote(ctx.depth, expected.domain)
         return Lam(expected.hint, body, ann, True)
 
-    core, ty = infer(ctx, t)
-    core, ty = _insert_all_implicits(ctx, core, ty, t)
+    core, ty = _infer_inserted(ctx, t)
     try:
         unify(ctx, ty, expected, span)
     except UnifyFailure as e:
@@ -508,15 +515,16 @@ def _each_binder(bs: tuple[Binder, ...]):
             yield name, b.annotation, b.implicit, b.span
 
 
-def _elab_binder_annotation(
-    ctx: ElabCtx, ann: SurfaceTerm | None, span: SourceSpan
-) -> tuple[CoreTerm, Value, int]:
-    """The core, value and universe level of a binder's type."""
-    if ann is None or isinstance(ann, Hole):
-        core, v = ctx.fresh_meta(span if ann is None else ann.span)
-        return core, v, 0
-    core, lvl = _as_type(ctx, ann)
-    return core, ctx.eval(core), lvl
+def _bind(ctx: ElabCtx, bs: tuple[Binder, ...]) -> tuple[ElabCtx, list]:
+    """Elaborate binder types left to right. Returns the context under all of
+    them and, per name, (name, type core, type value, level, implicit)."""
+    bound = []
+    for name, ann, implicit, _ in _each_binder(bs):
+        core, lvl = _as_type(ctx, ann)
+        v = ctx.eval(core)
+        bound.append((name, core, v, lvl, implicit))
+        ctx = ctx.bound(name, v)
+    return ctx, bound
 
 
 def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
@@ -524,37 +532,14 @@ def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
     if isinstance(t, Hole):
         core, _ = ctx.fresh_meta(span)
         return core, 0
-    core, ty = infer(ctx, t)
-    core, ty = _insert_all_implicits(ctx, core, ty, t)
-    ty = whnf(ctx, ty)
+    core, ty = _infer_inserted(ctx, t)
+    ty = whnf(ctx, ty)  # an `@name` comes back as inferred
     if isinstance(ty, VType):
         return core, ty.level.index
     if isinstance(ty, VNeutral) and isinstance(ty.head, HMeta):
         unify(ctx, ty, VType(Level(0)), span)
         return core, 0
     raise TypeMismatch(span, "a universe", ctx.show(ty), note="elaborating a type")
-
-
-def _elab_pi(ctx: ElabCtx, binders: list, cod: SurfaceTerm) -> tuple[CoreTerm, Value]:
-    if not binders:
-        core, lvl = _as_type(ctx, cod)
-        return core, VType(Level(lvl))
-    name, ann, implicit, span = binders[0]
-    ann_core, ann_v, ann_lvl = _elab_binder_annotation(ctx, ann, span)
-    cod_core, cod_ty = _elab_pi(ctx.bound(name, ann_v), binders[1:], cod)
-    return Pi(name, ann_core, cod_core, implicit), VType(Level(max(ann_lvl, cod_ty.level.index)))
-
-
-def _infer_lam(ctx: ElabCtx, binders: list, body: SurfaceTerm) -> tuple[CoreTerm, Value]:
-    if not binders:
-        return infer(ctx, body)
-    name, ann, implicit, span = binders[0]
-    ann_core, ann_v, _ = _elab_binder_annotation(ctx, ann, span)
-    inner = ctx.bound(name, ann_v)
-    body_core, body_ty = _infer_lam(inner, binders[1:], body)
-    cod_core = inner.quote(inner.depth, body_ty)
-    pi_v = VPi(name, ann_v, Closure(tuple(ctx.env()), cod_core, ctx.globals, ctx.metas), implicit)
-    return Lam(name, body_core, ann_core, implicit), pi_v
 
 
 def _check_lam(
@@ -579,10 +564,9 @@ def _check_lam(
         raise TypeMismatch(
             bspan, ctx.show(expected), "an implicit binder", note="checking a lambda"
         )
-    if ann is not None and not isinstance(ann, Hole):
+    if not isinstance(ann, Hole):
         ann_core, _ = _as_type(ctx, ann)
-        ann_v = ctx.eval(ann_core)
-        unify(ctx, ann_v, expected.domain, bspan)
+        unify(ctx, ctx.eval(ann_core), expected.domain, bspan)
     else:
         ann_core = ctx.quote(ctx.depth, expected.domain)
     inner_ctx = ctx.bound(name, expected.domain)
@@ -601,14 +585,21 @@ def _spine(t: SurfaceTerm) -> tuple[SurfaceTerm, list[SurfaceTerm]]:
     return t, args
 
 
-def _insert_all_implicits(
-    ctx: ElabCtx, core: CoreTerm, ty: Value, t: SurfaceTerm
-) -> tuple[CoreTerm, Value]:
+def _infer_inserted(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
+    """Infer `t`, then apply it to fresh metas for its leading implicit
+    arguments; the type comes back in whnf. An `@name` is left as inferred."""
+    core, ty = infer(ctx, t)
     if isinstance(t, Name) and t.explicit_all:
         return core, ty
+    return _insert_all_implicits(ctx, core, ty, t.span)
+
+
+def _insert_all_implicits(
+    ctx: ElabCtx, core: CoreTerm, ty: Value, span: SourceSpan
+) -> tuple[CoreTerm, Value]:
     ty = whnf(ctx, ty)
     while isinstance(ty, VPi) and ty.implicit:
-        m_core, m_val = ctx.fresh_meta(t.span)
+        m_core, m_val = ctx.fresh_meta(span)
         core = App(core, m_core)
         ty = whnf(ctx, ty.closure.apply(m_val))
     return core, ty
@@ -622,13 +613,10 @@ def _apply_args(
     explicit_all: bool,
 ) -> tuple[CoreTerm, Value]:
     for arg in args:
-        if not explicit_all:
+        if explicit_all:
             ty = whnf(ctx, ty)
-            while isinstance(ty, VPi) and ty.implicit:
-                m_core, m_val = ctx.fresh_meta(arg.span)
-                core = App(core, m_core)
-                ty = whnf(ctx, ty.closure.apply(m_val))
-        ty = whnf(ctx, ty)
+        else:
+            core, ty = _insert_all_implicits(ctx, core, ty, arg.span)
         if not isinstance(ty, VPi):
             raise TypeMismatch(
                 arg.span,
@@ -651,9 +639,8 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
     motive_s, base_s, path_s = args[0], args[1], args[2]
     rest = args[3:]
 
-    path_core, path_ty = infer(ctx, path_s)
-    path_core, path_ty = _insert_all_implicits(ctx, path_core, path_ty, path_s)
-    path_ty = whnf(ctx, path_ty)
+    path_core, path_ty = _infer_inserted(ctx, path_s)
+    path_ty = whnf(ctx, path_ty)  # an `@name` comes back as inferred
     if isinstance(path_ty, VNeutral) and isinstance(path_ty.head, HMeta):
         _, t_v = ctx.fresh_meta(head.span)
         _, a_v = ctx.fresh_meta(head.span)
@@ -745,25 +732,13 @@ def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:
     if not isinstance(d, (Def, Axiom)):
         raise ValueError("only def/axiom declarations become CoreDecls")
 
-    ctx = ElabCtx(globals)
-    binder_info: list[tuple[str, CoreTerm, bool]] = []
-    for name, ann, implicit, bspan in _each_binder(d.binders):
-        ann_core, ann_v, _ = _elab_binder_annotation(ctx, ann, bspan)
-        binder_info.append((name, ann_core, implicit))
-        ctx = ctx.bound(name, ann_v)
-
+    ctx, bound = _bind(ElabCtx(globals), d.binders)
     result_core, _ = _as_type(ctx, d.result_type)
-
-    body_core: CoreTerm | None = None
-    if isinstance(d, Def):
-        expected = ctx.eval(result_core)
-        body_core = check(ctx, d.body, expected)
-
+    body_core = check(ctx, d.body, ctx.eval(result_core)) if isinstance(d, Def) else None
     type_core = result_core
-    for name, ann_core, implicit in reversed(binder_info):
+    for name, ann_core, _, _, implicit in reversed(bound):
         type_core = Pi(name, ann_core, type_core, implicit)
-    if body_core is not None:
-        for name, ann_core, implicit in reversed(binder_info):
+        if body_core is not None:
             body_core = Lam(name, body_core, ann_core, implicit)
 
     base_ctx = ElabCtx(globals, ctx.metas)

@@ -324,9 +324,6 @@ class GlobalEnv:
         new[entry.name] = entry
         return GlobalEnv(new)
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -554,21 +551,15 @@ def _conv_spines(depth: int, sp1: tuple[Elim, ...], sp2: tuple[Elim, ...]) -> bo
 
 
 def infer_type(
-    ctx: list[Value],
-    globals: GlobalEnv,
-    t: CoreTerm,
-    env: list[Value] | None = None,
-    path: tuple[str, ...] = (),
+    ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...] = ()
 ) -> Value:
     """Infer the unique-up-to-conv type of a core term.
 
-    `ctx` holds the types of the free variables (innermost last); `env`
-    optionally supplies their values (defaults to the identity environment
-    of fresh variables).
+    `ctx` holds the types of the free variables (innermost last); the term
+    is evaluated in the identity environment of fresh variables for them.
     """
     depth = len(ctx)
-    if env is None:
-        env = identity_env(depth)
+    env = identity_env(depth)
 
     match t:
         case Var(i):
@@ -583,30 +574,26 @@ def infer_type(
         case Type(lvl):
             return VType(Level(lvl.index + 1))
         case Pi(_, dom, cod, _):
-            i = _infer_universe(ctx, globals, dom, env, path + ("domain",))
+            i = _infer_universe(ctx, globals, dom, path + ("domain",))
             dom_v = eval_term(env, globals, dom)
-            j = _infer_universe(
-                ctx + [dom_v], globals, cod, env + [fresh_var(depth)], path + ("codomain",)
-            )
+            j = _infer_universe(ctx + [dom_v], globals, cod, path + ("codomain",))
             return VType(Level(max(i, j)))
         case Id(ty, l, r):
-            i = _infer_universe(ctx, globals, ty, env, path + ("type",))
+            i = _infer_universe(ctx, globals, ty, path + ("type",))
             ty_v = eval_term(env, globals, ty)
-            _check_against(ctx, globals, l, ty_v, env, path + ("lhs",))
-            _check_against(ctx, globals, r, ty_v, env, path + ("rhs",))
+            _check_against(ctx, globals, l, ty_v, path + ("lhs",))
+            _check_against(ctx, globals, r, ty_v, path + ("rhs",))
             return VType(Level(i))
         case Refl(p):
-            pt = infer_type(ctx, globals, p, env, path + ("point",))
+            pt = infer_type(ctx, globals, p, path + ("point",))
             pv = eval_term(env, globals, p)
             return VId(pt, pv, pv)
         case Lam(h, body, ann, imp):
             if ann is None:
                 raise KernelTypeError(path, "cannot infer an unannotated lambda")
-            _infer_universe(ctx, globals, ann, env, path + ("annotation",))
+            _infer_universe(ctx, globals, ann, path + ("annotation",))
             dom_v = eval_term(env, globals, ann)
-            body_ty = infer_type(
-                ctx + [dom_v], globals, body, env + [fresh_var(depth)], path + ("body",)
-            )
+            body_ty = infer_type(ctx + [dom_v], globals, body, path + ("body",))
             cod_core = readback(depth + 1, body_ty)
             return VPi(h, dom_v, Closure(tuple(env), cod_core, globals), imp)
         case App():
@@ -618,7 +605,7 @@ def infer_type(
                 spine.append(head.arg)
                 head = head.fn
             spine.reverse()
-            fty = infer_type(ctx, globals, head, env, path + ("fn",))
+            fty = infer_type(ctx, globals, head, path + ("fn",))
             for k, x in enumerate(spine):
                 fty = force_top(fty)
                 if not isinstance(fty, VPi):
@@ -626,17 +613,17 @@ def infer_type(
                         path, "applied a term whose type is not a function type",
                         found=readback(depth, fty),
                     )
-                _check_against(ctx, globals, x, fty.domain, env, path + (f"arg{k}",))
+                _check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",))
                 fty = fty.closure.apply(eval_term(env, globals, x))
             return fty
         case J(m, b, e, p):
-            pty = force_top(infer_type(ctx, globals, p, env, path + ("path",)))
+            pty = force_top(infer_type(ctx, globals, p, path + ("path",)))
             if not isinstance(pty, VId):
                 raise KernelTypeError(
                     path, "J scrutinee is not an identity proof", found=readback(depth, pty)
                 )
             base_pt, end_v = pty.lhs, pty.rhs
-            _check_against(ctx, globals, e, pty.type, env, path + ("endpoint",))
+            _check_against(ctx, globals, e, pty.type, path + ("endpoint",))
             ev = eval_term(env, globals, e)
             if not conv(depth, ev, end_v):
                 raise KernelTypeError(
@@ -645,7 +632,7 @@ def infer_type(
                     expected=readback(depth, end_v),
                     found=readback(depth, ev),
                 )
-            mty = force_top(infer_type(ctx, globals, m, env, path + ("motive",)))
+            mty = force_top(infer_type(ctx, globals, m, path + ("motive",)))
             if not isinstance(mty, VPi):
                 raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
             if not conv(depth, mty.domain, pty.type):
@@ -672,7 +659,7 @@ def infer_type(
                 raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
             mv = eval_term(env, globals, m)
             base_wanted = apply_value(apply_value(mv, base_pt), VRefl(base_pt))
-            _check_value(ctx, globals, b, base_wanted, env, path + ("base",))
+            _check_value(ctx, globals, b, base_wanted, path + ("base",))
             pv = eval_term(env, globals, p)
             return apply_value(apply_value(mv, end_v), pv)
         case Meta(i):
@@ -681,9 +668,9 @@ def infer_type(
 
 
 def _infer_universe(
-    ctx: list[Value], globals: GlobalEnv, t: CoreTerm, env: list[Value], path: tuple[str, ...]
+    ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...]
 ) -> int:
-    ty = force_top(infer_type(ctx, globals, t, env, path))
+    ty = force_top(infer_type(ctx, globals, t, path))
     if not isinstance(ty, VType):
         raise KernelTypeError(path, "expected a type", found=readback(len(ctx), ty))
     return ty.level.index
@@ -694,7 +681,6 @@ def _check_against(
     globals: GlobalEnv,
     t: CoreTerm,
     expected: Value,
-    env: list[Value],
     path: tuple[str, ...],
 ) -> None:
     """Check t against an expected type, descending through lambdas."""
@@ -704,8 +690,8 @@ def _check_against(
         if t.implicit != expected.implicit:
             raise KernelTypeError(path, "binder plicity mismatch")
         if t.ann is not None:
-            _infer_universe(ctx, globals, t.ann, env, path + ("annotation",))
-            ann_v = eval_term(env, globals, t.ann)
+            _infer_universe(ctx, globals, t.ann, path + ("annotation",))
+            ann_v = eval_term(identity_env(depth), globals, t.ann)
             if not conv(depth, ann_v, expected.domain):
                 raise KernelTypeError(
                     path + ("annotation",),
@@ -713,17 +699,10 @@ def _check_against(
                     expected=readback(depth, expected.domain),
                     found=readback(depth, ann_v),
                 )
-        x = fresh_var(depth)
-        _check_against(
-            ctx + [expected.domain],
-            globals,
-            t.body,
-            expected.closure.apply(x),
-            env + [x],
-            path + ("body",),
-        )
+        body_ty = expected.closure.apply(fresh_var(depth))
+        _check_against(ctx + [expected.domain], globals, t.body, body_ty, path + ("body",))
         return
-    _check_value(ctx, globals, t, expected, env, path)
+    _check_value(ctx, globals, t, expected, path)
 
 
 def _check_value(
@@ -731,10 +710,9 @@ def _check_value(
     globals: GlobalEnv,
     t: CoreTerm,
     expected: Value,
-    env: list[Value],
     path: tuple[str, ...],
 ) -> None:
-    actual = infer_type(ctx, globals, t, env, path)
+    actual = infer_type(ctx, globals, t, path)
     depth = len(ctx)
     if not conv(depth, actual, expected):
         raise KernelTypeError(
@@ -751,11 +729,11 @@ def check_decl(globals: GlobalEnv, d: CoreDecl) -> GlobalEnv:
     if d.name in globals:
         raise DuplicateName(d.name)
     with _ensure_budget():
-        _infer_universe([], globals, d.type, [], (d.name, "type"))
+        _infer_universe([], globals, d.type, (d.name, "type"))
         ty_v = eval_term([], globals, d.type)
         body_v = None
         if d.body is not None:
-            _check_against([], globals, d.body, ty_v, [], (d.name, "body"))
+            _check_against([], globals, d.body, ty_v, (d.name, "body"))
             body_v = eval_term([], globals, d.body)
     return globals.extended(GlobalEntry(d.name, ty_v, body_v, d.type, d.body))
 
@@ -767,10 +745,10 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
     conversion verdict otherwise.
     """
     with _ensure_budget():
-        _infer_universe([], globals, ty, [], ("assert", "type"))
+        _infer_universe([], globals, ty, ("assert", "type"))
         ty_v = eval_term([], globals, ty)
-        _check_against([], globals, l, ty_v, [], ("assert", "lhs"))
-        _check_against([], globals, r, ty_v, [], ("assert", "rhs"))
+        _check_against([], globals, l, ty_v, ("assert", "lhs"))
+        _check_against([], globals, r, ty_v, ("assert", "rhs"))
         return conv(0, eval_term([], globals, l), eval_term([], globals, r))
 
 

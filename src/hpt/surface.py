@@ -254,7 +254,7 @@ class TypeU(SurfaceTerm):
 @dataclass(frozen=True)
 class Binder:
     names: tuple[str, ...]
-    annotation: SurfaceTerm | None
+    annotation: SurfaceTerm
     implicit: bool
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 

@@ -133,7 +133,7 @@ def print_surface(t: SurfaceTerm) -> str:
 
 def _print_binder(b: Binder) -> str:
     open_b, close_b = ("{", "}") if b.implicit else ("(", ")")
-    ann = _print(b.annotation, _PREC_LOW) if b.annotation is not None else "_"
+    ann = _print(b.annotation, _PREC_LOW)
     return f"{open_b}{' '.join(b.names)} : {ann}{close_b}"
 
 

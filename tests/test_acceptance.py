@@ -211,7 +211,7 @@ def test_criterion_mutation_robustness(loaded):
         mutated = replace_at(entry.body_core, pos, rng.choice(replacements))
         try:
             with step_budget(10**7):
-                kernel._check_against([], env, mutated, entry.type_value, [], ())
+                kernel._check_against([], env, mutated, entry.type_value, ())
             passes += 1
         except KernelError:
             clean_errors += 1

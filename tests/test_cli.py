@@ -287,3 +287,36 @@ def test_check_prints_eval_directives(tmp_hpt):
     assert code == 0
     assert f"{path}:3: refl b : b = b" in out
     assert f"{path}:4: b : B" in out
+
+
+_LAYERS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import layers, run
+
+hpt = run.import_hpt()
+layers.Spans(run.Recorder()).install(hpt)
+counts = layers.Counts()
+counts.install(hpt)
+text = "axiom A : Type\\naxiom star : A\\n#check refl star\\n"
+_, result = hpt.driver.check_source(hpt.kernel.GlobalEnv(), text, "t.hpt")
+assert result.error is None, result.error
+assert counts.counts["kernel.eval_calls"] > 0
+"""
+
+
+def test_benchmark_wrappers_find_every_name_they_wrap():
+    """`benchmarks/layers.py` wraps hpt functions by name; a renamed one fails
+    here with an AttributeError. Runs in a child process, so the wrappers stay
+    out of this session."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYERS_CHILD, str(root / "benchmarks")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -31,11 +31,11 @@ def test_manifest_matches_environment(loaded):
         assert entry.decl_name in env, entry.decl_name
         assert entry.kind in corpus.KINDS
     # entry order is a valid dependency order: same order as the corpus
-    order = {n: i for i, n in enumerate(env.names())}
+    order = {e.name: i for i, e in enumerate(env)}
     positions = [order[n] for n in names]
     assert positions == sorted(positions)
     # every declaration in the corpus has exactly one entry
-    assert set(names) == set(env.names())
+    assert set(names) == {e.name for e in env}
 
 
 def test_manifest_assertion_count(loaded):

@@ -3,7 +3,7 @@
 import pytest
 
 from hpt import corpus, driver, elab, kernel
-from hpt.core import App, Global, Id, Lam, Meta, Pi, Refl, Var
+from hpt.core import App, Global, Id, Lam, Meta, Pi, Refl, Var, pretty
 from hpt.elab import (
     ElabCtx,
     OccursCheck,
@@ -16,7 +16,7 @@ from hpt.elab import (
     unify,
 )
 from hpt.kernel import GlobalEnv, VId, VRefl, VTop, VType, apply_value, eval_term
-from hpt.surface import DUMMY_SPAN, parse_file, parse_term
+from hpt.surface import DUMMY_SPAN, AssertDefeq, parse_file, parse_term
 from tests.terms import alpha_eq
 
 
@@ -50,19 +50,58 @@ def test_unbound_name():
         _decl(GlobalEnv(), "def f : missing := missing")
 
 
-@pytest.mark.parametrize("body", ["P a -> P a", "(x : P a) -> A"])
+@pytest.mark.parametrize("body", ["P a -> P a", "(x : P a) -> A", "x = y"])
 def test_arrow_and_pi_take_their_level_from_their_parts(body):
-    """`P a : Type 1`, so a function type over it lives in `Type 1`."""
-    text = f"axiom A : Type\ndef f (P : A -> Type 1) (a : A) : Type 1 := {body}\n"
+    """`P a : Type 1`, so a function type over it and `=` on its elements
+    live in `Type 1`."""
+    text = f"axiom A : Type\ndef f (P : A -> Type 1) (a : A) (x y : P a) : Type 1 := {body}\n"
     _, result = driver.check_source(GlobalEnv(), text, "f.hpt")
     assert result.error is None and result.declarations_checked == 2
 
 
 def test_arrow_in_too_small_a_universe_fails_in_the_elaborator():
-    text = "axiom A : Type\ndef f (P : A -> Type 1) (a : A) : Type := P a -> P a\n"
-    _, result = driver.check_source(GlobalEnv(), text, "f.hpt")
-    assert isinstance(result.error, TypeMismatch)
-    assert (result.error_span.start_line, result.error_span.start_col) == (2, 43)
+    for binders, body, col in [("", "P a -> P a", 43), (" (x y : P a)", "x = y", 55)]:
+        text = f"axiom A : Type\ndef f (P : A -> Type 1) (a : A){binders} : Type := {body}\n"
+        _, result = driver.check_source(GlobalEnv(), text, "f.hpt")
+        assert isinstance(result.error, TypeMismatch), body
+        assert (result.error_span.start_line, result.error_span.start_col) == (2, col)
+
+
+def test_explicit_name_whose_type_unfolds_to_a_universe_or_a_path_type():
+    """`@X` and `@p` keep their inferred types (globals `U`, `L`); used as a
+    type or as the path of J, those types still unfold."""
+    text = (
+        "axiom A : Type\naxiom star : A\ndef U : Type 1 := Type\n"
+        "def f (X : U) (x : @X) : @X := x\ndef L : Type := star = star\n"
+        "def g (p : L) : star = star := J (fun (y : A) (q : star = y) => star = y) (refl star) @p\n"
+    )
+    _, result = driver.check_source(GlobalEnv(), text, "u.hpt")
+    assert result.error is None and result.declarations_checked == 6
+
+
+def _assertion_terms() -> list:
+    """Both sides and the type of every in-source and pinned corpus assertion."""
+    decls = [d for name, text in corpus.prelude_sources() for d in parse_file(text, name)]
+    triples = [(d.lhs, d.rhs, d.at_type) for d in decls if isinstance(d, AssertDefeq)]
+    triples += [tuple(map(parse_term, t)) for t in corpus.required_assertions()]
+    assert len(triples) == 11 + 8
+    return [t for triple in triples for t in triple]
+
+
+def test_elaborated_types_agree_with_the_kernel(env):
+    """The type `elaborate_term` returns is convertible to the one
+    `kernel.infer_type` gives its core term."""
+    local, result = driver.check_source(env, "axiom B : Type 1\n", "b.hpt")
+    assert result.error is None
+    lambdas = [
+        "fun (P : A -> Type 1) (a : A) (x y : P a) => x = y",
+        "fun (P : A -> Type 1) (a : A) => P a -> P a",
+        "fun (x y : B) => x = y",
+    ]
+    for t in _assertion_terms() + [parse_term(s) for s in lambdas]:
+        core, ty = elaborate_term(local, t)
+        inferred = kernel.infer_type([], local, core)
+        assert kernel.conv(0, eval_term([], local, ty), inferred), pretty(core)
 
 
 def test_corpus_eh_is_meta_free_and_rechecks(env):
@@ -159,7 +198,7 @@ def test_speculative_spine_unification_rolls_back(env):
     assert isinstance(lhs, VTop) and isinstance(rhs, VTop)
     unify(ctx, lhs, rhs, DUMMY_SPAN)
     assert ctx.force(m) is m
-    assert [meta.id for meta in ctx.metas.unsolved()] == [m.head.id]
+    assert ctx.metas.get(m.head.id).solution is None
 
 
 def test_rollback_retracts_solutions_made_during_speculation(env):
