@@ -39,12 +39,11 @@ class Global(CoreTerm):
 @dataclass(frozen=True, slots=True)
 class Lam(CoreTerm):
     # `hint` is display-only and never affects evaluation or conversion,
-    # though `==` compares it. `ann` is an optional domain annotation; the
-    # elaborator always fills it so that bare lambdas remain inferable.
-    # `==` ignores it (compare=False).
+    # though `==` compares it. `ann` is the domain, which every lambda
+    # carries so that it infers; `==` ignores it (compare=False).
     hint: str
     body: CoreTerm
-    ann: CoreTerm | None = field(default=None, compare=False)
+    ann: CoreTerm = field(compare=False)
     implicit: bool = False
 
 
@@ -117,8 +116,7 @@ def shift(t: CoreTerm, cutoff: int, amount: int) -> CoreTerm:
         case Global() | Type() | Meta():
             return t
         case Lam(h, body, ann, imp):
-            body2 = shift(body, cutoff + 1, amount)
-            ann2 = None if ann is None else shift(ann, cutoff, amount)
+            body2, ann2 = shift(body, cutoff + 1, amount), shift(ann, cutoff, amount)
             return t if body2 is body and ann2 is ann else Lam(h, body2, ann2, imp)
         case App(f, x):
             f2, x2 = shift(f, cutoff, amount), shift(x, cutoff, amount)
@@ -226,7 +224,7 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
         case Lam(h, body, ann, imp):
             used = set(names)
             n = _fresh_name(h, used)
-            ann_s = _pp(ann, names, _PREC_ARROW) if ann is not None else "_"
+            ann_s = _pp(ann, names, _PREC_ARROW)
             body_s = _pp(body, names + [n], _PREC_ARROW)
             open_b, close_b = ("{", "}") if imp else ("(", ")")
             return _parens(f"fun {open_b}{n} : {ann_s}{close_b} => {body_s}", prec, _PREC_ARROW)
@@ -261,9 +259,7 @@ def mentions(t: CoreTerm, lo: int, n: int, meta: int | None = None) -> bool:
         case Global() | Type():
             return False
         case Lam(_, body, ann):
-            if ann is not None and mentions(ann, lo, n, meta):
-                return True
-            return mentions(body, lo + 1, n, meta)
+            return mentions(ann, lo, n, meta) or mentions(body, lo + 1, n, meta)
         case App(f, x):
             return mentions(f, lo, n, meta) or mentions(x, lo, n, meta)
         case Pi(_, dom, cod, _):

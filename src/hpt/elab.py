@@ -12,7 +12,7 @@ An ElabCtx belongs to one elaboration session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import kernel
 from .core import (
@@ -57,12 +57,9 @@ from .kernel import (
     identity_env,
 )
 from .surface import (
-    AssertDefeq,
     Axiom,
     Binder,
-    CheckDirective,
     Def,
-    EvalDirective,
     Hole,
     IdSugar,
     JSugar,
@@ -326,10 +323,9 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
             x = fresh_var(depth)
             _unify(ctx, depth + 1, c1.apply(x), c2.apply(x), span)
         case VLam(), VLam():
-            # Domain annotations are carried on lambda values; decomposing
-            # them solves corner metas that the body alone never mentions.
-            if l.domain is not None and r.domain is not None:
-                _unify(ctx, depth, l.domain, r.domain, span)
+            # Decomposing the domains solves corner metas that the body
+            # alone never mentions.
+            _unify(ctx, depth, l.domain, r.domain, span)
             x = fresh_var(depth)
             _unify(ctx, depth + 1, l.closure.apply(x), r.closure.apply(x), span)
         case (VLam(), _) | (_, VLam()):
@@ -427,8 +423,8 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
                 return Global(n), entry.type_value
             raise UnboundName(span, n)
         case Hole(span=span):
-            _, ty_v = ctx.fresh_meta(span)
             core, _ = ctx.fresh_meta(span)
+            _, ty_v = ctx.fresh_meta(span)
             return core, ty_v
         case TypeU(level=k):
             return Type(Level(k)), VType(Level(k + 1))
@@ -480,100 +476,64 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
 
 def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
     expected = whnf(ctx, expected)
-    span = t.span
-
-    match t:
-        case Hole():
-            core, _ = ctx.fresh_meta(span)
-            return core
-        case ReflSugar(point=None) if isinstance(expected, VId):
-            unify(ctx, expected.lhs, expected.rhs, span)
-            return Refl(ctx.quote(ctx.depth, expected.lhs))
-        case SLam(binders=bs, body=body):
-            return _check_lam(ctx, list(_each_binder(bs)), body, expected, span)
-        case _:
-            pass
-
-    # implicit function expected, term is not an implicit lambda: wrap
     if isinstance(expected, VPi) and expected.implicit:
-        inner_ctx = ctx.bound(expected.hint, expected.domain)
-        body = check(inner_ctx, t, expected.closure.apply(fresh_var(ctx.depth)))
-        ann = ctx.quote(ctx.depth, expected.domain)
-        return Lam(expected.hint, body, ann, True)
-
+        if not (isinstance(t, SLam) and t.binders[0].implicit):
+            # implicit function expected, term is not an implicit lambda: wrap
+            inner_ctx = ctx.bound(expected.hint, expected.domain)
+            body = check(inner_ctx, t, expected.closure.apply(fresh_var(ctx.depth)))
+            return Lam(expected.hint, body, ctx.quote(ctx.depth, expected.domain), True)
+    if isinstance(t, SLam):
+        return _check_lam(ctx, t, expected)
     core, ty = _infer_inserted(ctx, t)
     try:
-        unify(ctx, ty, expected, span)
+        unify(ctx, ty, expected, t.span)
     except UnifyFailure as e:
-        raise TypeMismatch(span, ctx.show(expected), ctx.show(ty)) from e
+        raise TypeMismatch(t.span, ctx.show(expected), ctx.show(ty)) from e
     return core
 
 
-def _each_binder(bs: tuple[Binder, ...]):
-    for b in bs:
-        for name in b.names:
-            yield name, b.annotation, b.implicit, b.span
+def _check_lam(ctx: ElabCtx, t: SLam, expected: Value) -> CoreTerm:
+    """Check the first name `t` binds; the rest go back through `check`."""
+    b = t.binders[0]
+    if not isinstance(expected, VPi):
+        raise TypeMismatch(t.span, ctx.show(expected), "a function", note="checking a lambda")
+    if b.implicit and not expected.implicit:
+        raise TypeMismatch(
+            b.span, ctx.show(expected), "an implicit binder", note="checking a lambda"
+        )
+    ann_core, _ = _as_type(ctx, b.annotation)
+    unify(ctx, ctx.eval(ann_core), expected.domain, b.span)
+    rest = tuple(r for r in (replace(b, names=b.names[1:]), *t.binders[1:]) if r.names)
+    body = check(
+        ctx.bound(b.names[0], expected.domain),
+        replace(t, binders=rest) if rest else t.body,
+        expected.closure.apply(fresh_var(ctx.depth)),
+    )
+    return Lam(b.names[0], body, ann_core, b.implicit)
 
 
 def _bind(ctx: ElabCtx, bs: tuple[Binder, ...]) -> tuple[ElabCtx, list]:
     """Elaborate binder types left to right. Returns the context under all of
     them and, per name, (name, type core, type value, level, implicit)."""
     bound = []
-    for name, ann, implicit, _ in _each_binder(bs):
-        core, lvl = _as_type(ctx, ann)
-        v = ctx.eval(core)
-        bound.append((name, core, v, lvl, implicit))
-        ctx = ctx.bound(name, v)
+    for b in bs:
+        for name in b.names:
+            core, lvl = _as_type(ctx, b.annotation)
+            v = ctx.eval(core)
+            bound.append((name, core, v, lvl, b.implicit))
+            ctx = ctx.bound(name, v)
     return ctx, bound
 
 
 def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
-    span = t.span
-    if isinstance(t, Hole):
-        core, _ = ctx.fresh_meta(span)
-        return core, 0
     core, ty = _infer_inserted(ctx, t)
     ty = whnf(ctx, ty)  # an `@name` comes back as inferred
     if isinstance(ty, VType):
         return core, ty.level.index
     if isinstance(ty, VNeutral) and isinstance(ty.head, HMeta):
-        unify(ctx, ty, VType(Level(0)), span)
+        unify(ctx, ty, VType(Level(0)), t.span)
         return core, 0
-    raise TypeMismatch(span, "a universe", ctx.show(ty), note="elaborating a type")
-
-
-def _check_lam(
-    ctx: ElabCtx, binders: list, body: SurfaceTerm, expected: Value, span: SourceSpan
-) -> CoreTerm:
-    if not binders:
-        return check(ctx, body, expected)
-    expected = whnf(ctx, expected)
-    name, ann, implicit, bspan = binders[0]
-    if not isinstance(expected, VPi):
-        raise TypeMismatch(
-            span, ctx.show(expected), "a function", note="checking a lambda"
-        )
-    if expected.implicit and not implicit:
-        # insert an implicit lambda and retry the same binders
-        inner_ctx = ctx.bound(expected.hint, expected.domain)
-        inner = _check_lam(
-            inner_ctx, binders, body, expected.closure.apply(fresh_var(ctx.depth)), span
-        )
-        return Lam(expected.hint, inner, ctx.quote(ctx.depth, expected.domain), True)
-    if implicit and not expected.implicit:
-        raise TypeMismatch(
-            bspan, ctx.show(expected), "an implicit binder", note="checking a lambda"
-        )
-    if not isinstance(ann, Hole):
-        ann_core, _ = _as_type(ctx, ann)
-        unify(ctx, ctx.eval(ann_core), expected.domain, bspan)
-    else:
-        ann_core = ctx.quote(ctx.depth, expected.domain)
-    inner_ctx = ctx.bound(name, expected.domain)
-    body_core = _check_lam(
-        inner_ctx, binders[1:], body, expected.closure.apply(fresh_var(ctx.depth)), span
-    )
-    return Lam(name, body_core, ann_core, implicit)
+    raise TypeMismatch(t.span, "a universe", ctx.show(ty), note="elaborating a type")
 
 
 def _spine(t: SurfaceTerm) -> tuple[SurfaceTerm, list[SurfaceTerm]]:
@@ -709,8 +669,7 @@ def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
         ty, l, r = zonk(ctx, t.type, depth), zonk(ctx, t.lhs, depth), zonk(ctx, t.rhs, depth)
         return t if ty is t.type and l is t.lhs and r is t.rhs else Id(ty, l, r)
     if tt is Lam:
-        ann = zonk(ctx, t.ann, depth) if t.ann is not None else None
-        body = zonk(ctx, t.body, depth + 1)
+        ann, body = zonk(ctx, t.ann, depth), zonk(ctx, t.body, depth + 1)
         return t if body is t.body and ann is t.ann else Lam(t.hint, body, ann, t.implicit)
     if tt is Pi:
         dom, cod = zonk(ctx, t.domain, depth), zonk(ctx, t.codomain, depth + 1)

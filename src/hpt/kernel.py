@@ -208,7 +208,7 @@ class Closure:
 class VLam(Value):
     hint: str
     closure: Closure
-    domain: Value | None = None
+    domain: Value
     implicit: bool = False
 
 
@@ -339,7 +339,7 @@ def eval_term(
     if tt is App:
         return apply_value(eval_term(env, globals, t.fn, metas), eval_term(env, globals, t.arg, metas))
     if tt is Lam:
-        dom = eval_term(env, globals, t.ann, metas) if t.ann is not None else None
+        dom = eval_term(env, globals, t.ann, metas)
         return VLam(t.hint, Closure(tuple(env), t.body, globals, metas), dom, t.implicit)
     if tt is Refl:
         return VRefl(eval_term(env, globals, t.point, metas))
@@ -450,8 +450,7 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             t = spine(depth, Global(w.name), w.spine)
         elif tw is VLam:
             body = rb(depth + 1, w.closure.apply(fresh_var(depth)))
-            ann = rb(depth, w.domain) if w.domain is not None else None
-            t = Lam(w.hint, body, ann, w.implicit)
+            t = Lam(w.hint, body, rb(depth, w.domain), w.implicit)
         elif tw is VId:
             t = Id(rb(depth, w.type), rb(depth, w.lhs), rb(depth, w.rhs))
         elif tw is VRefl:
@@ -589,8 +588,6 @@ def infer_type(
             pv = eval_term(env, globals, p)
             return VId(pt, pv, pv)
         case Lam(h, body, ann, imp):
-            if ann is None:
-                raise KernelTypeError(path, "cannot infer an unannotated lambda")
             _infer_universe(ctx, globals, ann, path + ("annotation",))
             dom_v = eval_term(env, globals, ann)
             body_ty = infer_type(ctx + [dom_v], globals, body, path + ("body",))
@@ -689,16 +686,15 @@ def _check_against(
     if isinstance(t, Lam) and isinstance(expected, VPi):
         if t.implicit != expected.implicit:
             raise KernelTypeError(path, "binder plicity mismatch")
-        if t.ann is not None:
-            _infer_universe(ctx, globals, t.ann, path + ("annotation",))
-            ann_v = eval_term(identity_env(depth), globals, t.ann)
-            if not conv(depth, ann_v, expected.domain):
-                raise KernelTypeError(
-                    path + ("annotation",),
-                    "lambda annotation does not match expected domain",
-                    expected=readback(depth, expected.domain),
-                    found=readback(depth, ann_v),
-                )
+        _infer_universe(ctx, globals, t.ann, path + ("annotation",))
+        ann_v = eval_term(identity_env(depth), globals, t.ann)
+        if not conv(depth, ann_v, expected.domain):
+            raise KernelTypeError(
+                path + ("annotation",),
+                "lambda annotation does not match expected domain",
+                expected=readback(depth, expected.domain),
+                found=readback(depth, ann_v),
+            )
         body_ty = expected.closure.apply(fresh_var(depth))
         _check_against(ctx + [expected.domain], globals, t.body, body_ty, path + ("body",))
         return

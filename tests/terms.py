@@ -58,7 +58,7 @@ def children(t: CoreTerm) -> tuple[CoreTerm, ...]:
         case Var() | Global() | Type() | Meta():
             return ()
         case Lam(_, body, ann):
-            return (body,) if ann is None else (ann, body)
+            return (ann, body)
         case App(f, x):
             return (f, x)
         case Pi(_, dom, cod, _):
@@ -85,7 +85,7 @@ def replace_at(t: CoreTerm, pos: int, new: CoreTerm) -> CoreTerm:
             case Var() | Global() | Type() | Meta():
                 return node
             case Lam(h, body, ann, imp):
-                ann2 = None if ann is None else go(ann)
+                ann2 = go(ann)  # preorder: the annotation comes before the body
                 return Lam(h, go(body), ann2, imp)
             case App(f, x):
                 return App(go(f), go(x))

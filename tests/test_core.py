@@ -36,8 +36,8 @@ def _terms(max_depth=4):
     def extend(children):
         return st.one_of(
             st.tuples(children, children).map(lambda t: App(*t)),
-            st.tuples(st.sampled_from(["x", "y", "f"]), children).map(
-                lambda t: Lam(t[0], t[1])
+            st.tuples(st.sampled_from(["x", "y", "f"]), children, children).map(
+                lambda t: Lam(*t)
             ),
             st.tuples(children, children).map(lambda t: Pi("x", t[0], t[1])),
             st.tuples(children, children, children).map(lambda t: Id(*t)),
@@ -68,7 +68,7 @@ def test_alpha_eq_transitive(a, b, c):
 
 
 def test_alpha_eq_ignores_hints():
-    assert alpha_eq(Lam("a", Var(0)), Lam("b", Var(0)))
+    assert alpha_eq(Lam("a", Var(0), Global("A")), Lam("b", Var(0), Global("A")))
     assert not alpha_eq(Var(0), Var(1))
     assert alpha_eq(Refl(Var(0)), Refl(Var(0)))
 
@@ -92,8 +92,9 @@ def test_shift_composes(t, c, m, n):
 
 def test_shift_examples():
     assert shift(Var(0), 0, 1) == Var(1)
-    assert shift(Lam("x", Var(0)), 0, 5) == Lam("x", Var(0))
-    assert shift(Lam("x", Var(1)), 0, 2) == Lam("x", Var(3))
+    assert shift(Lam("x", Var(0), Var(0)), 0, 5) == Lam("x", Var(0), Var(5))
+    lam = shift(Lam("x", Var(1), Var(0)), 0, 2)
+    assert lam == Lam("x", Var(3), Var(2)) and lam.ann == Var(2)  # `==` skips `ann`
 
 
 def test_shift_returns_unshifted_subterms_themselves():
@@ -116,7 +117,7 @@ def test_mentions_counts_free_indices_from_the_root():
 
 
 def test_pretty_examples():
-    assert pretty(Lam("a", Var(0))) == "fun (a : _) => a"
+    assert pretty(Lam("a", Var(0), Global("A"))) == "fun (a : A) => a"
     assert pretty(Refl(Global("star"))) == "refl star"
     # name supply is outermost-first, so Var(1) = "a" and Var(0) = "b"
     assert pretty(Id(Global("A"), Var(1), Var(0)), ["a", "b"]) == "a = b"

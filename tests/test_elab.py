@@ -37,7 +37,7 @@ def test_elaborate_identity_def():
     core = _decl(GlobalEnv(), "def id (A : Type) (a : A) : A := a")
     assert alpha_eq(core.type, Pi("A", __import__("hpt.core", fromlist=["Type"]).Type(
         __import__("hpt.core", fromlist=["Level"]).Level(0)), Pi("a", Var(0), Var(1))))
-    assert alpha_eq(core.body, Lam("A", Lam("a", Var(0))))
+    assert alpha_eq(core.body, Lam("A", Lam("a", Var(0), Var(0)), core.type.domain))
 
 
 def test_elaborate_universe_vs_element():
@@ -158,9 +158,9 @@ def test_unsolved_hole_is_fatal(env):
     assert str(result.error) == "h.hpt:2:16: unsolved metavariable ?0"
 
 
-# Each check-mode input below has a path of its own in some version of the
-# elaborator: a hole, a bare `refl` against a path type, a `_` binder
-# annotation, implicit lambdas inserted around a lambda and around a name,
+# Check-mode inputs that go through infer-then-unify or implicit-lambda
+# insertion: a hole, a bare `refl` against a path type, `_` binder
+# annotations, implicit lambdas inserted around a lambda and around a name,
 # `@name`, and a meta applied to a spine.
 CHECK_MODE_SOURCE = """\
 axiom A : Type
@@ -331,9 +331,9 @@ def test_zonk_rebuilds_only_the_path_to_a_solved_meta(env):
     meta, m = ctx.fresh_meta(DUMMY_SPAN)
     unify(ctx, m, star, DUMMY_SPAN)
     ty, rhs = Global("A"), Refl(Global("star"))
-    t = App(Lam("x", Var(0)), Id(ty, meta, rhs))
+    t = App(Lam("x", Var(0), ty), Id(ty, meta, rhs))
     out = elab.zonk(ctx, t)
-    assert out == App(Lam("x", Var(0)), Id(ty, Global("star"), rhs))
+    assert out == App(Lam("x", Var(0), ty), Id(ty, Global("star"), rhs))
     assert out.fn is t.fn and out.arg.type is ty and out.arg.rhs is rhs
 
 

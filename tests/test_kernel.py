@@ -108,6 +108,16 @@ def test_check_decl_body_mismatch(env):
         check_decl(env, bad)
 
 
+def test_lambda_without_a_domain_is_rejected(env):
+    from hpt.core import CoreDecl, Pi
+
+    lam = Lam("x", Var(0), None)
+    cases = [(Pi("x", Global("A"), Global("A")), lam), (Global("A"), App(lam, Global("star")))]
+    for ty, body in cases:
+        with pytest.raises(KernelTypeError, match="unrecognized term None"):
+            check_decl(env, CoreDecl("bad", ty, body))
+
+
 def test_assert_defeq_reflexivity(env):
     l, _ = _elab(env, "refl star")
     ty, _ = _elab(env, "star = star")
