@@ -13,7 +13,6 @@ from .core import pretty
 from .kernel import GlobalEnv, KernelError
 from .surface import (
     AssertDefeq,
-    Axiom,
     CheckDirective,
     Def,
     EvalDirective,
@@ -65,7 +64,7 @@ def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
     budget, whose limit is the enclosing budget's (the default if none)."""
     with kernel.step_budget():
         match d:
-            case Def() | Axiom():
+            case Def():
                 core = elab.elaborate_decl(globals, d)
                 globals = kernel.check_decl(globals, core)
                 return globals, Event("decl", d.span, d.name)

@@ -57,7 +57,6 @@ from .kernel import (
     identity_env,
 )
 from .surface import (
-    Axiom,
     Binder,
     Def,
     Hole,
@@ -122,7 +121,7 @@ class MetaVar:
     This keeps solutions correct inside closures that are later applied
     to values other than the original fresh variables. Nothing caches a
     solution's value: it is evaluated afresh wherever it is forced, so
-    `MetaStore.rollback` only has to clear `solution`.
+    `MetaStore.rollback` only has to restore `solution` and `depth`.
     """
 
     id: int
@@ -135,7 +134,7 @@ class MetaStore:
     def __init__(self) -> None:
         self._metas: dict[int, MetaVar] = {}
         self._next = 0
-        self._log: list[int] = []
+        self._log: list[tuple[MetaVar, CoreTerm | None, int]] = []
 
     def fresh(self, depth: int, span: SourceSpan) -> MetaVar:
         m = MetaVar(self._next, depth, span)
@@ -153,20 +152,20 @@ class MetaStore:
             return None
         return m.depth, m.solution
 
-    # A log of solved metas supports speculative unification: glued
-    # globals first try spine equality and roll back their solutions if
-    # the spines turn out not to match.
+    # A log of each change's prior (solution, depth) supports speculative
+    # unification: glued globals first try spine equality and roll back
+    # their solutions if the spines turn out not to match.
     def checkpoint(self) -> int:
         return len(self._log)
 
     def rollback(self, mark: int) -> None:
-        for meta_id in self._log[mark:]:
-            m = self._metas[meta_id]
-            m.solution = None
+        for m, solution, depth in reversed(self._log[mark:]):
+            m.solution, m.depth = solution, depth
         del self._log[mark:]
 
-    def record_solved(self, meta_id: int) -> None:
-        self._log.append(meta_id)
+    def update(self, m: MetaVar, solution: CoreTerm | None, depth: int) -> None:
+        self._log.append((m, m.solution, m.depth))
+        m.solution, m.depth = solution, depth
 
 
 @dataclass
@@ -366,8 +365,37 @@ def _solve(ctx: ElabCtx, meta_id: int, v: Value, depth: int, span: SourceSpan) -
         if mentions(t, 0, 0, meta_id):
             raise OccursCheck(span, meta_id)
         raise UnifyFailure(span, f"?{meta_id}", "a value escaping its scope")
-    meta.solution = t if outside == 0 else shift(t, 0, -outside)
-    ctx.metas.record_solved(meta_id)
+    t = t if outside == 0 else shift(t, 0, -outside)
+    ctx.metas.update(meta, t, meta.depth)
+    _restrict(ctx.metas, t, meta.depth)
+
+
+def _restrict(metas: MetaStore, t: CoreTerm, depth: int) -> None:
+    """Lower to `depth` plus the binders above it the depth of each unsolved
+    meta in `t`, a solution valid under `depth` binders: a meta made under
+    more binders than the solution has may only be solved in its scope."""
+    tt = type(t)  # exact-type tests, most frequent first, as in `zonk`
+    if tt is App:
+        _restrict(metas, t.fn, depth)
+        _restrict(metas, t.arg, depth)
+    elif tt is Meta:
+        m = metas.get(t.id)
+        if m.solution is None and m.depth > depth:
+            metas.update(m, None, depth)
+    elif tt is Lam:
+        _restrict(metas, t.ann, depth)
+        _restrict(metas, t.body, depth + 1)
+    elif tt is Pi:
+        _restrict(metas, t.domain, depth)
+        _restrict(metas, t.codomain, depth + 1)
+    elif tt is Refl:
+        _restrict(metas, t.point, depth)
+    elif tt is Id:
+        for u in (t.type, t.lhs, t.rhs):
+            _restrict(metas, u, depth)
+    elif tt is J:
+        for u in (t.motive, t.base, t.endpoint, t.path):
+            _restrict(metas, u, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +618,11 @@ def _apply_args(
     return core, ty
 
 
-def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreTerm, Value]:
-    parts = [p for p in (head.motive, head.base, head.path) if p is not None]
-    args = parts + extra
+def _elab_j(ctx: ElabCtx, head: JSugar, args: list[SurfaceTerm]) -> tuple[CoreTerm, Value]:
     if len(args) < 3:
         m = ctx.metas.fresh(ctx.depth, head.span)
         raise UnsolvedMeta(head.span, m.id, "the motive of J is underdetermined")
-    motive_s, base_s, path_s = args[0], args[1], args[2]
-    rest = args[3:]
+    motive_s, base_s, path_s = args[:3]
 
     path_core, path_ty = _infer_inserted(ctx, path_s)
     path_ty = whnf(ctx, path_ty)  # an `@name` comes back as inferred
@@ -637,7 +662,7 @@ def _elab_j(ctx: ElabCtx, head: JSugar, extra: list[SurfaceTerm]) -> tuple[CoreT
     endpoint_core = ctx.quote(ctx.depth, whnf(ctx, b_v))
     core: CoreTerm = J(motive_core, base_core, endpoint_core, path_core)
     result_ty = apply_value(apply_value(motive_v, b_v), ctx.eval(path_core))
-    return _apply_args(ctx, core, result_ty, rest, False)
+    return _apply_args(ctx, core, result_ty, args[3:], False)
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +713,12 @@ def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:
     Binders are folded into Pi/Lam prefixes; the result re-checks in the
     kernel without elaborator involvement.
     """
-    if not isinstance(d, (Def, Axiom)):
+    if not isinstance(d, Def):
         raise ValueError("only def/axiom declarations become CoreDecls")
 
     ctx, bound = _bind(ElabCtx(globals), d.binders)
     result_core, _ = _as_type(ctx, d.result_type)
-    body_core = check(ctx, d.body, ctx.eval(result_core)) if isinstance(d, Def) else None
+    body_core = None if d.body is None else check(ctx, d.body, ctx.eval(result_core))
     type_core = result_core
     for name, ann_core, _, _, implicit in reversed(bound):
         type_core = Pi(name, ann_core, type_core, implicit)

@@ -17,6 +17,10 @@ Grammar (keywords spelled exactly as below):
     term3   := atom+                      -- application, left-assoc
     atom    := IDENT | "@" IDENT | "_" | "Type" NAT? | "refl" | "J" | "(" term ")"
 
+A NAT is a run of ASCII digits; as a universe level it has at most nine.
+`refl x` folds into one ReflSugar; `J` is an atom whose arguments stay on
+the application spine.
+
 Comments run from `--` to end of line. `*` and `**` desugar to
 applications of the globals `concat` and `par-concat`; the parser knows
 nothing about their types. Identifiers are ASCII: a letter followed by
@@ -29,7 +33,6 @@ Everything here is a pure function of its input.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 
 
@@ -70,74 +73,23 @@ class ParseError(SurfaceError):
         super().__init__(span, f"expected {names}, found {found}")
 
 
-class TokenKind(enum.Enum):
-    KW_DEF = "def"
-    KW_AXIOM = "axiom"
-    KW_FUN = "fun"
-    KW_TYPE = "Type"
-    KW_REFL = "refl"
-    KW_J = "J"
-    KW_DEFEQ = "defeq"
-    HASH_CHECK = "#check"
-    HASH_EVAL = "#eval"
-    HASH_ASSERT = "#assert"
-    IDENT = "identifier"
-    NAT = "number"
-    LPAREN = "("
-    RPAREN = ")"
-    LBRACE = "{"
-    RBRACE = "}"
-    COLON = ":"
-    COLON_EQ = ":="
-    FAT_ARROW = "=>"
-    ARROW = "->"
-    EQ = "="
-    STAR = "*"
-    STAR_STAR = "**"
-    TILDE = "~"
-    UNDERSCORE = "_"
-    AT = "@"
-    EOF = "end of input"
+# A token's kind is its spelling for keywords, directives and punctuation,
+# and one of these three names otherwise.
+IDENT = "identifier"
+NAT = "number"
+EOF = "end of input"
 
+_KEYWORDS = {"def", "axiom", "fun", "Type", "refl", "J", "defeq"}
 
-_KEYWORDS = {
-    "def": TokenKind.KW_DEF,
-    "axiom": TokenKind.KW_AXIOM,
-    "fun": TokenKind.KW_FUN,
-    "Type": TokenKind.KW_TYPE,
-    "refl": TokenKind.KW_REFL,
-    "J": TokenKind.KW_J,
-    "defeq": TokenKind.KW_DEFEQ,
-}
+# `lex` tries a two-character entry before a one-character one.
+_PUNCTUATION = {"**", ":=", "=>", "->", "(", ")", "{", "}", ":", "=", "*", "~", "_", "@"}
 
-# Two-character entries are tried before one-character ones.
-_PUNCTUATION = {
-    "**": TokenKind.STAR_STAR,
-    ":=": TokenKind.COLON_EQ,
-    "=>": TokenKind.FAT_ARROW,
-    "->": TokenKind.ARROW,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ":": TokenKind.COLON,
-    "=": TokenKind.EQ,
-    "*": TokenKind.STAR,
-    "~": TokenKind.TILDE,
-    "_": TokenKind.UNDERSCORE,
-    "@": TokenKind.AT,
-}
-
-_HASH_DIRECTIVES = {
-    "check": TokenKind.HASH_CHECK,
-    "eval": TokenKind.HASH_EVAL,
-    "assert": TokenKind.HASH_ASSERT,
-}
+_DIRECTIVES = {"#check", "#eval", "#assert"}
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: TokenKind
+    kind: str
     lexeme: str
     span: SourceSpan
 
@@ -184,17 +136,16 @@ def lex(text: str, filename: str = "<input>") -> list[Token]:
                 else:
                     break
             word = text[i:j]
-            kind = _KEYWORDS.get(word, TokenKind.IDENT)
-            tokens.append(Token(kind, word, span_here(len(word))))
+            tokens.append(Token(word if word in _KEYWORDS else IDENT, word, span_here(len(word))))
             col += len(word)
             i = j
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             word = text[i:j]
-            tokens.append(Token(TokenKind.NAT, word, span_here(len(word))))
+            tokens.append(Token(NAT, word, span_here(len(word))))
             col += len(word)
             i = j
             continue
@@ -202,26 +153,24 @@ def lex(text: str, filename: str = "<input>") -> list[Token]:
             j = i + 1
             while j < n and _is_ident_char(text[j]):
                 j += 1
-            word = text[i + 1 : j]
-            kind = _HASH_DIRECTIVES.get(word)
-            if kind is None:
-                raise LexError(span_here(j - i), f"unknown directive #{word}")
-            tokens.append(Token(kind, text[i:j], span_here(j - i)))
+            word = text[i:j]
+            if word not in _DIRECTIVES:
+                raise LexError(span_here(j - i), f"unknown directive {word}")
+            tokens.append(Token(word, word, span_here(j - i)))
             col += j - i
             i = j
             continue
         punct = text[i : i + 2]
         if punct not in _PUNCTUATION:
             punct = c
-        kind = _PUNCTUATION.get(punct)
-        if kind is not None:
-            tokens.append(Token(kind, punct, span_here(len(punct))))
+        if punct in _PUNCTUATION:
+            tokens.append(Token(punct, punct, span_here(len(punct))))
             i += len(punct)
             col += len(punct)
             continue
         raise LexError(span_here(1), f"illegal character {c!r}")
 
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(filename, line, col, line, col)))
+    tokens.append(Token(EOF, "", SourceSpan(filename, line, col, line, col)))
     return tokens
 
 
@@ -302,9 +251,9 @@ class ReflSugar(SurfaceTerm):
 
 @dataclass(frozen=True)
 class JSugar(SurfaceTerm):
-    motive: SurfaceTerm | None
-    base: SurfaceTerm | None
-    path: SurfaceTerm | None
+    """The eliminator `J`; its motive, base and path are the arguments of
+    the application it heads."""
+
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
@@ -317,15 +266,7 @@ class Def(SurfaceDecl):
     name: str
     binders: tuple[Binder, ...]
     result_type: SurfaceTerm
-    body: SurfaceTerm
-    span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
-
-
-@dataclass(frozen=True)
-class Axiom(SurfaceDecl):
-    name: str
-    binders: tuple[Binder, ...]
-    result_type: SurfaceTerm
+    body: SurfaceTerm | None  # None for an axiom
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
@@ -349,15 +290,7 @@ class AssertDefeq(SurfaceDecl):
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-_ATOM_STARTERS = {
-    TokenKind.IDENT,
-    TokenKind.AT,
-    TokenKind.UNDERSCORE,
-    TokenKind.KW_TYPE,
-    TokenKind.KW_REFL,
-    TokenKind.KW_J,
-    TokenKind.LPAREN,
-}
+_ATOM_STARTERS = {IDENT, "@", "_", "Type", "refl", "J", "("}
 
 
 class _Parser:
@@ -370,60 +303,56 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind != EOF:
             self.pos += 1
         return tok
 
-    def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
+    def at(self, kind: str) -> bool:
+        return self.peek().kind == kind
 
-    def expect(self, kind: TokenKind) -> Token:
+    def expect(self, kind: str) -> Token:
         tok = self.peek()
-        if tok.kind is not kind:
-            raise ParseError(tok.span, f"'{kind.value}'", _describe(tok))
+        if tok.kind != kind:
+            raise ParseError(tok.span, f"'{kind}'", _describe(tok))
         return self.next()
 
     # -- declarations -------------------------------------------------------
 
     def parse_file(self) -> list[SurfaceDecl]:
         decls: list[SurfaceDecl] = []
-        while not self.at(TokenKind.EOF):
+        while not self.at(EOF):
             decls.append(self.parse_decl())
         return decls
 
     def parse_decl(self) -> SurfaceDecl:
         tok = self.peek()
-        if tok.kind is TokenKind.KW_DEF:
+        if tok.kind in ("def", "axiom"):
             self.next()
-            name = self.expect(TokenKind.IDENT).lexeme
+            name = self.expect(IDENT).lexeme
             binders = self.parse_binders()
-            self.expect(TokenKind.COLON)
+            self.expect(":")
             ty = self.parse_term()
-            self.expect(TokenKind.COLON_EQ)
-            body = self.parse_term()
-            return Def(name, tuple(binders), ty, body, tok.span.cover(body.span))
-        if tok.kind is TokenKind.KW_AXIOM:
-            self.next()
-            name = self.expect(TokenKind.IDENT).lexeme
-            binders = self.parse_binders()
-            self.expect(TokenKind.COLON)
-            ty = self.parse_term()
-            return Axiom(name, tuple(binders), ty, tok.span.cover(ty.span))
-        if tok.kind is TokenKind.HASH_CHECK:
+            body = None
+            if tok.kind == "def":
+                self.expect(":=")
+                body = self.parse_term()
+            end = ty if body is None else body
+            return Def(name, tuple(binders), ty, body, tok.span.cover(end.span))
+        if tok.kind == "#check":
             self.next()
             t = self.parse_term()
             return CheckDirective(t, tok.span.cover(t.span))
-        if tok.kind is TokenKind.HASH_EVAL:
+        if tok.kind == "#eval":
             self.next()
             t = self.parse_term()
             return EvalDirective(t, tok.span.cover(t.span))
-        if tok.kind is TokenKind.HASH_ASSERT:
+        if tok.kind == "#assert":
             self.next()
-            self.expect(TokenKind.KW_DEFEQ)
+            self.expect("defeq")
             lhs = self.parse_term()
-            self.expect(TokenKind.TILDE)
+            self.expect("~")
             rhs = self.parse_term()
-            self.expect(TokenKind.COLON)
+            self.expect(":")
             ty = self.parse_term()
             return AssertDefeq(lhs, rhs, ty, tok.span.cover(ty.span))
         raise ParseError(
@@ -434,18 +363,18 @@ class _Parser:
 
     def parse_binders(self) -> list[Binder]:
         binders = []
-        while self.peek().kind in (TokenKind.LPAREN, TokenKind.LBRACE):
+        while self.peek().kind in ("(", "{"):
             binders.append(self.parse_binder())
         return binders
 
     def parse_binder(self) -> Binder:
         open_tok = self.next()
-        implicit = open_tok.kind is TokenKind.LBRACE
-        close = TokenKind.RBRACE if implicit else TokenKind.RPAREN
-        names = [self.expect(TokenKind.IDENT).lexeme]
-        while self.at(TokenKind.IDENT):
+        implicit = open_tok.kind == "{"
+        close = "}" if implicit else ")"
+        names = [self.expect(IDENT).lexeme]
+        while self.at(IDENT):
             names.append(self.next().lexeme)
-        self.expect(TokenKind.COLON)
+        self.expect(":")
         ann = self.parse_term()
         close_tok = self.expect(close)
         return Binder(tuple(names), ann, implicit, open_tok.span.cover(close_tok.span))
@@ -454,33 +383,33 @@ class _Parser:
 
     def parse_term(self) -> SurfaceTerm:
         tok = self.peek()
-        if tok.kind is TokenKind.KW_FUN:
+        if tok.kind == "fun":
             self.next()
             binders = self.parse_binders()
             if not binders:
                 raise ParseError(self.peek().span, "a binder", _describe(self.peek()))
-            self.expect(TokenKind.FAT_ARROW)
+            self.expect("=>")
             body = self.parse_term()
             return SLam(tuple(binders), body, tok.span.cover(body.span))
-        if tok.kind in (TokenKind.LPAREN, TokenKind.LBRACE):
+        if tok.kind in ("(", "{"):
             saved = self.pos
             try:
                 binder = self.parse_binder()
-                if self.at(TokenKind.ARROW):
+                if self.at("->"):
                     self.next()
                     cod = self.parse_term()
                     return SPi((binder,), cod, tok.span.cover(cod.span))
                 self.pos = saved
             except ParseError:
-                if tok.kind is TokenKind.LBRACE:
+                if tok.kind == "{":
                     raise
                 self.pos = saved
         t = self.parse_term1()
-        if self.at(TokenKind.ARROW):
+        if self.at("->"):
             self.next()
             cod = self.parse_term()
             return SArrow(t, cod, t.span.cover(cod.span))
-        if self.at(TokenKind.EQ):
+        if self.at("="):
             self.next()
             rhs = self.parse_term1()
             return IdSugar(t, rhs, t.span.cover(rhs.span))
@@ -488,7 +417,7 @@ class _Parser:
 
     def parse_term1(self) -> SurfaceTerm:
         t = self.parse_term2()
-        while self.at(TokenKind.STAR):
+        while self.at("*"):
             op = self.next()
             r = self.parse_term2()
             span = t.span.cover(r.span)
@@ -497,7 +426,7 @@ class _Parser:
 
     def parse_term2(self) -> SurfaceTerm:
         t = self.parse_term3()
-        while self.at(TokenKind.STAR_STAR):
+        while self.at("**"):
             op = self.next()
             r = self.parse_term3()
             span = t.span.cover(r.span)
@@ -505,58 +434,51 @@ class _Parser:
         return t
 
     def parse_term3(self) -> SurfaceTerm:
-        atoms = [self.parse_atom()]
+        head = self.parse_atom()
         while self.peek().kind in _ATOM_STARTERS:
-            atoms.append(self.parse_atom())
-        head = atoms[0]
-        rest = atoms[1:]
-        if isinstance(head, ReflSugar) and head.point is None and rest:
-            point = rest.pop(0)
-            head = ReflSugar(point, head.span.cover(point.span))
-        elif isinstance(head, JSugar) and head.motive is None and len(rest) >= 3:
-            motive, base, path = rest[0], rest[1], rest[2]
-            rest = rest[3:]
-            head = JSugar(motive, base, path, head.span.cover(path.span))
-        for arg in rest:
-            head = SApp(head, arg, head.span.cover(arg.span))
+            arg = self.parse_atom()
+            if isinstance(head, ReflSugar) and head.point is None:
+                head = ReflSugar(arg, head.span.cover(arg.span))
+            else:
+                head = SApp(head, arg, head.span.cover(arg.span))
         return head
 
     def parse_atom(self) -> SurfaceTerm:
         tok = self.peek()
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind == IDENT:
             self.next()
             return Name(tok.lexeme, tok.span)
-        if tok.kind is TokenKind.AT:
+        if tok.kind == "@":
             self.next()
-            name_tok = self.expect(TokenKind.IDENT)
+            name_tok = self.expect(IDENT)
             return Name(name_tok.lexeme, tok.span.cover(name_tok.span), explicit_all=True)
-        if tok.kind is TokenKind.UNDERSCORE:
+        if tok.kind == "_":
             self.next()
             return Hole(tok.span)
-        if tok.kind is TokenKind.KW_TYPE:
+        if tok.kind == "Type":
             self.next()
-            if self.at(TokenKind.NAT):
-                lvl_tok = self.next()
-                return TypeU(int(lvl_tok.lexeme), tok.span.cover(lvl_tok.span))
-            return TypeU(0, tok.span)
-        if tok.kind is TokenKind.KW_REFL:
+            if not self.at(NAT):
+                return TypeU(0, tok.span)
+            lvl_tok = self.next()
+            if len(lvl_tok.lexeme) > 9:
+                raise ParseError(lvl_tok.span, "a universe level below 10^9", _describe(lvl_tok))
+            return TypeU(int(lvl_tok.lexeme), tok.span.cover(lvl_tok.span))
+        if tok.kind == "refl":
             self.next()
             return ReflSugar(None, tok.span)
-        if tok.kind is TokenKind.KW_J:
+        if tok.kind == "J":
             self.next()
-            return JSugar(None, None, None, tok.span)
-        if tok.kind is TokenKind.LPAREN:
+            return JSugar(tok.span)
+        if tok.kind == "(":
             self.next()
             t = self.parse_term()
-            close = self.expect(TokenKind.RPAREN)
+            close = self.expect(")")
             return _respan(t, tok.span.cover(close.span))
         raise ParseError(tok.span, "a term", _describe(tok))
 
 
 def _describe(tok: Token) -> str:
-    if tok.kind is TokenKind.EOF:
-        return "end of input"
-    return f"'{tok.lexeme}'"
+    return EOF if tok.kind == EOF else f"'{tok.lexeme}'"
 
 
 def _respan(t: SurfaceTerm, span: SourceSpan) -> SurfaceTerm:
@@ -571,6 +493,6 @@ def parse_term(text: str, filename: str = "<input>") -> SurfaceTerm:
     parser = _Parser(lex(text, filename))
     t = parser.parse_term()
     tok = parser.peek()
-    if tok.kind is not TokenKind.EOF:
-        raise ParseError(tok.span, "end of input", _describe(tok))
+    if tok.kind != EOF:
+        raise ParseError(tok.span, EOF, _describe(tok))
     return t

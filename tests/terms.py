@@ -170,14 +170,8 @@ def _print(t: SurfaceTerm, prec: int) -> str:
             return "refl"
         case ReflSugar(point=p):
             return _wrap(f"refl {_print(p, _PREC_ATOM)}", prec, _PREC_APP)
-        case JSugar(motive=None):
+        case JSugar():
             return "J"
-        case JSugar(motive=m, base=b, path=p):
-            parts = ["J"]
-            for part in (m, b, p):
-                if part is not None:
-                    parts.append(_print(part, _PREC_ATOM))
-            return _wrap(" ".join(parts), prec, _PREC_APP)
     raise TypeError(f"not a surface term: {t!r}")
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -111,6 +112,9 @@ def test_eval_type_universe():
     code, out = run_cli(["eval", "-e", "Type"])
     assert code == 0
     assert out.splitlines() == ["value: Type", "type: Type 1"]
+    code, out = run_cli(["eval", "--json", "-e", "Type"])
+    assert code == 0
+    assert out.splitlines() == ['{"value": "Type", "type": "Type 1"}']
 
 
 def test_eval_non_function_error():
@@ -320,3 +324,27 @@ def test_benchmark_wrappers_find_every_name_they_wrap():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Inputs that once ended in a Python traceback, or are lex and parse errors:
+# each must give exit 1 and a located first line.
+NO_TRACEBACK_INPUTS = {
+    "superscript-level": "axiom A : Type \u00b2\n",
+    "arabic-indic-level": "axiom A : Type \u0663\n",
+    "5000-digit-level": "axiom A : Type " + "1" * 5000 + "\n",
+    "4300-nines-level": "#check Type " + "9" * 4300 + "\n",
+    "unknown-directive": "#foo\n",
+    "missing-type": "def f : := x\n",
+    "unclosed-binder": "def f (x : A := x\n",
+    "lone-dash": "a - b\n",
+    "illegal-character": "\u27e6\n",
+}
+
+
+@pytest.mark.parametrize("text", NO_TRACEBACK_INPUTS.values(), ids=NO_TRACEBACK_INPUTS.keys())
+def test_bad_input_gets_a_located_error(tmp_path, text):
+    path = tmp_path / "bad.hpt"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["check", str(path)])
+    assert code == 1
+    assert re.match(re.escape(str(path)) + r":\d+:\d+: error: ", out.splitlines()[0])

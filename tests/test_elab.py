@@ -97,6 +97,12 @@ def test_elaborated_types_agree_with_the_kernel(env):
         "fun (P : A -> Type 1) (a : A) (x y : P a) => x = y",
         "fun (P : A -> Type 1) (a : A) => P a -> P a",
         "fun (x y : B) => x = y",
+        # carriers of `=` whose level `universe_of` reads off a universe, a Π
+        # and a stuck J
+        "Type = Type",
+        "(fun (x : A) => x) = (fun (x : A) => x)",
+        "fun (b : Type) (y : A) (p : star = y) (u v : J (fun (z : A) (q : star = z) => Type) b p)"
+        " => u = v",
     ]
     for t in _assertion_terms() + [parse_term(s) for s in lambdas]:
         core, ty = elaborate_term(local, t)
@@ -210,6 +216,48 @@ def test_hole_in_a_lambda_annotation_under_a_binder():
     assert result.error is None, str(result.error)
 
 
+def test_metas_made_under_a_binder_solve_metas_from_outside_it():
+    # `id`'s implicit argument and J's path-type metas are made under `p`,
+    # and solve the type of `p`, a meta made outside it.
+    text = (
+        "axiom A : Type\naxiom star : A\ndef id {X : Type} (x : X) : X := x\n"
+        "#check (fun (p : _) => id p) star\n"
+        "#check (fun (p : _) => J (fun (z : A) (q : star = z) => A) star p) (refl star)\n"
+        "#check fun (x : A) => (fun (p : _) => J (fun (z : A) (q : x = z) => A) star p) (refl x)\n"
+    )
+    _, result = driver.check_source(GlobalEnv(), text, "m.hpt")
+    assert result.error is None, str(result.error)
+    assert [e.text for e in result.events if e.kind == "check"] == [
+        "(fun (p : A) => id A p) star : A",
+        "(fun (p : star = star) => J (fun (z : A) => fun (q : star = z) => A) star p)"
+        " (refl star) : A",
+        "fun (x : A) => (fun (p : x = x) => J (fun (z : A) => fun (q : x = z) => A) star p)"
+        " (refl x) : A -> A",
+    ]
+
+
+UNIFY_BRANCHES_SOURCE = """\
+axiom A : Type
+axiom star : A
+def P (z : A) : Type := z = z
+def g (z : A) : P z := refl z
+def use (M : A -> Type) (f : (z : A) -> M z) : M star := f star
+def k (a : A) (p : a = a) : A := a
+#check use _ g
+def k3 : A := k _ (refl _)
+"""
+
+
+def test_meta_spine_against_a_glued_global_and_the_same_meta_on_both_sides():
+    # `use _ g` solves a meta applied to a spine speculatively against the
+    # glued global `P z`; in `k3` the same meta meets itself, and what is
+    # left unsolved is reported as such, not as an occurs-check failure.
+    _, result = driver.check_source(GlobalEnv(), UNIFY_BRANCHES_SOURCE, "u.hpt")
+    assert [e.text for e in result.events if e.kind == "check"] == ["use P g : P star"]
+    assert isinstance(result.error, UnsolvedMeta)
+    assert str(result.error) == "u.hpt:8:17: unsolved metavariable ?0"
+
+
 def test_occurs_check(env):
     ctx = ElabCtx(env)
     _, m = ctx.fresh_meta(DUMMY_SPAN)
@@ -271,6 +319,22 @@ def test_rollback_retracts_solutions_made_during_speculation(env):
     ctx.metas.rollback(mark)
     assert ctx.force(b) is b
     assert ctx.quote(0, ctx.force(a)) == Refl(Meta(b.head.id))
+
+
+def test_solving_an_outer_meta_narrows_inner_metas_until_rollback(env):
+    """?a, made outside `x`, is solved by ?b, made under it: ?b loses `x`
+    from its scope, and a rollback gives it back."""
+    ctx = ElabCtx(env)
+    _, a = ctx.fresh_meta(DUMMY_SPAN)
+    inner = ctx.bound("x", eval_term([], env, Global("A")))
+    _, b = inner.fresh_meta(DUMMY_SPAN)
+    mark = ctx.metas.checkpoint()
+    unify(inner, a, b, DUMMY_SPAN)
+    assert ctx.metas.get(a.head.id).solution == Meta(b.head.id)
+    assert ctx.metas.get(b.head.id).depth == 0
+    ctx.metas.rollback(mark)
+    assert ctx.metas.get(a.head.id).solution is None
+    assert ctx.metas.get(b.head.id).depth == 1
 
 
 def test_unify_symmetric_on_corpus_constraints(env):

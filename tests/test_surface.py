@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hpt.surface import (
-    Axiom,
+    IDENT,
     Binder,
     Def,
     Hole,
@@ -20,7 +20,6 @@ from hpt.surface import (
     SLam,
     SPi,
     SurfaceTerm,
-    TokenKind,
     TypeU,
     lex,
     parse_file,
@@ -34,25 +33,25 @@ def kinds(text):
 
 
 def test_lex_keyword_split():
-    assert kinds("def id") == [TokenKind.KW_DEF, TokenKind.IDENT]
+    assert kinds("def id") == ["def", IDENT]
 
 
 def test_lex_star_operator():
-    assert kinds("p * q") == [TokenKind.IDENT, TokenKind.STAR, TokenKind.IDENT]
-    assert kinds("p ** q") == [TokenKind.IDENT, TokenKind.STAR_STAR, TokenKind.IDENT]
+    assert kinds("p * q") == [IDENT, "*", IDENT]
+    assert kinds("p ** q") == [IDENT, "**", IDENT]
 
 
 def test_lex_punctuation_prefers_two_characters():
     toks = lex("=:=*=>***->:")[:-1]
     assert [(t.kind, t.lexeme, t.span.start_col, t.span.end_col) for t in toks] == [
-        (TokenKind.EQ, "=", 1, 1),
-        (TokenKind.COLON_EQ, ":=", 2, 3),
-        (TokenKind.STAR, "*", 4, 4),
-        (TokenKind.FAT_ARROW, "=>", 5, 6),
-        (TokenKind.STAR_STAR, "**", 7, 8),
-        (TokenKind.STAR, "*", 9, 9),
-        (TokenKind.ARROW, "->", 10, 11),
-        (TokenKind.COLON, ":", 12, 12),
+        ("=", "=", 1, 1),
+        (":=", ":=", 2, 3),
+        ("*", "*", 4, 4),
+        ("=>", "=>", 5, 6),
+        ("**", "**", 7, 8),
+        ("*", "*", 9, 9),
+        ("->", "->", 10, 11),
+        (":", ":", 12, 12),
     ]
     # a lone '-' is no token
     with pytest.raises(LexError) as exc:
@@ -69,7 +68,7 @@ def test_lex_illegal_character():
 
 def test_lex_dashed_identifiers_and_arrows():
     assert [t.lexeme for t in lex("whisk-L-R-1-L")][:-1] == ["whisk-L-R-1-L"]
-    assert kinds("a->b") == [TokenKind.IDENT, TokenKind.ARROW, TokenKind.IDENT]
+    assert kinds("a->b") == [IDENT, "->", IDENT]
     # a '-' followed by '-' ends the identifier and starts a comment
     assert [t.lexeme for t in lex("a--b")][:-1] == ["a"]
 
@@ -105,7 +104,7 @@ def test_parse_def_with_binders():
 def test_parse_axiom():
     decls = parse_file("axiom star : A")
     assert len(decls) == 1
-    assert isinstance(decls[0], Axiom)
+    assert isinstance(decls[0], Def) and decls[0].body is None
     assert decls[0].name == "star"
 
 
@@ -157,10 +156,8 @@ def test_parse_at_name_and_hole():
 def test_parse_refl_and_j():
     t = parse_term("refl star")
     assert isinstance(t, ReflSugar) and isinstance(t.point, Name)
-    bare = parse_term("J")
-    assert isinstance(bare, JSugar) and bare.motive is None
-    full = parse_term("J m c p")
-    assert isinstance(full, JSugar) and full.path is not None
+    assert parse_term("J") == JSugar()
+    assert parse_term("J m c p") == SApp(SApp(SApp(JSugar(), Name("m")), Name("c")), Name("p"))
 
 
 def test_parse_folds_refl_into_its_point():
@@ -174,6 +171,23 @@ def test_parse_folds_refl_into_its_point():
 def test_parse_type_levels():
     assert parse_term("Type") == TypeU(0)
     assert parse_term("Type 1") == TypeU(1)
+    assert parse_term("Type 12") == TypeU(12)
+    assert parse_term("Type 999999999") == TypeU(999999999)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_numbers_are_ascii_digits(digit):
+    with pytest.raises(LexError) as exc:
+        lex(f"axiom A : Type {digit}")
+    assert exc.value.message == f"illegal character {digit!r}"
+    assert (exc.value.span.start_line, exc.value.span.start_col) == (1, 16)
+
+
+def test_universe_level_has_at_most_nine_digits():
+    with pytest.raises(ParseError) as exc:
+        parse_term("Type 1234567890")
+    assert exc.value.message == "expected a universe level below 10^9, found '1234567890'"
+    assert (exc.value.span.start_col, exc.value.span.end_col) == (6, 15)
 
 
 def test_trailing_input_rejected():
@@ -225,13 +239,13 @@ def _gen_term(rng: random.Random, depth: int) -> SurfaceTerm:
         return SApp(SApp(Name("par-concat"), sub()), sub())
     if pick == 7:
         return ReflSugar(sub())
-    return JSugar(sub(), sub(), sub())
+    return SApp(SApp(SApp(JSugar(), sub()), sub()), sub())
 
 
 def _gen_app_head(rng, depth):
-    # application heads that are not refl/J sugar
+    # application heads that are not refl sugar
     t = _gen_term(rng, depth)
-    while isinstance(t, (ReflSugar, JSugar)):
+    while isinstance(t, ReflSugar):
         t = _gen_term(rng, depth)
     return t
 
@@ -263,11 +277,7 @@ def _decl_terms(d):
 
     match d:
         case Def():
-            out = [d.result_type, d.body]
-            out.extend(b.annotation for b in d.binders if b.annotation)
-            return out
-        case Axiom():
-            out = [d.result_type]
+            out = [d.result_type] + ([] if d.body is None else [d.body])
             out.extend(b.annotation for b in d.binders if b.annotation)
             return out
         case CheckDirective() | EvalDirective():
