@@ -1,12 +1,13 @@
 """Kernel term language: nameless (de Bruijn) syntax and structural utilities.
 
-Terms are immutable after construction and nothing here mutates its input,
-so terms can be shared freely.
+Terms are immutable by convention, as `kernel.Closure` is, and are shared
+freely. `has_meta` says whether a `Meta` lies in the tree: a node sets it
+from its children when built, and a leaf class fixes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -20,65 +21,104 @@ class Level:
             raise ValueError("universe index must be non-negative")
 
 
+def _meta(t: object) -> bool:
+    return getattr(t, "has_meta", False)  # a non-term child holds no meta
+
+
 class CoreTerm:
-    """Base class for kernel terms. Variables are de Bruijn indices."""
+    """Base class for kernel terms. Variables are de Bruijn indices.
+
+    `__match_args__` names the fields in order; `repr`, `==` and `hash` use
+    them as a frozen dataclass's would (`Lam` leaves `ann` out of the last two).
+    """
 
     __slots__ = ()
+    has_meta = False
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
 class Var(CoreTerm):
-    index: int
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
 
 
-@dataclass(frozen=True, slots=True)
 class Global(CoreTerm):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True, slots=True)
 class Lam(CoreTerm):
     # `hint` is display-only and never affects evaluation or conversion,
     # though `==` compares it. `ann` is the domain, which every lambda
-    # carries so that it infers; `==` ignores it (compare=False).
-    hint: str
-    body: CoreTerm
-    ann: CoreTerm = field(compare=False)
-    implicit: bool = False
+    # carries so that it infers; `==` and `hash` ignore it.
+    __match_args__ = ("hint", "body", "ann", "implicit")
+    __slots__ = __match_args__ + ("has_meta",)
+
+    def __init__(self, hint: str, body: CoreTerm, ann: CoreTerm, implicit: bool = False) -> None:
+        self.hint, self.body, self.ann, self.implicit = hint, body, ann, implicit
+        self.has_meta = _meta(body) or _meta(ann)
+
+    def _key(self) -> tuple:
+        return (self.hint, self.body, self.implicit)
 
 
-@dataclass(frozen=True, slots=True)
 class App(CoreTerm):
-    fn: CoreTerm
-    arg: CoreTerm
+    __match_args__ = ("fn", "arg")
+    __slots__ = __match_args__ + ("has_meta",)
+
+    def __init__(self, fn: CoreTerm, arg: CoreTerm) -> None:
+        self.fn, self.arg, self.has_meta = fn, arg, _meta(fn) or _meta(arg)
 
 
-@dataclass(frozen=True, slots=True)
 class Pi(CoreTerm):
-    hint: str
-    domain: CoreTerm
-    codomain: CoreTerm
-    implicit: bool = False
+    __match_args__ = ("hint", "domain", "codomain", "implicit")
+    __slots__ = __match_args__ + ("has_meta",)
+
+    def __init__(self, hint: str, domain: CoreTerm, codomain: CoreTerm, implicit: bool = False) -> None:
+        self.hint, self.domain, self.codomain, self.implicit = hint, domain, codomain, implicit
+        self.has_meta = _meta(domain) or _meta(codomain)
 
 
-@dataclass(frozen=True, slots=True)
 class Type(CoreTerm):
-    level: Level
+    __slots__ = __match_args__ = ("level",)
+
+    def __init__(self, level: Level) -> None:
+        self.level = level
 
 
-@dataclass(frozen=True, slots=True)
 class Id(CoreTerm):
-    type: CoreTerm
-    lhs: CoreTerm
-    rhs: CoreTerm
+    __match_args__ = ("type", "lhs", "rhs")
+    __slots__ = __match_args__ + ("has_meta",)
+
+    def __init__(self, type: CoreTerm, lhs: CoreTerm, rhs: CoreTerm) -> None:
+        self.type, self.lhs, self.rhs = type, lhs, rhs
+        self.has_meta = _meta(type) or _meta(lhs) or _meta(rhs)
 
 
-@dataclass(frozen=True, slots=True)
 class Refl(CoreTerm):
-    point: CoreTerm
+    __match_args__ = ("point",)
+    __slots__ = __match_args__ + ("has_meta",)
+
+    def __init__(self, point: CoreTerm) -> None:
+        self.point, self.has_meta = point, _meta(point)
 
 
-@dataclass(frozen=True, slots=True)
 class J(CoreTerm):
     """Based path induction.
 
@@ -87,17 +127,22 @@ class J(CoreTerm):
     evaluator recomputes nothing from it.
     """
 
-    motive: CoreTerm
-    base: CoreTerm
-    endpoint: CoreTerm
-    path: CoreTerm
+    __match_args__ = ("motive", "base", "endpoint", "path")
+    __slots__ = __match_args__ + ("has_meta",)
+
+    def __init__(self, motive: CoreTerm, base: CoreTerm, endpoint: CoreTerm, path: CoreTerm) -> None:
+        self.motive, self.base, self.endpoint, self.path = motive, base, endpoint, path
+        self.has_meta = _meta(motive) or _meta(base) or _meta(endpoint) or _meta(path)
 
 
-@dataclass(frozen=True, slots=True)
 class Meta(CoreTerm):
     """Elaboration-time placeholder. Never present in checked declarations."""
 
-    id: int
+    __slots__ = __match_args__ = ("id",)
+    has_meta = True
+
+    def __init__(self, id: int) -> None:
+        self.id = id
 
 
 @dataclass(frozen=True)
@@ -110,31 +155,30 @@ class CoreDecl:
 def shift(t: CoreTerm, cutoff: int, amount: int) -> CoreTerm:
     """Add `amount` to every free index >= cutoff. Bound indices untouched;
     a subterm with no free index >= cutoff comes back as the same object."""
-    match t:
-        case Var(i):
-            return Var(i + amount) if i >= cutoff else t
-        case Global() | Type() | Meta():
-            return t
-        case Lam(h, body, ann, imp):
-            body2, ann2 = shift(body, cutoff + 1, amount), shift(ann, cutoff, amount)
-            return t if body2 is body and ann2 is ann else Lam(h, body2, ann2, imp)
-        case App(f, x):
-            f2, x2 = shift(f, cutoff, amount), shift(x, cutoff, amount)
-            return t if f2 is f and x2 is x else App(f2, x2)
-        case Pi(h, dom, cod, imp):
-            dom2, cod2 = shift(dom, cutoff, amount), shift(cod, cutoff + 1, amount)
-            return t if dom2 is dom and cod2 is cod else Pi(h, dom2, cod2, imp)
-        case Id(ty, l, r):
-            ty2, l2 = shift(ty, cutoff, amount), shift(l, cutoff, amount)
-            r2 = shift(r, cutoff, amount)
-            return t if ty2 is ty and l2 is l and r2 is r else Id(ty2, l2, r2)
-        case Refl(p):
-            p2 = shift(p, cutoff, amount)
-            return t if p2 is p else Refl(p2)
-        case J(m, b, e, p):
-            m2, b2 = shift(m, cutoff, amount), shift(b, cutoff, amount)
-            e2, p2 = shift(e, cutoff, amount), shift(p, cutoff, amount)
-            return t if m2 is m and b2 is b and e2 is e and p2 is p else J(m2, b2, e2, p2)
+    tt = type(t)  # exact-type tests, most frequent first, as in `elab.zonk`
+    if tt is Var:
+        return Var(t.index + amount) if t.index >= cutoff else t
+    if tt is Global or tt is Type or tt is Meta:
+        return t
+    if tt is App:
+        f, x = shift(t.fn, cutoff, amount), shift(t.arg, cutoff, amount)
+        return t if f is t.fn and x is t.arg else App(f, x)
+    if tt is Lam:
+        body, ann = shift(t.body, cutoff + 1, amount), shift(t.ann, cutoff, amount)
+        return t if body is t.body and ann is t.ann else Lam(t.hint, body, ann, t.implicit)
+    if tt is Pi:
+        dom, cod = shift(t.domain, cutoff, amount), shift(t.codomain, cutoff + 1, amount)
+        return t if dom is t.domain and cod is t.codomain else Pi(t.hint, dom, cod, t.implicit)
+    if tt is Refl:
+        p = shift(t.point, cutoff, amount)
+        return t if p is t.point else Refl(p)
+    if tt is Id:
+        ty, l, r = (shift(u, cutoff, amount) for u in (t.type, t.lhs, t.rhs))
+        return t if ty is t.type and l is t.lhs and r is t.rhs else Id(ty, l, r)
+    if tt is J:
+        m, b, e, p = (shift(u, cutoff, amount) for u in (t.motive, t.base, t.endpoint, t.path))
+        same = m is t.motive and b is t.base and e is t.endpoint and p is t.path
+        return t if same else J(m, b, e, p)
     raise TypeError(f"not a core term: {t!r}")
 
 
@@ -251,23 +295,25 @@ def _parens(s: str, outer: int, inner: int) -> str:
 def mentions(t: CoreTerm, lo: int, n: int, meta: int | None = None) -> bool:
     """Does `t` use a free index in [lo, lo + n) (counted at `t`'s root), or
     contain Meta(meta)?"""
-    match t:
-        case Var(i):
-            return lo <= i < lo + n
-        case Meta(i):
-            return i == meta
-        case Global() | Type():
-            return False
-        case Lam(_, body, ann):
-            return mentions(ann, lo, n, meta) or mentions(body, lo + 1, n, meta)
-        case App(f, x):
-            return mentions(f, lo, n, meta) or mentions(x, lo, n, meta)
-        case Pi(_, dom, cod, _):
-            return mentions(dom, lo, n, meta) or mentions(cod, lo + 1, n, meta)
-        case Id(ty, l, r):
-            return any(mentions(u, lo, n, meta) for u in (ty, l, r))
-        case Refl(p):
-            return mentions(p, lo, n, meta)
-        case J(m, b, e, p):
-            return any(mentions(u, lo, n, meta) for u in (m, b, e, p))
+    if not n and not t.has_meta:
+        return False
+    tt = type(t)  # exact-type tests, most frequent first, as in `shift`
+    if tt is Var:
+        return lo <= t.index < lo + n
+    if tt is App:
+        return mentions(t.fn, lo, n, meta) or mentions(t.arg, lo, n, meta)
+    if tt is Global or tt is Type:
+        return False
+    if tt is Meta:
+        return t.id == meta
+    if tt is Lam:
+        return mentions(t.ann, lo, n, meta) or mentions(t.body, lo + 1, n, meta)
+    if tt is Pi:
+        return mentions(t.domain, lo, n, meta) or mentions(t.codomain, lo + 1, n, meta)
+    if tt is Refl:
+        return mentions(t.point, lo, n, meta)
+    if tt is Id:
+        return any(mentions(u, lo, n, meta) for u in (t.type, t.lhs, t.rhs))
+    if tt is J:
+        return any(mentions(u, lo, n, meta) for u in (t.motive, t.base, t.endpoint, t.path))
     raise TypeError(f"not a core term: {t!r}")

@@ -374,6 +374,8 @@ def _restrict(metas: MetaStore, t: CoreTerm, depth: int) -> None:
     """Lower to `depth` plus the binders above it the depth of each unsolved
     meta in `t`, a solution valid under `depth` binders: a meta made under
     more binders than the solution has may only be solved in its scope."""
+    if not t.has_meta:
+        return
     tt = type(t)  # exact-type tests, most frequent first, as in `zonk`
     if tt is App:
         _restrict(metas, t.fn, depth)
@@ -488,7 +490,8 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
                 pt_core, pt_v = ctx.fresh_meta(span)
                 return Refl(pt_core), VId(pt_ty, pt_v, pt_v)
             p_core, p_ty = _infer_inserted(ctx, p)
-            pv = ctx.eval(p_core)
+            # `refl q` evaluates to VRefl of q's endpoint: a chain evaluates one point
+            pv = VRefl(p_ty.lhs) if isinstance(p, ReflSugar) else ctx.eval(p_core)
             return Refl(p_core), VId(p_ty, pv, pv)
         case JSugar():
             return _elab_j(ctx, t, [])
@@ -672,16 +675,14 @@ def _elab_j(ctx: ElabCtx, head: JSugar, args: list[SurfaceTerm]) -> tuple[CoreTe
 def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
     """Replace each solved meta in `t` (under `depth` binders) by its zonked
     solution; an unsolved meta raises UnsolvedMeta. Sharing: a node is rebuilt
-    only when a child changed, so a meta-free subterm comes back as itself."""
-    tt = type(t)  # exact-type tests, most frequent first
-    if tt is Var or tt is Global or tt is Type:
+    only above a meta, so a meta-free subterm comes back as itself, at once."""
+    if not t.has_meta:
         return t
+    tt = type(t)  # exact-type tests, most frequent first
     if tt is App:
-        f, x = zonk(ctx, t.fn, depth), zonk(ctx, t.arg, depth)
-        return t if f is t.fn and x is t.arg else App(f, x)
+        return App(zonk(ctx, t.fn, depth), zonk(ctx, t.arg, depth))
     if tt is Refl:
-        p = zonk(ctx, t.point, depth)
-        return t if p is t.point else Refl(p)
+        return Refl(zonk(ctx, t.point, depth))
     if tt is Meta:
         m = ctx.metas.get(t.id)
         if m.solution is None:
@@ -691,19 +692,14 @@ def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
         sol = m.solution if depth == m.depth else shift(m.solution, 0, depth - m.depth)
         return zonk(ctx, sol, depth)
     if tt is Id:
-        ty, l, r = zonk(ctx, t.type, depth), zonk(ctx, t.lhs, depth), zonk(ctx, t.rhs, depth)
-        return t if ty is t.type and l is t.lhs and r is t.rhs else Id(ty, l, r)
+        return Id(zonk(ctx, t.type, depth), zonk(ctx, t.lhs, depth), zonk(ctx, t.rhs, depth))
     if tt is Lam:
-        ann, body = zonk(ctx, t.ann, depth), zonk(ctx, t.body, depth + 1)
-        return t if body is t.body and ann is t.ann else Lam(t.hint, body, ann, t.implicit)
+        ann = zonk(ctx, t.ann, depth)
+        return Lam(t.hint, zonk(ctx, t.body, depth + 1), ann, t.implicit)
     if tt is Pi:
-        dom, cod = zonk(ctx, t.domain, depth), zonk(ctx, t.codomain, depth + 1)
-        return t if dom is t.domain and cod is t.codomain else Pi(t.hint, dom, cod, t.implicit)
+        return Pi(t.hint, zonk(ctx, t.domain, depth), zonk(ctx, t.codomain, depth + 1), t.implicit)
     if tt is J:
-        m, b = zonk(ctx, t.motive, depth), zonk(ctx, t.base, depth)
-        e, p = zonk(ctx, t.endpoint, depth), zonk(ctx, t.path, depth)
-        same = m is t.motive and b is t.base and e is t.endpoint and p is t.path
-        return t if same else J(m, b, e, p)
+        return J(*(zonk(ctx, u, depth) for u in (t.motive, t.base, t.endpoint, t.path)))
     raise AssertionError(f"cannot zonk {t!r}")
 
 

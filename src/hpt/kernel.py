@@ -585,7 +585,8 @@ def infer_type(
             return VType(Level(i))
         case Refl(p):
             pt = infer_type(ctx, globals, p, path + ("point",))
-            pv = eval_term(env, globals, p)
+            # `Refl(q)` evaluates to VRefl of q's endpoint: a chain evaluates one point
+            pv = VRefl(pt.lhs) if type(p) is Refl else eval_term(env, globals, p)
             return VId(pt, pv, pv)
         case Lam(h, body, ann, imp):
             _infer_universe(ctx, globals, ann, path + ("annotation",))

@@ -293,10 +293,16 @@ class AssertDefeq(SurfaceDecl):
 _ATOM_STARTERS = {IDENT, "@", "_", "Type", "refl", "J", "("}
 
 
+# How deep `_Parser.parse_term` nests before a ParseError: a level per
+# parenthesis, arrow, λ body or binder; the corpus needs 53, refl^800 800.
+MAX_NESTING = 1000
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -382,6 +388,16 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self) -> SurfaceTerm:
+        if self.nesting == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(tok.span, f"a term nested at most {MAX_NESTING} deep", _describe(tok))
+        self.nesting += 1
+        try:
+            return self._term()
+        finally:
+            self.nesting -= 1
+
+    def _term(self) -> SurfaceTerm:
         tok = self.peek()
         if tok.kind == "fun":
             self.next()
@@ -395,15 +411,15 @@ class _Parser:
             saved = self.pos
             try:
                 binder = self.parse_binder()
-                if self.at("->"):
-                    self.next()
-                    cod = self.parse_term()
-                    return SPi((binder,), cod, tok.span.cover(cod.span))
-                self.pos = saved
             except ParseError:
                 if tok.kind == "{":
                     raise
-                self.pos = saved
+                binder = None
+            if binder is not None and self.at("->"):
+                self.next()
+                cod = self.parse_term()
+                return SPi((binder,), cod, tok.span.cover(cod.span))
+            self.pos = saved
         t = self.parse_term1()
         if self.at("->"):
             self.next()

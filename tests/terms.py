@@ -1,5 +1,5 @@
 """Helpers that only the tests use: over core terms, alpha equivalence,
-subterm replacement by preorder position, and tree size; over surface
+subterm replacement by preorder position, and tree and DAG size; over surface
 terms, a printer whose output parses back to the same term."""
 
 from __future__ import annotations
@@ -114,6 +114,25 @@ def term_size(t: CoreTerm) -> int:
         return n
 
     return go(t)
+
+
+def dag_size(t: CoreTerm) -> int:
+    """DAG size: the number of structurally distinct subterms, where the
+    non-term fields (hints, flags, indices, levels) and `Lam.ann` count."""
+    keys: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+
+    def go(u: CoreTerm) -> int:
+        k = keys.get(id(u))
+        if k is None:
+            fields = tuple(getattr(u, n) for n in u.__match_args__)
+            leaves = tuple(f for f in fields if not isinstance(f, CoreTerm))
+            shape = (type(u), leaves, tuple(go(c) for c in children(u)))
+            k = keys[id(u)] = table.setdefault(shape, len(table))
+        return k
+
+    go(t)
+    return len(table)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,8 @@ NO_TRACEBACK_INPUTS = {
     "unclosed-binder": "def f (x : A := x\n",
     "lone-dash": "a - b\n",
     "illegal-character": "\u27e6\n",
+    "20000-nested-parentheses": "#check " + "(" * 20_000 + "A" + ")" * 20_000 + "\n",
+    "20000-arrow-def-type": "def f : " + "A -> " * 20_000 + "A := f\n",
 }
 
 

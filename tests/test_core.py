@@ -1,4 +1,8 @@
-"""Core term utilities: alpha equality, shifting, pretty-printing."""
+"""Core term classes and utilities: equality, hashing, repr, `has_meta`,
+alpha equality, shifting, pretty-printing."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,18 +23,20 @@ from hpt.core import (
     pretty,
     shift,
 )
-from tests.terms import alpha_eq, term_size
+from tests.terms import alpha_eq, children, dag_size, term_size
 
 
-def _terms(max_depth=4):
+def _terms(max_depth=4, metas=False):
     """Hypothesis strategy for well-formed closed-enough core terms.
 
     Variables are drawn from a small range; callers treat the result as
-    living under sufficiently many binders.
+    living under sufficiently many binders. With `metas`, leaves include
+    `Meta` nodes.
     """
     leaves = st.one_of(
         st.integers(min_value=0, max_value=3).map(Var),
         st.sampled_from([Global("A"), Global("star"), Type(Level(0)), Type(Level(1))]),
+        *([st.integers(min_value=0, max_value=2).map(Meta)] if metas else []),
     )
 
     def extend(children):
@@ -128,3 +134,89 @@ def test_pretty_examples():
 def test_term_size_counts_nodes():
     assert term_size(Var(0)) == 1
     assert term_size(App(Var(0), Var(1))) == 3
+
+
+def _holds_meta(t):
+    return isinstance(t, Meta) or any(_holds_meta(c) for c in children(t))
+
+
+@given(_terms(metas=True))
+@settings(max_examples=300)
+def test_has_meta_is_set_exactly_when_a_meta_lies_in_the_tree(t):
+    assert t.has_meta == _holds_meta(t)
+
+
+def test_a_non_term_child_holds_no_meta():
+    assert not Lam("x", Var(0), None).has_meta
+    assert Lam("x", Meta(0), None).has_meta
+
+
+def test_equality_and_hash_ignore_the_lambda_domain_but_not_the_hint():
+    a, b = Lam("x", Var(0), Global("A")), Lam("x", Var(0), Type(Level(0)))
+    assert a == b and hash(a) == hash(b)
+    assert Lam("y", Var(0), Global("A")) != a
+    assert Lam("x", Var(0), Global("A"), True) != a
+    assert App(Var(0), Var(1)) == App(Var(0), Var(1)) != App(Var(1), Var(0))
+    assert hash(Id(Var(0), Var(1), Meta(2))) == hash(Id(Var(0), Var(1), Meta(2)))
+    assert Var(0) != Meta(0) and Var(0) != 0
+    assert len({Pi("x", Var(0), Var(1)), Pi("x", Var(0), Var(1)), Pi("y", Var(0), Var(1))}) == 2
+
+
+def test_repr_keeps_the_dataclass_format():
+    t = Lam("x", J(Var(0), Refl(Global("a")), Meta(1), Type(Level(0))), Pi("_", Var(0), Var(1)))
+    assert repr(t) == (
+        "Lam(hint='x', body=J(motive=Var(index=0), base=Refl(point=Global(name='a')),"
+        " endpoint=Meta(id=1), path=Type(level=Level(index=0))),"
+        " ann=Pi(hint='_', domain=Var(index=0), codomain=Var(index=1), implicit=False),"
+        " implicit=False)"
+    )
+    assert repr(App(Var(0), Id(Var(1), Var(2), Var(3)))) == (
+        "App(fn=Var(index=0), arg=Id(type=Var(index=1), lhs=Var(index=2), rhs=Var(index=3)))"
+    )
+
+
+def test_match_patterns_with_positional_captures_bind():
+    match Lam("x", App(Var(0), Meta(4)), Global("A"), True):
+        case Lam(h, App(Var(i), Meta(m)), Global(n), imp):
+            assert (h, i, m, n, imp) == ("x", 0, 4, "A", True)
+        case _:
+            pytest.fail("Lam pattern did not match")
+    match J(Var(0), Var(1), Refl(Var(2)), Type(Level(1))):
+        case J(_, b, Refl(p), Type(Level(k))):
+            assert (b, p, k) == (Var(1), Var(2), 1)
+        case _:
+            pytest.fail("J pattern did not match")
+    match Pi("x", Global("A"), Id(Var(0), Var(1), Var(2))):
+        case Pi(_, Global(n), Id(t, l, r), imp):
+            assert (n, t, l, r, imp) == ("A", Var(0), Var(1), Var(2), False)
+        case _:
+            pytest.fail("Pi pattern did not match")
+
+
+def _layers():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_size_metrics_agree_with_the_test_counts(corpus_loaded):
+    """`benchmarks/layers.py` reads a term's fields from its class; its tree
+    and DAG counts (behind the `normalize` oracle and the size metrics) must
+    match the counts taken here through `match` patterns."""
+    from hpt import core, driver, elab
+    from hpt.kernel import GlobalEnv
+    from hpt.surface import parse_term
+
+    layers = _layers()
+    env, _ = corpus_loaded
+    terms = [e.body_core for e in env if e.body_core is not None]
+    tower, _ = driver.check_source(GlobalEnv(), "axiom A : Type\naxiom star : A\n", "t.hpt")
+    cores = elab.elaborate_term(tower, parse_term("refl (" * 39 + "refl star" + ")" * 39))
+    for t in terms + list(cores):
+        tree = term_size(t)
+        assert layers.term_sizes(t, core) == (tree, dag_size(t))
+        assert layers.tree_nodes(t, core) == tree
+    # the type of refl^n star: (n + 1)^2 tree nodes, 2n + 1 distinct ones
+    assert (term_size(cores[1]), dag_size(cores[1])) == (41 * 41, 81)

@@ -21,6 +21,17 @@ def test_corpus_checks_end_to_end(loaded):
     assert sum(r.declarations_checked for r in results) >= 25
 
 
+def test_elaborated_corpus_has_a_fixed_digest(loaded):
+    """The SHA-256 of `repr` over every entry's cores: pins the elaborator's
+    output and the dataclass-style `repr` of the core term classes."""
+    import hashlib
+
+    env, _ = loaded
+    text = repr([(e.name, e.type_core, e.body_core) for e in env])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "87065f9c7fcbbceb12d62121909824a31f3d0d51c1e1d3a58f4880d52420b15d"
+
+
 def test_manifest_matches_environment(loaded):
     env, _ = loaded
     entries = corpus.manifest()

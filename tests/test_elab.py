@@ -432,3 +432,53 @@ def test_solution_is_shifted_to_the_meta_depth(env):
     x, _ = inner.env()
     unify(inner, m, x, DUMMY_SPAN)
     assert ctx.metas.get(meta.id).solution == Var(0)
+
+
+TOWER_PRELUDE = "axiom A : Type\naxiom star : A\n"
+
+
+def _refl_chain(n):
+    """`refl (refl (... (refl star)))` with n refls, as hpt prints it."""
+    return "refl " * min(n, 1) + "(refl " * max(n - 1, 0) + "star" + ")" * max(n - 1, 0)
+
+
+def _count_calls(monkeypatch, module, name, *others):
+    """Count calls to `module.name`, wrapped there and in each of `others`
+    that binds it by name."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for m in (module, *others):
+        monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+def test_refl_tower_evaluates_a_fixed_number_of_times(monkeypatch):
+    tower, _ = driver.check_source(GlobalEnv(), TOWER_PRELUDE, "t.hpt")
+    calls = _count_calls(monkeypatch, kernel, "eval_term", elab)
+    counts = []
+    for n in (100, 400):
+        calls[0] = 0
+        _, result = driver.check_source(tower, f"#check {_refl_chain(n)}\n", "t.hpt")
+        assert result.error is None
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def test_deep_refl_tower_prints_the_expected_line():
+    tower, _ = driver.check_source(GlobalEnv(), TOWER_PRELUDE, "t.hpt")
+    _, result = driver.check_source(tower, f"#check {_refl_chain(800)}\n", "t.hpt")
+    line = f"{_refl_chain(800)} : {_refl_chain(799)} = {_refl_chain(799)}"
+    assert result.error is None and [e.text for e in result.events] == [line]
+
+
+def test_zonk_makes_no_recursive_call_on_a_meta_free_term(env, monkeypatch):
+    body = env.get("syllepsis").body_core
+    original = elab.zonk
+    calls = _count_calls(monkeypatch, elab, "zonk")
+    assert original(ElabCtx(env), body) is body
+    assert calls[0] == 0

@@ -85,6 +85,26 @@ def test_infer_type_refl(env):
     assert conv(0, inferred, want)
 
 
+def test_infer_type_evaluates_a_refl_chain_point_once(env, monkeypatch):
+    calls = [0]
+    original = kernel.eval_term
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "eval_term", counted)
+    t, want = Global("star"), Global("A")
+    for _ in range(300):
+        t, want = Refl(t), Id(want, t, t)
+    ty = kernel.infer_type([], env, t)
+    assert calls[0] == 1
+    assert kernel.readback(0, ty) == want
+    with pytest.raises(KernelTypeError) as err:
+        kernel.infer_type([], env, Refl(Refl(Refl(Var(0)))), ("d",))
+    assert err.value.path == ("d", "point", "point", "point")
+
+
 def test_infer_type_application_error(env):
     with pytest.raises(KernelTypeError):
         kernel.infer_type([], env, App(Global("star"), Global("star")))

@@ -190,6 +190,30 @@ def test_universe_level_has_at_most_nine_digits():
     assert (exc.value.span.start_col, exc.value.span.end_col) == (6, 15)
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [("(x : A) -> (y : A) -> )", 23), ("(x : A) -> A -> )", 17), ("{x : A} -> B = )", 16)],
+)
+def test_error_in_a_binder_codomain_is_located_there(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert exc.value.message == "expected a term, found ')'"
+    assert exc.value.span.start_col == col
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    from hpt.surface import MAX_NESTING
+
+    parse_term("(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1))
+    parse_term("(x : A) -> " * (MAX_NESTING - 1) + "A")
+    deep = ["(" * MAX_NESTING + "a" + ")" * MAX_NESTING, "(x : A) -> " * MAX_NESTING + "A",
+            "A -> " * MAX_NESTING + "A", "fun (x : A) => " * MAX_NESTING + "x"]
+    for text in deep:
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert exc.value.message.startswith(f"expected a term nested at most {MAX_NESTING} deep")
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_term("a ) b")
