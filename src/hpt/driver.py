@@ -52,9 +52,10 @@ class FileResult:
 
 
 def read_source(path: str | Path, name: str, what: str = "file") -> str:
-    """The UTF-8 text of `path`; failing that, a SurfaceError at `name`:1:1."""
+    """The UTF-8 text of `path`, less a leading byte-order mark; failing
+    that, a SurfaceError at `name`:1:1."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise SurfaceError(SourceSpan(name, 1, 1, 1, 1), f"cannot read {what}: {e}") from e
 

@@ -35,12 +35,8 @@ from .core import (
 )
 from .kernel import (
     Closure,
-    EApp,
     EJ,
     GlobalEnv,
-    HGlobal,
-    HMeta,
-    HVar,
     VId,
     VLam,
     VNeutral,
@@ -199,10 +195,11 @@ class ElabCtx:
 
     def fresh_meta(self, span: SourceSpan) -> tuple[CoreTerm, Value]:
         m = self.metas.fresh(self.depth, span)
-        return Meta(m.id), VNeutral(HMeta(m.id))
+        t = Meta(m.id)
+        return t, VNeutral(t)
 
     def force(self, v: Value) -> Value:
-        while isinstance(v, VNeutral) and isinstance(v.head, HMeta):
+        while type(v) is VNeutral and type(v.head) is Meta:
             meta = self.metas.get(v.head.id)
             if meta.solution is None:
                 return v
@@ -242,8 +239,8 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
         return
 
     # flex cases first
-    l_flex = isinstance(l, VNeutral) and isinstance(l.head, HMeta)
-    r_flex = isinstance(r, VNeutral) and isinstance(r.head, HMeta)
+    l_flex = type(l) is VNeutral and type(l.head) is Meta
+    r_flex = type(r) is VNeutral and type(r.head) is Meta
     if l_flex and r_flex and l.head == r.head:
         if len(l.spine) == len(r.spine):
             _unify_spines(ctx, depth, l.spine, r.spine, span)
@@ -343,14 +340,14 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
 
 def _unify_spines(ctx, depth, sp1, sp2, span) -> None:
     for e1, e2 in zip(sp1, sp2):
-        match e1, e2:
-            case EApp(x1), EApp(x2):
-                _unify(ctx, depth, x1, x2, span)
-            case EJ(m1, b1, _), EJ(m2, b2, _):
-                _unify(ctx, depth, m1, m2, span)
-                _unify(ctx, depth, b1, b2, span)
-            case _:
-                raise UnifyFailure(span, "<spine>", "<spine>")
+        j1 = type(e1) is EJ
+        if j1 is not (type(e2) is EJ):
+            raise UnifyFailure(span, "<spine>", "<spine>")
+        if j1:
+            _unify(ctx, depth, e1.motive, e2.motive, span)
+            _unify(ctx, depth, e1.base, e2.base, span)
+        else:  # two arguments unify whatever their value classes
+            _unify(ctx, depth, e1, e2, span)
 
 
 def _solve(ctx: ElabCtx, meta_id: int, v: Value, depth: int, span: SourceSpan) -> None:
@@ -417,22 +414,22 @@ def universe_of(ctx: ElabCtx, v: Value) -> int:
         case VPi(hint, dom, clo, _):
             cod = clo.apply(fresh_var(ctx.depth))
             return max(universe_of(ctx, dom), universe_of(ctx.bound(hint, dom), cod))
-        case VNeutral(HVar(lvl), spine):
+        case VNeutral(int(lvl), spine):
             ty = ctx.bindings[lvl][1]
-        case VNeutral(HGlobal(name), spine):
+        case VNeutral(Global(name), spine):
             ty = ctx.globals.get(name).type_value
         case _:
             return 0
     # Type the neutral: replay its spine on the type of its head.
-    for k, elim in enumerate(spine):
+    for k, e in enumerate(spine):
         ty = whnf(ctx, ty)
-        if type(elim) is EApp:
+        if type(e) is EJ:
+            scrutinee = VNeutral(v.head, spine[:k])
+            ty = apply_value(apply_value(e.motive, e.endpoint), scrutinee)
+        else:
             if not isinstance(ty, VPi):
                 return 0
-            ty = ty.closure.apply(elim.arg)
-        else:
-            scrutinee = VNeutral(v.head, spine[:k])
-            ty = apply_value(apply_value(elim.motive, elim.endpoint), scrutinee)
+            ty = ty.closure.apply(e)
     ty = whnf(ctx, ty)
     return ty.level.index if isinstance(ty, VType) else 0
 
@@ -561,7 +558,7 @@ def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
     ty = whnf(ctx, ty)  # an `@name` comes back as inferred
     if isinstance(ty, VType):
         return core, ty.level.index
-    if isinstance(ty, VNeutral) and isinstance(ty.head, HMeta):
+    if type(ty) is VNeutral and type(ty.head) is Meta:
         unify(ctx, ty, VType(Level(0)), t.span)
         return core, 0
     raise TypeMismatch(t.span, "a universe", ctx.show(ty), note="elaborating a type")
@@ -629,7 +626,7 @@ def _elab_j(ctx: ElabCtx, head: JSugar, args: list[SurfaceTerm]) -> tuple[CoreTe
 
     path_core, path_ty = _infer_inserted(ctx, path_s)
     path_ty = whnf(ctx, path_ty)  # an `@name` comes back as inferred
-    if isinstance(path_ty, VNeutral) and isinstance(path_ty.head, HMeta):
+    if type(path_ty) is VNeutral and type(path_ty.head) is Meta:
         _, t_v = ctx.fresh_meta(head.span)
         _, a_v = ctx.fresh_meta(head.span)
         _, b_v = ctx.fresh_meta(head.span)

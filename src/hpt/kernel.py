@@ -7,8 +7,9 @@ spines) and normal forms are read back from values. J applied to refl
 reduces to its base argument. Defined globals unfold lazily: applying one
 builds a glued value (VTop) that remembers the global and its spine, and
 conversion first tries spine equality of same-named tops before falling
-back to the unfolding, so neutral heads proper are only bound variables,
-axioms, and unsolved metavariables.
+back to the unfolding, so a neutral head is only a bound variable's level
+(an `int`), or the `Global` (axiom) or `Meta` (unsolved) node it reads back
+to. A spine entry is an argument's value itself, or an `EJ`.
 
 A GlobalEnv is read-only once loaded; check_decl returns an extended
 copy, so older environments stay valid.
@@ -140,38 +141,11 @@ class Value:
     __slots__ = ()
 
 
-class Head:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class HVar(Head):
-    level: int
-
-
-@dataclass(frozen=True, slots=True)
-class HGlobal(Head):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class HMeta(Head):
-    id: int
-
-
-class Elim:
-    __slots__ = ()
-
-
 @dataclass(frozen=True, eq=False, slots=True)
-class EApp(Elim):
-    arg: Value
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class EJ(Elim):
-    """A stuck J elimination. The endpoint is carried for readback only;
-    it is determined by the scrutinee, so conversion ignores it."""
+class EJ:
+    """A stuck J elimination in a spine, where every other entry is the
+    value of an argument. The endpoint is carried for readback only; it is
+    determined by the scrutinee, so conversion ignores it."""
 
     motive: Value
     base: Value
@@ -239,8 +213,11 @@ class VRefl(Value):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class VNeutral(Value):
-    head: Head
-    spine: tuple[Elim, ...] = ()
+    """A head, a bound variable's level or the `Global`/`Meta` node readback
+    returns as it is, under a spine of argument values and `EJ`s, in order."""
+
+    head: int | Global | Meta
+    spine: tuple[Value | EJ, ...] = ()
 
 
 class VTop(Value):
@@ -253,7 +230,7 @@ class VTop(Value):
 
     __slots__ = ("name", "spine", "entry", "_forced")
 
-    def __init__(self, name: str, spine: tuple[Elim, ...], entry: "GlobalEntry") -> None:
+    def __init__(self, name: str, spine: tuple[Value | EJ, ...], entry: "GlobalEntry") -> None:
         self.name = name
         self.spine = spine
         self.entry = entry
@@ -274,7 +251,7 @@ def force_top(v: Value) -> Value:
 
 
 def fresh_var(depth: int) -> Value:
-    return VNeutral(HVar(depth))
+    return VNeutral(depth)
 
 
 _IDENTITY_ENV: list[Value] = []
@@ -355,7 +332,7 @@ def eval_term(
             raise KernelError(f"unknown global {t.name!r}")
         if entry.body_value is not None:
             return VTop(t.name, (), entry)
-        return VNeutral(HGlobal(t.name))
+        return VNeutral(t)
     if tt is J:
         return j_apply(
             eval_term(env, globals, t.motive, metas),
@@ -374,7 +351,7 @@ def eval_term(
                 # The solution is an open term over the meta's first
                 # `d` binders; evaluate it under the env prefix.
                 return eval_term(env[:d], globals, term, metas)
-        return VNeutral(HMeta(t.id))
+        return VNeutral(t)
     if tt is Type:
         return VType(t.level)
     raise KernelError(f"cannot evaluate {t!r}")
@@ -383,21 +360,21 @@ def eval_term(
 def apply_value(f: Value, x: Value) -> Value:
     tf = type(f)
     if tf is VTop:
-        return VTop(f.name, f.spine + (EApp(x),), f.entry)
+        return VTop(f.name, f.spine + (x,), f.entry)
     if tf is VLam:
         return f.closure.apply(x)
     if tf is VNeutral:
-        return VNeutral(f.head, f.spine + (EApp(x),))
+        return VNeutral(f.head, f.spine + (x,))
     raise KernelError("applied a non-function value (ill-typed input)")
 
 
-def apply_spine(v: Value, spine: tuple[Elim, ...]) -> Value:
+def apply_spine(v: Value, spine: tuple[Value | EJ, ...]) -> Value:
     """Replay a spine of eliminations on `v`, in order."""
-    for elim in spine:
-        if type(elim) is EApp:
-            v = apply_value(v, elim.arg)
+    for e in spine:
+        if type(e) is EJ:
+            v = j_apply(e.motive, e.base, e.endpoint, v)
         else:
-            v = j_apply(elim.motive, elim.base, elim.endpoint, v)
+            v = apply_value(v, e)
     return v
 
 
@@ -445,7 +422,8 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         w = v if force is None else force(v)
         tw = type(w)
         if tw is VNeutral:
-            t = spine(depth, _readback_head(depth, w.head), w.spine)
+            h = w.head
+            t = spine(depth, Var(depth - 1 - h) if type(h) is int else h, w.spine)
         elif tw is VTop:
             t = spine(depth, Global(w.name), w.spine)
         elif tw is VLam:
@@ -465,26 +443,15 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         seen[v] = t
         return t
 
-    def spine(depth: int, t: CoreTerm, elims: tuple[Elim, ...]) -> CoreTerm:
-        for elim in elims:
-            if type(elim) is EApp:
-                t = App(t, rb(depth, elim.arg))
+    def spine(depth: int, t: CoreTerm, entries: tuple[Value | EJ, ...]) -> CoreTerm:
+        for e in entries:
+            if type(e) is EJ:
+                t = J(rb(depth, e.motive), rb(depth, e.base), rb(depth, e.endpoint), t)
             else:
-                t = J(rb(depth, elim.motive), rb(depth, elim.base), rb(depth, elim.endpoint), t)
+                t = App(t, rb(depth, e))
         return t
 
     return rb(depth, v)
-
-
-def _readback_head(depth: int, head: Head) -> CoreTerm:
-    match head:
-        case HVar(lvl):
-            return Var(depth - 1 - lvl)
-        case HGlobal(name):
-            return Global(name)
-        case HMeta(i):
-            return Meta(i)
-    raise KernelError(f"bad head {head!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +496,16 @@ def conv(depth: int, a: Value, b: Value) -> bool:
     return ta is VType and a.level == b.level
 
 
-def _conv_spines(depth: int, sp1: tuple[Elim, ...], sp2: tuple[Elim, ...]) -> bool:
+def _conv_spines(depth: int, sp1: tuple[Value | EJ, ...], sp2: tuple[Value | EJ, ...]) -> bool:
     if len(sp1) != len(sp2):
         return False
     for e1, e2 in zip(sp1, sp2):
-        kind = type(e1)
-        if kind is not type(e2):
-            return False
-        if kind is EApp:
-            if not conv(depth, e1.arg, e2.arg):
+        if type(e1) is EJ:
+            # endpoints are determined by the shared scrutinee
+            if not (type(e2) is EJ and conv(depth, e1.motive, e2.motive) and conv(depth, e1.base, e2.base)):
                 return False
-        # endpoints are determined by the shared scrutinee
-        elif not (conv(depth, e1.motive, e2.motive) and conv(depth, e1.base, e2.base)):
+        # two arguments are compared by conversion, whatever their value classes
+        elif type(e2) is EJ or not conv(depth, e1, e2):
             return False
     return True
 

@@ -243,6 +243,20 @@ def test_open_corpus_failure_shows_source_line(tmp_path, monkeypatch, tmp_hpt):
         assert "\n    " + " " * 55 + "^~~~" in out
 
 
+def test_check_drops_a_byte_order_mark(tmp_path):
+    """A leading UTF-8 byte-order mark is not source text: it neither fails
+    the lexer nor shifts the column of a later error on line 1."""
+    good, bad = tmp_path / "bom.hpt", tmp_path / "bad.hpt"
+    good.write_bytes(b"\xef\xbb\xbfaxiom A : Type\n")
+    bad.write_bytes(b"\xef\xbb\xbfdef f : missing := missing\n")
+    code, out = run_cli(["check", str(good)])
+    assert code == 0
+    assert "checked 1 file(s): 1 declaration(s), " in out
+    code, out = run_cli(["check", str(bad)])
+    assert code == 1
+    assert out.startswith(f"{bad}:1:9: error: unbound name")
+
+
 def test_check_undecodable_file_is_io_diagnostic(tmp_path):
     path = tmp_path / "bytes.hpt"
     path.write_bytes(b"\xff\xfe")
@@ -326,8 +340,9 @@ def test_benchmark_wrappers_find_every_name_they_wrap():
     assert proc.returncode == 0, proc.stderr
 
 
-# Inputs that once ended in a Python traceback, or are lex and parse errors:
-# each must give exit 1 and a located first line.
+# Inputs that once ended in a Python traceback, are lex and parse errors, or
+# elaborate to a core the kernel rejects: each must give exit 1 and a located
+# first line.
 NO_TRACEBACK_INPUTS = {
     "superscript-level": "axiom A : Type \u00b2\n",
     "arabic-indic-level": "axiom A : Type \u0663\n",
@@ -340,6 +355,8 @@ NO_TRACEBACK_INPUTS = {
     "illegal-character": "\u27e6\n",
     "20000-nested-parentheses": "#check " + "(" * 20_000 + "A" + ")" * 20_000 + "\n",
     "20000-arrow-def-type": "def f : " + "A -> " * 20_000 + "A := f\n",
+    "implicit-solved-by-a-universe": "axiom A : Type\ndef id {X : Type} (x : X) : X := x\n"
+    "#assert defeq A ~ id A : Type\n",
 }
 
 

@@ -216,6 +216,15 @@ def test_hole_in_a_lambda_annotation_under_a_binder():
     assert result.error is None, str(result.error)
 
 
+@pytest.mark.xfail(strict=True, reason="a meta's solution is not checked against the "
+                   "meta's type: `?X : Type` is solved by a universe, which lives in a larger one")
+@pytest.mark.parametrize("decl", ["#assert defeq A ~ id A : Type", "def d : _ := id Type"])
+def test_an_implicit_solved_by_a_universe_is_an_elaboration_error(decl):
+    text = "axiom A : Type\ndef id {X : Type} (x : X) : X := x\n" + decl + "\n"
+    _, result = driver.check_source(GlobalEnv(), text, "u.hpt")
+    assert isinstance(result.error, elab.ElabError), result.error
+
+
 def test_metas_made_under_a_binder_solve_metas_from_outside_it():
     # `id`'s implicit argument and J's path-type metas are made under `p`,
     # and solve the type of `p`, a meta made outside it.
@@ -275,6 +284,16 @@ def test_unify_rigid_universe_mismatch(env):
 
     with pytest.raises(UnifyFailure):
         unify(ctx, VType(Level(0)), VType(Level(1)), DUMMY_SPAN)
+
+
+def test_unify_compares_spine_arguments_of_different_value_classes(spine_values):
+    env, fg, fstar, stuck, applied = spine_values
+    ctx = ElabCtx(env)
+    unify(ctx, fg, fstar, DUMMY_SPAN)
+    unify(ctx, fstar, fg, DUMMY_SPAN)
+    for l, r in ((stuck, applied), (applied, stuck)):
+        with pytest.raises(UnifyFailure):
+            unify(ctx, l, r, DUMMY_SPAN)
 
 
 def test_unify_decomposes_id(env):

@@ -32,6 +32,12 @@ def env():
     return loaded
 
 
+@pytest.fixture(scope="module")
+def body_nfs(env):
+    """(entry, normal form) of every corpus body, each normalized once."""
+    return [(e, normalize(env, e.body_core)) for e in env if e.body_core is not None]
+
+
 def _elab(env, text, expected=None):
     core, ty = elab.elaborate_term(env, parse_term(text))
     return core, ty
@@ -76,6 +82,13 @@ def test_conv_eh_refl(env):
     core, _ = _elab(env, "EH (refl (refl star)) (refl (refl star))")
     expected, _ = _elab(env, "refl (refl (refl star))")
     assert conv(0, eval_term([], env, core), eval_term([], env, expected))
+
+
+def test_conv_compares_spine_arguments_of_different_value_classes(spine_values):
+    _, fg, fstar, stuck, applied = spine_values
+    assert type(fg.spine[0]) is not type(fstar.spine[0])  # a VTop and a VNeutral
+    assert conv(0, fg, fstar) and conv(0, fstar, fg)
+    assert not conv(0, stuck, applied) and not conv(0, applied, stuck)
 
 
 def test_infer_type_refl(env):
@@ -219,12 +232,9 @@ NF_TREE_SIZES = {
 }
 
 
-def test_readback_eval_idempotent_unfolded_small(env):
+def test_readback_eval_idempotent_unfolded_small(env, body_nfs):
     covered = set()
-    for entry in env:
-        if entry.body_core is None:
-            continue
-        nf1 = normalize(env, entry.body_core)
+    for entry, nf1 in body_nfs:
         size = term_size(nf1)
         if size > 120_000:
             continue
@@ -324,16 +334,13 @@ def test_mutation_never_crashes(env):
     assert sum(outcomes.values()) == 50
 
 
-def test_pretty_reelaborate_round_trip_on_normal_forms(env):
+def test_pretty_reelaborate_round_trip_on_normal_forms(env, body_nfs):
     """Printing a normal-form corpus term reparses and re-elaborates to an
     alpha-equal term whose type still matches the declaration."""
     from hpt.core import pretty
 
     checked = 0
-    for entry in env:
-        if entry.body_core is None:
-            continue
-        nf = normalize(env, entry.body_core)
+    for entry, nf in body_nfs:
         if term_size(nf) > 50_000:
             continue
         text = pretty(nf)
