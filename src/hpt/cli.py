@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -260,15 +261,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     args.color = (not args.no_color) and hasattr(out, "isatty") and out.isatty()
-    with kernel.step_budget(args.step_budget):
-        if args.command == "check":
-            return cmd_check(args, out)
-        if args.command == "eval":
-            return cmd_eval(args, out)
-        if args.command == "corpus":
-            return cmd_corpus(args, out)
-    parser.error("unknown command")
-    return 2
+    commands = {"check": cmd_check, "eval": cmd_eval, "corpus": cmd_corpus}
+    try:
+        with kernel.step_budget(args.step_budget):
+            code = commands[args.command](args, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader left early (`hpt check … | head -1`); send the unwritten
+        # rest to devnull, so that the flush at shutdown cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Kernel term language: nameless (de Bruijn) syntax and structural utilities.
 
 Terms are immutable by convention, as `kernel.Closure` is, and are shared
-freely. `has_meta` says whether a `Meta` lies in the tree: a node sets it
-from its children when built, and a leaf class fixes it.
+freely; the one exception is `Meta`, the metavariable itself, whose scope and
+solution `elab.MetaStore` updates in place. `has_meta` says whether a `Meta`
+lies in the tree: a node sets it from its children when built, and a leaf
+class fixes it.
 """
 
 from __future__ import annotations
@@ -136,13 +138,21 @@ class J(CoreTerm):
 
 
 class Meta(CoreTerm):
-    """Elaboration-time placeholder. Never present in checked declarations."""
+    """A metavariable of elaboration, made under `depth` binders at `span`.
+    Never present in checked declarations.
 
-    __slots__ = __match_args__ = ("id",)
+    `solution`, once set, is an open term over the meta's first `depth`
+    binders. Only `elab.MetaStore` writes `solution` and `depth`; `==`,
+    `hash` and `repr` use `id` alone.
+    """
+
+    __match_args__ = ("id",)
+    __slots__ = ("id", "depth", "span", "solution")
     has_meta = True
 
-    def __init__(self, id: int) -> None:
-        self.id = id
+    def __init__(self, id: int, depth: int = 0, span: object = None) -> None:
+        self.id, self.depth, self.span = id, depth, span
+        self.solution: CoreTerm | None = None
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,8 @@ def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
                 ty_core, _ = elab.elaborate_term(globals, ty)
                 ty_v = kernel.eval_term([], globals, ty_core)
                 ctx = elab.ElabCtx(globals)
-                l_core = elab.zonk(ctx, elab.check(ctx, l, ty_v))
-                r_core = elab.zonk(ctx, elab.check(ctx, r, ty_v))
+                l_core = elab.zonk(elab.check(ctx, l, ty_v))
+                r_core = elab.zonk(elab.check(ctx, r, ty_v))
                 ok = kernel.assert_defeq(globals, l_core, r_core, ty_core)
                 text = f"{pretty(l_core)} ~ {pretty(r_core)}"
                 return globals, Event("assert", span, text, ok)

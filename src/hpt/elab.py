@@ -107,46 +107,20 @@ class UnifyFailure(ElabError):
         super().__init__(span, f"cannot unify\n  {lhs}\nwith\n  {rhs}")
 
 
-@dataclass
-class MetaVar:
-    """A metavariable created at `depth` binders.
-
-    Solutions are stored as open core terms valid under the meta's first
-    `depth` binders; evaluating a solved meta under an environment means
-    evaluating that term under the environment's first `depth` entries.
-    This keeps solutions correct inside closures that are later applied
-    to values other than the original fresh variables. Nothing caches a
-    solution's value: it is evaluated afresh wherever it is forced, so
-    `MetaStore.rollback` only has to restore `solution` and `depth`.
-    """
-
-    id: int
-    depth: int
-    span: SourceSpan
-    solution: CoreTerm | None = None
-
-
 class MetaStore:
-    def __init__(self) -> None:
-        self._metas: dict[int, MetaVar] = {}
-        self._next = 0
-        self._log: list[tuple[MetaVar, CoreTerm | None, int]] = []
+    """The id counter and the undo log of a session's metas, each of which
+    is its `Meta` node. Nothing caches a solution's value: it is evaluated
+    afresh wherever it is forced, so `rollback` only has to restore
+    `solution` and `depth`."""
 
-    def fresh(self, depth: int, span: SourceSpan) -> MetaVar:
-        m = MetaVar(self._next, depth, span)
-        self._metas[m.id] = m
+    def __init__(self) -> None:
+        self._next = 0
+        self._log: list[tuple[Meta, CoreTerm | None, int]] = []
+
+    def fresh(self, depth: int, span: SourceSpan) -> Meta:
+        m = Meta(self._next, depth, span)
         self._next += 1
         return m
-
-    def get(self, meta_id: int) -> MetaVar:
-        return self._metas[meta_id]
-
-    def solution_entry(self, meta_id: int) -> tuple[int, CoreTerm] | None:
-        """Protocol used by kernel evaluation: (depth, solution term)."""
-        m = self._metas.get(meta_id)
-        if m is None or m.solution is None:
-            return None
-        return m.depth, m.solution
 
     # A log of each change's prior (solution, depth) supports speculative
     # unification: glued globals first try spine equality and roll back
@@ -159,7 +133,7 @@ class MetaStore:
             m.solution, m.depth = solution, depth
         del self._log[mark:]
 
-    def update(self, m: MetaVar, solution: CoreTerm | None, depth: int) -> None:
+    def update(self, m: Meta, solution: CoreTerm | None, depth: int) -> None:
         self._log.append((m, m.solution, m.depth))
         m.solution, m.depth = solution, depth
 
@@ -189,21 +163,20 @@ class ElabCtx:
         return None
 
     def eval(self, t: CoreTerm) -> Value:
-        return eval_term(self.env(), self.globals, t, self.metas)
+        return eval_term(self.env(), self.globals, t)
 
     # -- meta machinery ------------------------------------------------------
 
-    def fresh_meta(self, span: SourceSpan) -> tuple[CoreTerm, Value]:
+    def fresh_meta(self, span: SourceSpan) -> tuple[Meta, Value]:
         m = self.metas.fresh(self.depth, span)
-        t = Meta(m.id)
-        return t, VNeutral(t)
+        return m, VNeutral(m)
 
     def force(self, v: Value) -> Value:
         while type(v) is VNeutral and type(v.head) is Meta:
-            meta = self.metas.get(v.head.id)
-            if meta.solution is None:
+            m = v.head
+            if m.solution is None:
                 return v
-            sol = eval_term(identity_env(meta.depth), self.globals, meta.solution, self.metas)
+            sol = eval_term(identity_env(m.depth), self.globals, m.solution)
             v = apply_spine(sol, v.spine)
         return v
 
@@ -247,10 +220,10 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
             return
         raise UnifyFailure(span, ctx.show(l), ctx.show(r))
     if l_flex and not l.spine:
-        _solve(ctx, l.head.id, r, depth, span)
+        _solve(ctx, l.head, r, depth, span)
         return
     if r_flex and not r.spine:
-        _solve(ctx, r.head.id, l, depth, span)
+        _solve(ctx, r.head, l, depth, span)
         return
     if l_flex or r_flex:
         # A meta heading a non-empty spine (typically a stuck elimination
@@ -259,7 +232,7 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
         flex, other = (l, r) if l_flex else (r, l)
         if isinstance(other, VNeutral) and len(other.spine) >= len(flex.spine):
             cut = len(other.spine) - len(flex.spine)
-            _solve(ctx, flex.head.id, VNeutral(other.head, other.spine[:cut]), depth, span)
+            _solve(ctx, flex.head, VNeutral(other.head, other.spine[:cut]), depth, span)
             _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
             return
         if isinstance(other, VTop):
@@ -267,7 +240,7 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
                 cut = len(other.spine) - len(flex.spine)
                 mark = ctx.metas.checkpoint()
                 try:
-                    _solve(ctx, flex.head.id, VTop(other.name, other.spine[:cut], other.entry), depth, span)
+                    _solve(ctx, flex.head, VTop(other.name, other.spine[:cut], other.entry), depth, span)
                     _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
                     return
                 except ElabError:
@@ -350,18 +323,17 @@ def _unify_spines(ctx, depth, sp1, sp2, span) -> None:
             _unify(ctx, depth, e1, e2, span)
 
 
-def _solve(ctx: ElabCtx, meta_id: int, v: Value, depth: int, span: SourceSpan) -> None:
+def _solve(ctx: ElabCtx, meta: Meta, v: Value, depth: int, span: SourceSpan) -> None:
     # Every free variable of `v` has a level below the unification depth, so
     # the variables readback makes for binders (levels >= depth) capture none.
-    meta = ctx.metas.get(meta_id)
     t = ctx.quote(depth, v)
     # The free indices below depth - meta.depth name levels >= meta.depth,
     # which lie outside the meta's scope.
     outside = depth - meta.depth
-    if mentions(t, 0, outside, meta_id):
-        if mentions(t, 0, 0, meta_id):
-            raise OccursCheck(span, meta_id)
-        raise UnifyFailure(span, f"?{meta_id}", "a value escaping its scope")
+    if mentions(t, 0, outside, meta.id):
+        if mentions(t, 0, 0, meta.id):
+            raise OccursCheck(span, meta.id)
+        raise UnifyFailure(span, f"?{meta.id}", "a value escaping its scope")
     t = t if outside == 0 else shift(t, 0, -outside)
     ctx.metas.update(meta, t, meta.depth)
     _restrict(ctx.metas, t, meta.depth)
@@ -378,9 +350,8 @@ def _restrict(metas: MetaStore, t: CoreTerm, depth: int) -> None:
         _restrict(metas, t.fn, depth)
         _restrict(metas, t.arg, depth)
     elif tt is Meta:
-        m = metas.get(t.id)
-        if m.solution is None and m.depth > depth:
-            metas.update(m, None, depth)
+        if t.solution is None and t.depth > depth:
+            metas.update(t, None, depth)
     elif tt is Lam:
         _restrict(metas, t.ann, depth)
         _restrict(metas, t.body, depth + 1)
@@ -473,7 +444,7 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             for name, ann_core, ann_v, _, implicit in reversed(bound):
                 cod_core = inner.quote(depth, ty)
                 depth -= 1
-                clo = Closure(tuple(identity_env(depth)), cod_core, ctx.globals, ctx.metas)
+                clo = Closure(tuple(identity_env(depth)), cod_core, ctx.globals)
                 core, ty = Lam(name, core, ann_core, implicit), VPi(name, ann_v, clo, implicit)
             return core, ty
         case IdSugar(lhs=l, rhs=r):
@@ -669,7 +640,7 @@ def _elab_j(ctx: ElabCtx, head: JSugar, args: list[SurfaceTerm]) -> tuple[CoreTe
 # Zonking and declaration elaboration
 
 
-def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
+def zonk(t: CoreTerm, depth: int = 0) -> CoreTerm:
     """Replace each solved meta in `t` (under `depth` binders) by its zonked
     solution; an unsolved meta raises UnsolvedMeta. Sharing: a node is rebuilt
     only above a meta, so a meta-free subterm comes back as itself, at once."""
@@ -677,26 +648,25 @@ def zonk(ctx: ElabCtx, t: CoreTerm, depth: int = 0) -> CoreTerm:
         return t
     tt = type(t)  # exact-type tests, most frequent first
     if tt is App:
-        return App(zonk(ctx, t.fn, depth), zonk(ctx, t.arg, depth))
+        return App(zonk(t.fn, depth), zonk(t.arg, depth))
     if tt is Refl:
-        return Refl(zonk(ctx, t.point, depth))
+        return Refl(zonk(t.point, depth))
     if tt is Meta:
-        m = ctx.metas.get(t.id)
-        if m.solution is None:
-            raise UnsolvedMeta(m.span, t.id)
-        if depth < m.depth:
-            raise ElabError(m.span, "meta solution escapes its context")
-        sol = m.solution if depth == m.depth else shift(m.solution, 0, depth - m.depth)
-        return zonk(ctx, sol, depth)
+        if t.solution is None:
+            raise UnsolvedMeta(t.span, t.id)
+        if depth < t.depth:
+            raise ElabError(t.span, "meta solution escapes its context")
+        sol = t.solution if depth == t.depth else shift(t.solution, 0, depth - t.depth)
+        return zonk(sol, depth)
     if tt is Id:
-        return Id(zonk(ctx, t.type, depth), zonk(ctx, t.lhs, depth), zonk(ctx, t.rhs, depth))
+        return Id(zonk(t.type, depth), zonk(t.lhs, depth), zonk(t.rhs, depth))
     if tt is Lam:
-        ann = zonk(ctx, t.ann, depth)
-        return Lam(t.hint, zonk(ctx, t.body, depth + 1), ann, t.implicit)
+        ann = zonk(t.ann, depth)
+        return Lam(t.hint, zonk(t.body, depth + 1), ann, t.implicit)
     if tt is Pi:
-        return Pi(t.hint, zonk(ctx, t.domain, depth), zonk(ctx, t.codomain, depth + 1), t.implicit)
+        return Pi(t.hint, zonk(t.domain, depth), zonk(t.codomain, depth + 1), t.implicit)
     if tt is J:
-        return J(*(zonk(ctx, u, depth) for u in (t.motive, t.base, t.endpoint, t.path)))
+        return J(*(zonk(u, depth) for u in (t.motive, t.base, t.endpoint, t.path)))
     raise AssertionError(f"cannot zonk {t!r}")
 
 
@@ -718,10 +688,9 @@ def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:
         if body_core is not None:
             body_core = Lam(name, body_core, ann_core, implicit)
 
-    base_ctx = ElabCtx(globals, ctx.metas)
-    type_core = zonk(base_ctx, type_core)
+    type_core = zonk(type_core)
     if body_core is not None:
-        body_core = zonk(base_ctx, body_core)
+        body_core = zonk(body_core)
     return CoreDecl(d.name, type_core, body_core)
 
 
@@ -731,6 +700,6 @@ def elaborate_term(globals: GlobalEnv, t: SurfaceTerm) -> tuple[CoreTerm, CoreTe
     # No trailing implicit insertion at top level: an implicit-Pi-typed
     # result (say, a bare polymorphic global) stays as it is.
     core, ty = infer(ctx, t)
-    core = zonk(ctx, core)
-    ty_core = zonk(ctx, ctx.quote(0, ty))
+    core = zonk(core)
+    ty_core = zonk(ctx.quote(0, ty))
     return core, ty_core

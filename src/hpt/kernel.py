@@ -9,7 +9,8 @@ builds a glued value (VTop) that remembers the global and its spine, and
 conversion first tries spine equality of same-named tops before falling
 back to the unfolding, so a neutral head is only a bound variable's level
 (an `int`), or the `Global` (axiom) or `Meta` (unsolved) node it reads back
-to. A spine entry is an argument's value itself, or an `EJ`.
+to. A spine entry is an argument's value itself, or an `EJ`. A solved
+`Meta` node carries its own solution, so evaluation needs no meta store.
 
 A GlobalEnv is read-only once loaded; check_decl returns an extended
 copy, so older environments stay valid.
@@ -159,23 +160,16 @@ class Closure:
     environment extended by the argument. Results are not memoized.
     """
 
-    __slots__ = ("env", "term", "globals", "metas")
+    __slots__ = ("env", "term", "globals")
 
-    def __init__(
-        self,
-        env: tuple[Value, ...],
-        term: CoreTerm,
-        globals: "GlobalEnv",
-        metas: object | None = None,
-    ) -> None:
+    def __init__(self, env: tuple[Value, ...], term: CoreTerm, globals: "GlobalEnv") -> None:
         self.env = env
         self.term = term
         self.globals = globals
-        self.metas = metas
 
     def apply(self, v: Value) -> Value:
         _tick()
-        return eval_term(self.env + (v,), self.globals, self.term, self.metas)
+        return eval_term(self.env + (v,), self.globals, self.term)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -306,25 +300,23 @@ class GlobalEnv:
 # Evaluation
 
 
-def eval_term(
-    env: Sequence[Value], globals: GlobalEnv, t: CoreTerm, metas: object | None = None
-) -> Value:
+def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
     # Exact-type tests, most frequent first; no term class is subclassed.
     tt = type(t)
     if tt is Var:
         return env[-1 - t.index]
     if tt is App:
-        return apply_value(eval_term(env, globals, t.fn, metas), eval_term(env, globals, t.arg, metas))
+        return apply_value(eval_term(env, globals, t.fn), eval_term(env, globals, t.arg))
     if tt is Lam:
-        dom = eval_term(env, globals, t.ann, metas)
-        return VLam(t.hint, Closure(tuple(env), t.body, globals, metas), dom, t.implicit)
+        dom = eval_term(env, globals, t.ann)
+        return VLam(t.hint, Closure(tuple(env), t.body, globals), dom, t.implicit)
     if tt is Refl:
-        return VRefl(eval_term(env, globals, t.point, metas))
+        return VRefl(eval_term(env, globals, t.point))
     if tt is Id:
         return VId(
-            eval_term(env, globals, t.type, metas),
-            eval_term(env, globals, t.lhs, metas),
-            eval_term(env, globals, t.rhs, metas),
+            eval_term(env, globals, t.type),
+            eval_term(env, globals, t.lhs),
+            eval_term(env, globals, t.rhs),
         )
     if tt is Global:
         entry = globals.get(t.name)
@@ -335,23 +327,20 @@ def eval_term(
         return VNeutral(t)
     if tt is J:
         return j_apply(
-            eval_term(env, globals, t.motive, metas),
-            eval_term(env, globals, t.base, metas),
-            eval_term(env, globals, t.endpoint, metas),
-            eval_term(env, globals, t.path, metas),
+            eval_term(env, globals, t.motive),
+            eval_term(env, globals, t.base),
+            eval_term(env, globals, t.endpoint),
+            eval_term(env, globals, t.path),
         )
     if tt is Pi:
-        dom = eval_term(env, globals, t.domain, metas)
-        return VPi(t.hint, dom, Closure(tuple(env), t.codomain, globals, metas), t.implicit)
+        dom = eval_term(env, globals, t.domain)
+        return VPi(t.hint, dom, Closure(tuple(env), t.codomain, globals), t.implicit)
     if tt is Meta:
-        if metas is not None:
-            entry = metas.solution_entry(t.id)  # type: ignore[attr-defined]
-            if entry is not None:
-                d, term = entry
-                # The solution is an open term over the meta's first
-                # `d` binders; evaluate it under the env prefix.
-                return eval_term(env[:d], globals, term, metas)
-        return VNeutral(t)
+        if t.solution is None:
+            return VNeutral(t)
+        # The solution is an open term over the meta's first `depth`
+        # binders; evaluate it under the env prefix.
+        return eval_term(env[:t.depth], globals, t.solution)
     if tt is Type:
         return VType(t.level)
     raise KernelError(f"cannot evaluate {t!r}")

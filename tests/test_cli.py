@@ -307,6 +307,27 @@ def test_check_prints_eval_directives(tmp_hpt):
     assert f"{path}:4: b : B" in out
 
 
+def test_closed_stdout_ends_quietly(tmp_hpt):
+    """`hpt check bad.hpt | head -1`: the reader is gone before the child
+    writes, which must give exit 1 and no traceback, not even at shutdown."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    bad = tmp_hpt("bad.hpt", "def f : missing := missing\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpt.cli", "check", bad, bad], stdout=write,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 _LAYERS_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -162,6 +162,16 @@ def test_equality_and_hash_ignore_the_lambda_domain_but_not_the_hint():
     assert len({Pi("x", Var(0), Var(1)), Pi("x", Var(0), Var(1)), Pi("y", Var(0), Var(1))}) == 2
 
 
+def test_a_solved_meta_keeps_its_identity_by_id():
+    from hpt.elab import MetaStore
+
+    m = Meta(1, depth=2)
+    MetaStore().update(m, Var(0), 2)
+    assert m.solution == Var(0) and m.depth == 2
+    assert m == Meta(1) and hash(m) == hash(Meta(1)) and m != Meta(2)
+    assert repr(m) == "Meta(id=1)"
+
+
 def test_repr_keeps_the_dataclass_format():
     t = Lam("x", J(Var(0), Refl(Global("a")), Meta(1), Type(Level(0))), Pi("_", Var(0), Var(1)))
     assert repr(t) == (

@@ -1,11 +1,13 @@
 """Kernel behavior: evaluation, readback, conversion, type checking."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from hpt import corpus, driver, elab, kernel
-from hpt.core import App, Global, Id, J, Lam, Level, Refl, Type, Var
+from hpt.core import App, Global, Id, J, Lam, Level, Meta, Refl, Type, Var
 from hpt.kernel import (
     BudgetExhausted,
     DuplicateName,
@@ -59,6 +61,17 @@ def test_eval_j_beta(env):
 def test_eval_corpus_concat_refl(env):
     core, _ = _elab(env, "concat (refl star) (refl star)")
     assert alpha_eq(normalize(env, core), Refl(Global("star")))
+
+
+def test_eval_of_a_solved_meta_reads_its_solution_under_its_scope(env):
+    """A meta solved at depth 1 by `Var(0)` names the outermost binder, so
+    under a two-entry environment it evaluates to the first entry; unsolved,
+    it evaluates to a neutral headed by the node itself."""
+    a, b = (eval_term([], env, Global(n)) for n in ("star", "A"))
+    m = Meta(0)
+    assert eval_term([a, b], env, m).head is m
+    elab.MetaStore().update(m, Var(0), 1)
+    assert eval_term([a, b], env, m) is a
 
 
 def test_readback_with_force_top_is_the_full_normal_form(env):
@@ -360,3 +373,25 @@ def test_pretty_reelaborate_round_trip_on_types(env):
         text = pretty(nf_ty)
         core, _ = elab.elaborate_term(env, parse_term(text))
         assert alpha_eq(core, nf_ty), entry.name
+
+
+def _hpt_imports(module):
+    """The hpt modules that `hpt/<module>.py` imports from; `from hpt import x`
+    counts as `hpt` itself."""
+    path = Path(kernel.__file__).with_name(f"{module}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:  # relative: inside hpt
+            found.update([f"hpt.{node.module}"] if node.module else (f"hpt.{a.name}" for a in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+    return {n for n in found if n.split(".")[0] == "hpt"}
+
+
+def test_the_trust_root_imports_no_elaborator_state():
+    """The kernel imports from no hpt module but `hpt.core`, and `hpt.core`
+    from none, so evaluation and checking cannot reach the elaborator."""
+    assert _hpt_imports("kernel") <= {"hpt.core"}
+    assert _hpt_imports("core") == set()
