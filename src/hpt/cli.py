@@ -74,7 +74,8 @@ def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> s
             start = d.span.start_col
             end = d.span.end_col if d.span.end_line == d.span.start_line else len(src)
             width = max(1, end - start + 1)
-            out.append("    " + " " * (start - 1) + "^" + "~" * (width - 1))
+            pad = "".join(c if c == "\t" else " " for c in src[: start - 1])
+            out.append(f"    {pad}^" + "~" * (width - 1))
     return "\n".join(out)
 
 
@@ -190,9 +191,8 @@ def cmd_corpus(args, out) -> int:
                 lines.append(f"{mark} {entry.paper_anchor}  [{entry.kind}] {entry.decl_name}")
                 if not present:
                     message = f"manifest entry {entry.decl_name!r} not present after corpus load"
-                    report.diagnostics.append(
-                        Diagnostic(SourceSpan("manifest.tsv", 1, 1, 1, 1), message)
-                    )
+                    span = SourceSpan("manifest.tsv", entry.line, 1, entry.line, 1)
+                    report.diagnostics.append(Diagnostic(span, message))
             for label, ok in corpus_mod.run_required_assertions(env):
                 mark = "ok  " if ok else "FAIL"
                 lines.append(f"{mark} definitional assertion  {label}")

@@ -9,6 +9,7 @@ class fixes it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -162,34 +163,47 @@ class CoreDecl:
     body: CoreTerm | None  # None for axioms
 
 
+# Each node class's subterm fields in visit order, with the binders each lies
+# under; a leaf has none. `subterms`, `rebuild` and `mentions` read it, and
+# `shift`, `elab.zonk` and `elab._restrict` walk terms through the first two.
+SUBTERMS: dict[type, tuple[tuple[str, int], ...]] = {
+    Var: (), Global: (), Type: (), Meta: (),
+    App: (("fn", 0), ("arg", 0)),
+    Lam: (("ann", 0), ("body", 1)),
+    Pi: (("domain", 0), ("codomain", 1)),
+    Id: (("type", 0), ("lhs", 0), ("rhs", 0)),
+    Refl: (("point", 0),),
+    J: (("motive", 0), ("base", 0), ("endpoint", 0), ("path", 0)),
+}
+
+
+def _fields(t: CoreTerm) -> tuple[tuple[str, int], ...]:
+    if type(t) not in SUBTERMS:
+        raise TypeError(f"not a core term: {t!r}")
+    return SUBTERMS[type(t)]
+
+
+def subterms(t: CoreTerm) -> list[tuple[CoreTerm, int]]:
+    """The (child, binders above it) pairs of `t`, in visit order."""
+    return [(getattr(t, n), k) for n, k in _fields(t)]
+
+
+def rebuild(t: CoreTerm, f: Callable[[CoreTerm, int], CoreTerm], depth: int) -> CoreTerm:
+    """`t` with each child `u` replaced by `f(u, depth + binders)`, or `t`
+    itself when every replacement is the child it replaces."""
+    new, same = {}, True
+    for n, k in _fields(t):
+        u = new[n] = f(getattr(t, n), depth + k)
+        same = same and u is getattr(t, n)
+    return t if same else type(t)(*[new.get(n, getattr(t, n)) for n in t.__match_args__])
+
+
 def shift(t: CoreTerm, cutoff: int, amount: int) -> CoreTerm:
     """Add `amount` to every free index >= cutoff. Bound indices untouched;
     a subterm with no free index >= cutoff comes back as the same object."""
-    tt = type(t)  # exact-type tests, most frequent first, as in `elab.zonk`
-    if tt is Var:
+    if type(t) is Var:
         return Var(t.index + amount) if t.index >= cutoff else t
-    if tt is Global or tt is Type or tt is Meta:
-        return t
-    if tt is App:
-        f, x = shift(t.fn, cutoff, amount), shift(t.arg, cutoff, amount)
-        return t if f is t.fn and x is t.arg else App(f, x)
-    if tt is Lam:
-        body, ann = shift(t.body, cutoff + 1, amount), shift(t.ann, cutoff, amount)
-        return t if body is t.body and ann is t.ann else Lam(t.hint, body, ann, t.implicit)
-    if tt is Pi:
-        dom, cod = shift(t.domain, cutoff, amount), shift(t.codomain, cutoff + 1, amount)
-        return t if dom is t.domain and cod is t.codomain else Pi(t.hint, dom, cod, t.implicit)
-    if tt is Refl:
-        p = shift(t.point, cutoff, amount)
-        return t if p is t.point else Refl(p)
-    if tt is Id:
-        ty, l, r = (shift(u, cutoff, amount) for u in (t.type, t.lhs, t.rhs))
-        return t if ty is t.type and l is t.lhs and r is t.rhs else Id(ty, l, r)
-    if tt is J:
-        m, b, e, p = (shift(u, cutoff, amount) for u in (t.motive, t.base, t.endpoint, t.path))
-        same = m is t.motive and b is t.base and e is t.endpoint and p is t.path
-        return t if same else J(m, b, e, p)
-    raise TypeError(f"not a core term: {t!r}")
+    return rebuild(t, lambda u, c: shift(u, c, amount), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +321,11 @@ def mentions(t: CoreTerm, lo: int, n: int, meta: int | None = None) -> bool:
     contain Meta(meta)?"""
     if not n and not t.has_meta:
         return False
-    tt = type(t)  # exact-type tests, most frequent first, as in `shift`
-    if tt is Var:
+    if type(t) is Var:
         return lo <= t.index < lo + n
-    if tt is App:
-        return mentions(t.fn, lo, n, meta) or mentions(t.arg, lo, n, meta)
-    if tt is Global or tt is Type:
-        return False
-    if tt is Meta:
+    if type(t) is Meta:
         return t.id == meta
-    if tt is Lam:
-        return mentions(t.ann, lo, n, meta) or mentions(t.body, lo + 1, n, meta)
-    if tt is Pi:
-        return mentions(t.domain, lo, n, meta) or mentions(t.codomain, lo + 1, n, meta)
-    if tt is Refl:
-        return mentions(t.point, lo, n, meta)
-    if tt is Id:
-        return any(mentions(u, lo, n, meta) for u in (t.type, t.lhs, t.rhs))
-    if tt is J:
-        return any(mentions(u, lo, n, meta) for u in (t.motive, t.base, t.endpoint, t.path))
-    raise TypeError(f"not a core term: {t!r}")
+    for name, k in _fields(t):
+        if mentions(getattr(t, name), lo + k, n, meta):
+            return True
+    return False

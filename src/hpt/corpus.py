@@ -31,6 +31,7 @@ class CorpusEntry:
     statement_summary: str
     paper_anchor: str
     kind: str
+    line: int  # the row of manifest.tsv it was read from
 
 
 def corpus_dir() -> Path:
@@ -79,7 +80,7 @@ def manifest() -> list[CorpusEntry]:
         summary = parts[3] if len(parts) > 3 else ""
         if kind not in KINDS:
             raise error(lineno, f"unknown kind {kind!r} for {name!r}")
-        entries.append(CorpusEntry(name, summary, anchor, kind))
+        entries.append(CorpusEntry(name, summary, anchor, kind, lineno))
     return entries
 
 

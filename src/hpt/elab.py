@@ -31,7 +31,9 @@ from .core import (
     Var,
     mentions,
     pretty,
+    rebuild,
     shift,
+    subterms,
 )
 from .kernel import (
     Closure,
@@ -345,27 +347,11 @@ def _restrict(metas: MetaStore, t: CoreTerm, depth: int) -> None:
     more binders than the solution has may only be solved in its scope."""
     if not t.has_meta:
         return
-    tt = type(t)  # exact-type tests, most frequent first, as in `zonk`
-    if tt is App:
-        _restrict(metas, t.fn, depth)
-        _restrict(metas, t.arg, depth)
-    elif tt is Meta:
-        if t.solution is None and t.depth > depth:
-            metas.update(t, None, depth)
-    elif tt is Lam:
-        _restrict(metas, t.ann, depth)
-        _restrict(metas, t.body, depth + 1)
-    elif tt is Pi:
-        _restrict(metas, t.domain, depth)
-        _restrict(metas, t.codomain, depth + 1)
-    elif tt is Refl:
-        _restrict(metas, t.point, depth)
-    elif tt is Id:
-        for u in (t.type, t.lhs, t.rhs):
-            _restrict(metas, u, depth)
-    elif tt is J:
-        for u in (t.motive, t.base, t.endpoint, t.path):
-            _restrict(metas, u, depth)
+    if type(t) is not Meta:
+        for u, k in subterms(t):
+            _restrict(metas, u, depth + k)
+    elif t.solution is None and t.depth > depth:
+        metas.update(t, None, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -646,28 +632,14 @@ def zonk(t: CoreTerm, depth: int = 0) -> CoreTerm:
     only above a meta, so a meta-free subterm comes back as itself, at once."""
     if not t.has_meta:
         return t
-    tt = type(t)  # exact-type tests, most frequent first
-    if tt is App:
-        return App(zonk(t.fn, depth), zonk(t.arg, depth))
-    if tt is Refl:
-        return Refl(zonk(t.point, depth))
-    if tt is Meta:
+    if type(t) is Meta:
         if t.solution is None:
             raise UnsolvedMeta(t.span, t.id)
         if depth < t.depth:
             raise ElabError(t.span, "meta solution escapes its context")
         sol = t.solution if depth == t.depth else shift(t.solution, 0, depth - t.depth)
         return zonk(sol, depth)
-    if tt is Id:
-        return Id(zonk(t.type, depth), zonk(t.lhs, depth), zonk(t.rhs, depth))
-    if tt is Lam:
-        ann = zonk(t.ann, depth)
-        return Lam(t.hint, zonk(t.body, depth + 1), ann, t.implicit)
-    if tt is Pi:
-        return Pi(t.hint, zonk(t.domain, depth), zonk(t.codomain, depth + 1), t.implicit)
-    if tt is J:
-        return J(*(zonk(u, depth) for u in (t.motive, t.base, t.endpoint, t.path)))
-    raise AssertionError(f"cannot zonk {t!r}")
+    return rebuild(t, zonk, depth)
 
 
 def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:

@@ -4,7 +4,9 @@ terms, a printer whose output parses back to the same term."""
 
 from __future__ import annotations
 
-from hpt.core import App, CoreTerm, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var
+from hpt.core import (
+    App, CoreTerm, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var, rebuild, subterms,
+)
 from hpt.surface import (
     Binder,
     Hole,
@@ -54,50 +56,17 @@ def alpha_eq(a: CoreTerm, b: CoreTerm) -> bool:
 
 
 def children(t: CoreTerm) -> tuple[CoreTerm, ...]:
-    match t:
-        case Var() | Global() | Type() | Meta():
-            return ()
-        case Lam(_, body, ann):
-            return (ann, body)
-        case App(f, x):
-            return (f, x)
-        case Pi(_, dom, cod, _):
-            return (dom, cod)
-        case Id(ty, l, r):
-            return (ty, l, r)
-        case Refl(p):
-            return (p,)
-        case J(m, b, e, p):
-            return (m, b, e, p)
-    raise TypeError(f"not a core term: {t!r}")
+    return tuple(u for u, _ in subterms(t))
 
 
 def replace_at(t: CoreTerm, pos: int, new: CoreTerm) -> CoreTerm:
-    """Replace the subterm at preorder position `pos` (0 = root) with `new`."""
+    """Replace the subterm at preorder position `pos` (0 = root) with `new`.
+    Preorder visits each node's children in `core.SUBTERMS` order."""
     counter = [0]
 
-    def go(node: CoreTerm) -> CoreTerm:
-        if counter[0] == pos:
-            counter[0] += 1
-            return new
+    def go(node: CoreTerm, _depth: int = 0) -> CoreTerm:
         counter[0] += 1
-        match node:
-            case Var() | Global() | Type() | Meta():
-                return node
-            case Lam(h, body, ann, imp):
-                ann2 = go(ann)  # preorder: the annotation comes before the body
-                return Lam(h, go(body), ann2, imp)
-            case App(f, x):
-                return App(go(f), go(x))
-            case Pi(h, dom, cod, imp):
-                return Pi(h, go(dom), go(cod), imp)
-            case Id(ty, l, r):
-                return Id(go(ty), go(l), go(r))
-            case Refl(p):
-                return Refl(go(p))
-            case J(m, b, e, p):
-                return J(go(m), go(b), go(e), go(p))
-        raise TypeError(f"not a core term: {node!r}")
+        return new if counter[0] == pos + 1 else rebuild(node, go, 0)
 
     return go(t)
 

@@ -225,6 +225,24 @@ def test_corpus_manifest_fault_is_located(tmp_path, monkeypatch, manifest, expec
     assert expected in out
 
 
+def test_missing_manifest_entry_is_located_at_its_row(tmp_path, monkeypatch):
+    path = copy_corpus(tmp_path, monkeypatch) / "manifest.tsv"
+    rows = path.read_text().splitlines() + ["no-such-decl\tlemma\tSec 9\tmissing"]
+    path.write_text("\n".join(rows) + "\n")
+    code, out = run_cli(["corpus"])
+    assert code == 1
+    message = "error: manifest entry 'no-such-decl' not present after corpus load"
+    assert f"manifest.tsv:{len(rows)}:1: {message}" in out
+
+
+def test_caret_sits_under_the_error_on_a_tab_indented_line(tmp_hpt):
+    path = tmp_hpt("tab.hpt", "axiom A : Type\n\tdef f : missing := missing\n")
+    code, out = run_cli(["check", path])
+    assert code == 1
+    assert f"{path}:2:10: error:" in out
+    assert "\n    \tdef f : missing := missing\n    \t        ^~~~~~~\n" in out
+
+
 def test_open_corpus_failure_shows_source_line(tmp_path, monkeypatch, tmp_hpt):
     (tmp_path / "corpus").mkdir()
     whisker = copy_corpus(tmp_path / "corpus", monkeypatch) / "02-whisker.hpt"

@@ -1,14 +1,17 @@
 """Core term classes and utilities: equality, hashing, repr, `has_meta`,
-alpha equality, shifting, pretty-printing."""
+the subterm table, alpha equality, shifting, pretty-printing."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hpt import core, elab
 from hpt.core import (
     App,
+    CoreTerm,
     Global,
     Id,
     J,
@@ -21,7 +24,9 @@ from hpt.core import (
     Var,
     mentions,
     pretty,
+    rebuild,
     shift,
+    subterms,
 )
 from tests.terms import alpha_eq, children, dag_size, term_size
 
@@ -120,6 +125,45 @@ def test_mentions_counts_free_indices_from_the_root():
     assert not mentions(Pi("x", Global("A"), Var(0)), 0, 1)
     assert mentions(J(Meta(3), Var(0), Var(0), Var(0)), 1, 0, meta=3)
     assert not mentions(Meta(3), 0, 1, meta=4)
+
+
+def test_the_subterm_table_lists_exactly_the_term_fields_of_every_core_class():
+    """One node of each `CoreTerm` subclass in `hpt.core`, built from its
+    constructor's annotations: the table names each field that holds a term,
+    once, and no other; a class missing from the table fails here."""
+    classes = {
+        c for c in vars(core).values()
+        if isinstance(c, type) and issubclass(c, CoreTerm) and c is not CoreTerm
+    }
+    assert set(core.SUBTERMS) == classes
+    samples = {"CoreTerm": Var(0), "str": "x", "int": 0, "Level": Level(0)}
+    for cls in classes:
+        params = inspect.signature(cls).parameters.values()
+        node = cls(*(samples[p.annotation] for p in params if p.default is p.empty))
+        fields = [n for n, _ in core.SUBTERMS[cls]]
+        held = {n for n in cls.__match_args__ if isinstance(getattr(node, n), CoreTerm)}
+        assert len(fields) == len(held) and set(fields) == held, cls.__name__
+        assert rebuild(node, lambda u, _: u, 0) is node
+
+
+def test_a_class_without_a_table_entry_is_not_a_core_term():
+    class Stray(CoreTerm):
+        __slots__ = __match_args__ = ()
+        has_meta = True
+
+    walks = [subterms, lambda t: rebuild(t, lambda u, _: u, 0), lambda t: shift(t, 0, 1),
+             lambda t: mentions(t, 0, 1), elab.zonk, lambda t: elab._restrict(elab.MetaStore(), t, 0)]
+    for walk in walks:
+        with pytest.raises(TypeError, match="not a core term: Stray"):
+            walk(Stray())
+
+
+def test_subterms_and_rebuild_follow_the_binders():
+    lam = Lam("x", Var(0), Var(1))
+    assert subterms(lam) == [(Var(1), 0), (Var(0), 1)]  # the annotation first
+    seen = []
+    out = rebuild(Pi("x", Var(2), lam), lambda u, d: seen.append(d) or Global("A"), 3)
+    assert seen == [3, 4] and out == Pi("x", Global("A"), Global("A"))
 
 
 def test_pretty_examples():

@@ -67,6 +67,27 @@ def test_arrow_in_too_small_a_universe_fails_in_the_elaborator():
         assert (result.error_span.start_line, result.error_span.start_col) == (2, col)
 
 
+@pytest.mark.parametrize(
+    "line, part, col",
+    [
+        ("def k : A -> A := fun (x : A) (y : A) => x", "found:    a function", 19),
+        ("def k : A -> A := fun {x : A} => x", "found:    an implicit binder", 23),
+        ("def f : a := a", "expected: a universe", 9),
+        ("#check J (fun (y : A) (e : a = y) => A) a a", "expected: an identity type", 43),
+        ("#check J a a (refl a)", "expected: a two-argument function", 10),
+        ("#check J (fun (y : A) => A) a (refl a)", "expected: a two-argument function", 10),
+    ],
+    ids=["extra-binder", "implicit-binder", "not-a-type", "j-path", "j-motive", "j-motive-arity"],
+)
+def test_elaborator_type_mismatch_is_located(line, part, col):
+    text = f"axiom A : Type\naxiom a : A\n{line}\n"
+    _, result = driver.check_source(GlobalEnv(), text, "m.hpt")
+    assert isinstance(result.error, TypeMismatch)
+    assert result.error.message.startswith("type mismatch\n")
+    assert f"\n  {part}\n" in result.error.message
+    assert (result.error_span.start_line, result.error_span.start_col) == (3, col)
+
+
 def test_explicit_name_whose_type_unfolds_to_a_universe_or_a_path_type():
     """`@X` and `@p` keep their inferred types (globals `U`, `L`); used as a
     type or as the path of J, those types still unfold."""

@@ -2,12 +2,13 @@
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from hpt import corpus, driver, elab, kernel
-from hpt.core import App, Global, Id, J, Lam, Level, Meta, Refl, Type, Var
+from hpt.core import App, Global, Id, J, Lam, Level, Meta, Pi, Refl, Type, Var
 from hpt.kernel import (
     BudgetExhausted,
     DuplicateName,
@@ -162,6 +163,55 @@ def test_lambda_without_a_domain_is_rejected(env):
     for ty, body in cases:
         with pytest.raises(KernelTypeError, match="unrecognized term None"):
             check_decl(env, CoreDecl("bad", ty, body))
+
+
+# Hand-built cores over `A : Type`, `a b : A` and `p : a = b`. `_motive(dom,
+# path_from, sort)` is `fun (y : dom) (e : path_from = y) => sort`; with
+# `A`, `a`, `A` it makes `J _ a b p : A` well typed, and each case below
+# changes one part of that term or of a declaration, keeping the rest well
+# typed.
+_A, _a, _b, _p = (Global(n) for n in ("A", "a", "b", "p"))
+
+
+def _motive(dom, path_from=_a, sort=_A):
+    return Lam("y", Lam("e", sort, Id(dom, path_from, Var(0))), dom)
+
+
+def _kernel_env():
+    from hpt.core import CoreDecl
+
+    env = GlobalEnv()
+    for name, ty in [("A", Type(Level(0))), ("a", _A), ("b", _A), ("p", Id(_A, _a, _b))]:
+        env = check_decl(env, CoreDecl(name, ty, None))
+    return env
+
+
+@pytest.mark.parametrize(
+    "ty, body, message",
+    [
+        (_A, J(_motive(_A), _a, _b, _a), "J scrutinee is not an identity proof"),
+        (_A, J(_motive(_A), _a, _a, _p), "J endpoint does not match the path's right endpoint"),
+        (_A, J(_a, _a, _b, _p), "J motive must be a two-argument function"),
+        (_A, J(Lam("y", _A, _A), _a, _b, _p), "J motive must be a two-argument function"),
+        (_A, J(_motive(Type(Level(0)), path_from=_A), _a, _b, _p),
+         "J motive's first argument must range over the path's type"),
+        (_A, J(_motive(_A, path_from=_b), _a, _b, _p),
+         "J motive's second argument must be a path from the base point"),
+        (_A, J(_motive(_A, sort=_a), _a, _b, _p), "J motive must land in a universe"),
+        (Pi("x", _A, _A), Lam("x", Var(0), _A, implicit=True), "binder plicity mismatch"),
+        (_A, Global("nope"), "unknown global 'nope'"),
+        (_A, Meta(0), "unsolved metavariable ?0 reached the kernel"),
+    ],
+    ids=["scrutinee", "endpoint", "motive-not-a-function", "motive-of-one-argument",
+         "motive-domain", "motive-path", "motive-sort", "plicity", "unknown-global", "meta"],
+)
+def test_the_kernel_rejects_each_single_fault(ty, body, message):
+    from hpt.core import CoreDecl
+
+    env = _kernel_env()
+    check_decl(env, CoreDecl("ok", _A, J(_motive(_A), _a, _b, _p)))
+    with pytest.raises(KernelTypeError, match=re.escape(message)):
+        check_decl(env, CoreDecl("bad", ty, body))
 
 
 def test_assert_defeq_reflexivity(env):
