@@ -73,9 +73,11 @@ def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> s
             out.append(f"    {src}")
             start = d.span.start_col
             end = d.span.end_col if d.span.end_line == d.span.start_line else len(src)
-            width = max(1, end - start + 1)
+            # A tab stays a tab in the pad and the underline, so both keep
+            # their place wherever the terminal puts its tab stops.
             pad = "".join(c if c == "\t" else " " for c in src[: start - 1])
-            out.append(f"    {pad}^" + "~" * (width - 1))
+            run = "".join(c if c == "\t" else "~" for c in src[start:end].ljust(end - start))
+            out.append(f"    {pad}^{run}")
     return "\n".join(out)
 
 

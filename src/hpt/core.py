@@ -225,7 +225,7 @@ _PREC_APP = 4
 _PREC_ATOM = 5
 
 
-def _fresh_name(hint: str, used: set[str]) -> str:
+def fresh_name(hint: str, used: set[str]) -> str:
     base = hint if hint and hint != "_" else "x"
     if base not in used:
         return base
@@ -291,7 +291,7 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
             return _parens(s, prec, _PREC_APP)
         case Lam(h, body, ann, imp):
             used = set(names)
-            n = _fresh_name(h, used)
+            n = fresh_name(h, used)
             ann_s = _pp(ann, names, _PREC_ARROW)
             body_s = _pp(body, names + [n], _PREC_ARROW)
             open_b, close_b = ("{", "}") if imp else ("(", ")")
@@ -305,7 +305,7 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
                 cod_s = _pp(cod, names + ["_"], _PREC_ARROW)
                 return _parens(f"{dom_head} -> {cod_s}", prec, _PREC_ARROW)
             used = set(names)
-            n = _fresh_name(h, used)
+            n = fresh_name(h, used)
             cod_s = _pp(cod, names + [n], _PREC_ARROW)
             open_b, close_b = ("{", "}") if imp else ("(", ")")
             return _parens(f"{open_b}{n} : {dom_s}{close_b} -> {cod_s}", prec, _PREC_ARROW)

@@ -12,6 +12,7 @@ An ElabCtx belongs to one elaboration session.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from . import kernel
@@ -29,6 +30,7 @@ from .core import (
     Refl,
     Type,
     Var,
+    fresh_name,
     mentions,
     pretty,
     rebuild,
@@ -187,9 +189,14 @@ class ElabCtx:
         metas stay as Meta nodes, to be zonked later."""
         return kernel.readback(depth, v, force=self.force)
 
-    def show(self, v: Value) -> str:
+    def show(self, v: Value, depth: int | None = None) -> str:
+        """Print `v` under `depth` binders, by default the context's; each
+        binder beyond the context gets a name that no context name uses."""
+        depth = self.depth if depth is None else depth
         names = [n for (n, _) in self.bindings]
-        return pretty(self.quote(self.depth, v), names)
+        while len(names) < depth:
+            names.append(fresh_name("x", set(names)))
+        return pretty(self.quote(depth, v), names)
 
 
 def whnf(ctx: ElabCtx, v: Value) -> Value:
@@ -206,111 +213,90 @@ def unify(ctx: ElabCtx, l: Value, r: Value, span: SourceSpan) -> None:
 
 
 def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> None:
+    # Exact-type tests, one branch per case; a case whose parts do not match
+    # falls through to the one failure at the end.
     if l is r:
         return
     l = ctx.force(l)
     r = ctx.force(r)
     if l is r:
         return
-
-    # flex cases first
-    l_flex = type(l) is VNeutral and type(l.head) is Meta
-    r_flex = type(r) is VNeutral and type(r.head) is Meta
-    if l_flex and r_flex and l.head == r.head:
+    tl = type(l)
+    tr = type(r)
+    l_flex = tl is VNeutral and type(l.head) is Meta
+    r_flex = tr is VNeutral and type(r.head) is Meta
+    if tl is VNeutral and tr is VNeutral and l.head == r.head:
         if len(l.spine) == len(r.spine):
-            _unify_spines(ctx, depth, l.spine, r.spine, span)
-            return
-        raise UnifyFailure(span, ctx.show(l), ctx.show(r))
-    if l_flex and not l.spine:
-        _solve(ctx, l.head, r, depth, span)
-        return
-    if r_flex and not r.spine:
-        _solve(ctx, r.head, l, depth, span)
-        return
-    if l_flex or r_flex:
-        # A meta heading a non-empty spine (typically a stuck elimination
-        # whose scrutinee is the meta). Solve structurally by matching the
-        # spine's tail against the other side's neutral spine.
+            return _unify_spines(ctx, depth, l.spine, r.spine, span)
+    elif l_flex or r_flex:
+        # A bare meta is solved first, the left one before the right one.
         flex, other = (l, r) if l_flex else (r, l)
-        if isinstance(other, VNeutral) and len(other.spine) >= len(flex.spine):
-            cut = len(other.spine) - len(flex.spine)
-            _solve(ctx, flex.head, VNeutral(other.head, other.spine[:cut]), depth, span)
-            _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
-            return
-        if isinstance(other, VTop):
-            if len(other.spine) >= len(flex.spine):
-                cut = len(other.spine) - len(flex.spine)
-                mark = ctx.metas.checkpoint()
-                try:
-                    _solve(ctx, flex.head, VTop(other.name, other.spine[:cut], other.entry), depth, span)
-                    _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
-                    return
-                except ElabError:
-                    ctx.metas.rollback(mark)
-            _unify(ctx, depth, flex, other.force(), span)
-            return
-        raise UnifyFailure(span, ctx.show(l), ctx.show(r))
+        if flex.spine and r_flex and not r.spine:
+            flex, other = r, l
+        if not flex.spine:
+            return _solve(ctx, flex.head, other, depth, span)
+        # A meta heading a non-empty spine (typically a stuck elimination
+        # whose scrutinee is the meta) is solved by the other side's head
+        # and spine prefix; the spine's tail must then match the rest.
+        to = type(other)
+        cut = len(other.spine) - len(flex.spine) if to is VNeutral or to is VTop else -1
 
-    l_top = isinstance(l, VTop)
-    r_top = isinstance(r, VTop)
-    if l_top or r_top:
-        # Same-named glued globals: try spine equality first, rolling back
-        # speculative meta solutions if the spines do not match.
-        if (
-            l_top
-            and r_top
+        def solve_prefix() -> None:
+            prefix = other.spine[:cut]
+            head = VNeutral(other.head, prefix) if to is VNeutral else VTop(other.name, prefix, other.entry)
+            _solve(ctx, flex.head, head, depth, span)
+            _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
+
+        if to is VNeutral and cut >= 0:
+            return solve_prefix()
+        if to is VTop:
+            # Speculatively, before the global unfolds.
+            if not (cut >= 0 and _attempt(ctx, solve_prefix)):
+                _unify(ctx, depth, flex, other.force(), span)
+            return
+    elif tl is VTop or tr is VTop:
+        # Same-named glued globals: try spine equality first, then unfold.
+        if not (
+            tl is tr
             and l.name == r.name
             and len(l.spine) == len(r.spine)
+            and _attempt(ctx, lambda: _unify_spines(ctx, depth, l.spine, r.spine, span))
         ):
-            mark = ctx.metas.checkpoint()
-            try:
-                _unify_spines(ctx, depth, l.spine, r.spine, span)
-                return
-            except ElabError:
-                ctx.metas.rollback(mark)
-        _unify(
-            ctx,
-            depth,
-            l.force() if l_top else l,
-            r.force() if r_top else r,
-            span,
-        )
+            _unify(ctx, depth, l.force() if tl is VTop else l, r.force() if tr is VTop else r, span)
         return
-
-    match l, r:
-        case VType(a), VType(b):
-            if a != b:
-                raise UnifyFailure(span, ctx.show(l), ctx.show(r))
-        case VId(t1, l1, r1), VId(t2, l2, r2):
-            _unify(ctx, depth, t1, t2, span)
-            _unify(ctx, depth, l1, l2, span)
-            _unify(ctx, depth, r1, r2, span)
-        case VRefl(p1), VRefl(p2):
-            _unify(ctx, depth, p1, p2, span)
-        case VPi(_, d1, c1, i1), VPi(_, d2, c2, i2):
-            if i1 != i2:
-                raise UnifyFailure(span, ctx.show(l), ctx.show(r))
-            _unify(ctx, depth, d1, d2, span)
+    elif tl is VLam or tr is VLam:
+        if tl is tr or (tr if tl is VLam else tl) is VNeutral:
+            if tl is tr:
+                # Decomposing the domains solves corner metas that the body
+                # alone never mentions.
+                _unify(ctx, depth, l.domain, r.domain, span)
             x = fresh_var(depth)
-            _unify(ctx, depth + 1, c1.apply(x), c2.apply(x), span)
-        case VLam(), VLam():
-            # Decomposing the domains solves corner metas that the body
-            # alone never mentions.
+            return _unify(ctx, depth + 1, apply_value(l, x), apply_value(r, x), span)
+    elif tl is tr:
+        if tl is VRefl:
+            return _unify(ctx, depth, l.point, r.point, span)
+        if tl is VId:
+            _unify(ctx, depth, l.type, r.type, span)
+            _unify(ctx, depth, l.lhs, r.lhs, span)
+            return _unify(ctx, depth, l.rhs, r.rhs, span)
+        if tl is VPi and l.implicit == r.implicit:
             _unify(ctx, depth, l.domain, r.domain, span)
             x = fresh_var(depth)
-            _unify(ctx, depth + 1, l.closure.apply(x), r.closure.apply(x), span)
-        case (VLam(), _) | (_, VLam()):
-            other = r if isinstance(l, VLam) else l
-            if not isinstance(other, (VLam, VNeutral)):
-                raise UnifyFailure(span, ctx.show(l), ctx.show(r))
-            x = fresh_var(depth)
-            _unify(ctx, depth + 1, apply_value(l, x), apply_value(r, x), span)
-        case VNeutral(h1, sp1), VNeutral(h2, sp2):
-            if h1 != h2 or len(sp1) != len(sp2):
-                raise UnifyFailure(span, ctx.show(l), ctx.show(r))
-            _unify_spines(ctx, depth, sp1, sp2, span)
-        case _:
-            raise UnifyFailure(span, ctx.show(l), ctx.show(r))
+            return _unify(ctx, depth + 1, l.closure.apply(x), r.closure.apply(x), span)
+        if tl is VType and l.level == r.level:
+            return
+    raise UnifyFailure(span, ctx.show(l, depth), ctx.show(r, depth))
+
+
+def _attempt(ctx: ElabCtx, thunk: Callable[[], None]) -> bool:
+    """Run `thunk`; if it fails, undo the meta solutions it made and say so."""
+    mark = ctx.metas.checkpoint()
+    try:
+        thunk()
+        return True
+    except ElabError:
+        ctx.metas.rollback(mark)
+        return False
 
 
 def _unify_spines(ctx, depth, sp1, sp2, span) -> None:

@@ -461,16 +461,12 @@ def conv(depth: int, a: Value, b: Value) -> bool:
         return conv(depth, a, b.force())
     if ta is VNeutral and tb is VNeutral:
         return a.head == b.head and _conv_spines(depth, a.spine, b.spine)
-    if ta is VLam:
-        if tb is not VLam and tb is not VNeutral:
+    if ta is VLam or tb is VLam:
+        # eta: a neutral is compared with a lambda applicatively
+        if ta is not tb and (tb if ta is VLam else ta) is not VNeutral:
             return False
         x = fresh_var(depth)
-        return conv(depth + 1, a.closure.apply(x), apply_value(b, x))
-    if tb is VLam:
-        if ta is not VNeutral:
-            return False
-        x = fresh_var(depth)
-        return conv(depth + 1, apply_value(a, x), b.closure.apply(x))
+        return conv(depth + 1, apply_value(a, x), apply_value(b, x))
     if ta is not tb:
         return False
     if ta is VId:
@@ -549,8 +545,8 @@ def infer_type(
             cod_core = readback(depth + 1, body_ty)
             return VPi(h, dom_v, Closure(tuple(env), cod_core, globals), imp)
         case App():
-            # Flatten the application spine so an n-ary application infers
-            # its head once instead of once per argument.
+            # Flatten the application spine: errors name the k-th argument
+            # `arg{k}`, and a long application adds no recursion depth.
             spine: list[CoreTerm] = []
             head: CoreTerm = t
             while isinstance(head, App):
@@ -576,42 +572,26 @@ def infer_type(
                 )
             base_pt, end_v = pty.lhs, pty.rhs
             _check_against(ctx, globals, e, pty.type, path + ("endpoint",))
-            ev = eval_term(env, globals, e)
-            if not conv(depth, ev, end_v):
-                raise KernelTypeError(
-                    path + ("endpoint",),
-                    "J endpoint does not match the path's right endpoint",
-                    expected=readback(depth, end_v),
-                    found=readback(depth, ev),
-                )
+            _require_conv(depth, eval_term(env, globals, e), end_v, path + ("endpoint",),
+                          "J endpoint does not match the path's right endpoint")
             mty = force_top(infer_type(ctx, globals, m, path + ("motive",)))
             if not isinstance(mty, VPi):
                 raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
-            if not conv(depth, mty.domain, pty.type):
-                raise KernelTypeError(
-                    path + ("motive",),
-                    "J motive's first argument must range over the path's type",
-                    expected=readback(depth, pty.type),
-                    found=readback(depth, mty.domain),
-                )
+            _require_conv(depth, mty.domain, pty.type, path + ("motive",),
+                          "J motive's first argument must range over the path's type")
             x = fresh_var(depth)
             inner = force_top(mty.closure.apply(x))
             if not isinstance(inner, VPi):
                 raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
-            want = VId(pty.type, base_pt, x)
-            if not conv(depth + 1, inner.domain, want):
-                raise KernelTypeError(
-                    path + ("motive",),
-                    "J motive's second argument must be a path from the base point",
-                    expected=readback(depth + 1, want),
-                    found=readback(depth + 1, inner.domain),
-                )
+            _require_conv(depth + 1, inner.domain, VId(pty.type, base_pt, x), path + ("motive",),
+                          "J motive's second argument must be a path from the base point")
             sort = force_top(inner.closure.apply(fresh_var(depth + 1)))
             if not isinstance(sort, VType):
                 raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
             mv = eval_term(env, globals, m)
             base_wanted = apply_value(apply_value(mv, base_pt), VRefl(base_pt))
-            _check_value(ctx, globals, b, base_wanted, path + ("base",))
+            base_ty = infer_type(ctx, globals, b, path + ("base",))
+            _require_conv(depth, base_ty, base_wanted, path + ("base",), "type mismatch")
             pv = eval_term(env, globals, p)
             return apply_value(apply_value(mv, end_v), pv)
         case Meta(i):
@@ -643,34 +623,21 @@ def _check_against(
             raise KernelTypeError(path, "binder plicity mismatch")
         _infer_universe(ctx, globals, t.ann, path + ("annotation",))
         ann_v = eval_term(identity_env(depth), globals, t.ann)
-        if not conv(depth, ann_v, expected.domain):
-            raise KernelTypeError(
-                path + ("annotation",),
-                "lambda annotation does not match expected domain",
-                expected=readback(depth, expected.domain),
-                found=readback(depth, ann_v),
-            )
+        _require_conv(depth, ann_v, expected.domain, path + ("annotation",),
+                      "lambda annotation does not match expected domain")
         body_ty = expected.closure.apply(fresh_var(depth))
         _check_against(ctx + [expected.domain], globals, t.body, body_ty, path + ("body",))
         return
-    _check_value(ctx, globals, t, expected, path)
+    _require_conv(depth, infer_type(ctx, globals, t, path), expected, path, "type mismatch")
 
 
-def _check_value(
-    ctx: list[Value],
-    globals: GlobalEnv,
-    t: CoreTerm,
-    expected: Value,
-    path: tuple[str, ...],
+def _require_conv(
+    depth: int, found: Value, expected: Value, path: tuple[str, ...], message: str
 ) -> None:
-    actual = infer_type(ctx, globals, t, path)
-    depth = len(ctx)
-    if not conv(depth, actual, expected):
+    """Raise a KernelTypeError showing both values unless they are convertible."""
+    if not conv(depth, found, expected):
         raise KernelTypeError(
-            path,
-            "type mismatch",
-            expected=readback(depth, expected),
-            found=readback(depth, actual),
+            path, message, expected=readback(depth, expected), found=readback(depth, found)
         )
 
 

@@ -243,6 +243,16 @@ def test_caret_sits_under_the_error_on_a_tab_indented_line(tmp_hpt):
     assert "\n    \tdef f : missing := missing\n    \t        ^~~~~~~\n" in out
 
 
+def test_underline_keeps_a_tab_inside_the_span(tmp_hpt):
+    # The lambda's span (2:14) covers a tab; the underline keeps it, so it
+    # ends under `x` whatever the terminal's tab stops.
+    path = tmp_hpt("tab.hpt", "axiom A : Type\ndef f : A := fun (x : A)\t=> x\n")
+    code, out = run_cli(["check", path])
+    assert code == 1
+    assert f"{path}:2:14: error:" in out
+    assert "\n    " + " " * 13 + "^" + "~" * 10 + "\t" + "~" * 4 + "\n" in out
+
+
 def test_open_corpus_failure_shows_source_line(tmp_path, monkeypatch, tmp_hpt):
     (tmp_path / "corpus").mkdir()
     whisker = copy_corpus(tmp_path / "corpus", monkeypatch) / "02-whisker.hpt"

@@ -288,6 +288,74 @@ def test_meta_spine_against_a_glued_global_and_the_same_meta_on_both_sides():
     assert str(result.error) == "u.hpt:8:17: unsolved metavariable ?0"
 
 
+FLEX_SOURCE = "axiom A : Type\naxiom star : A\naxiom f : A -> A\ndef g (x : A) : A := x\n"
+
+
+@pytest.mark.parametrize(
+    "left, right, solved, solution",
+    [
+        ("?a", "?b", "?a", "?b"),
+        ("?a star", "?b", "?b", "?a star"),
+        ("?b", "?a star", "?b", "?a star"),
+        ("?a star", "?b star", "?a", "?b"),
+        ("?a star", "f star", "?a", "f"),
+        ("f star", "?b star", "?b", "f"),
+        ("?a star", "g star", "?a", "g"),
+    ],
+)
+def test_each_flex_case_solves_the_pinned_meta(left, right, solved, solution):
+    """A bare meta is solved first, the left one before the right; a meta
+    under a spine takes the other side's head, a glued global's before it
+    unfolds. The other meta stays unsolved."""
+    local, result = driver.check_source(GlobalEnv(), FLEX_SOURCE, "flex.hpt")
+    assert result.error is None
+    ctx = ElabCtx(local)
+    metas = {"?a": ctx.fresh_meta(DUMMY_SPAN), "?b": ctx.fresh_meta(DUMMY_SPAN)}
+    star = eval_term([], local, Global("star"))
+
+    def value(text):
+        head, *args = text.split()
+        v = metas[head][1] if head in metas else eval_term([], local, Global(head))
+        for _ in args:
+            v = apply_value(v, star)
+        return v
+
+    def core(text):
+        head, *args = text.split()
+        t = metas[head][0] if head in metas else Global(head)
+        for _ in args:
+            t = App(t, Global("star"))
+        return t
+
+    l, r = value(left), value(right)
+    unify(ctx, l, r, DUMMY_SPAN)
+    assert metas[solved][0].solution == core(solution)
+    (other,) = set(metas) - {solved}
+    assert metas[other][0].solution is None
+    for v in (l, r):
+        if isinstance(v, VTop):
+            assert v._forced is None  # solved speculatively, never unfolded
+
+
+@pytest.mark.parametrize(
+    "line, col, lhs, rhs",
+    [
+        ("#check J (fun (y : A) (e : y = star) => A) star (refl star)", 10, "x", "star"),
+        ("def k : ((x : A) -> x = x) -> A := fun (f : (x : A) -> x = star) => star", 40, "star", "x"),
+        ("def k (x : A) : ((y : A) -> y = y) -> A := fun (f : (y : A) -> y = star) => star", 48,
+         "star", "x1"),
+    ],
+    ids=["j-motive", "lambda-annotation", "named-apart"],
+)
+def test_unify_failure_names_the_binders_it_went_under(line, col, lhs, rhs):
+    """Values are printed at the unification depth; a binder beyond the
+    context gets a name no context name uses, never a raw index."""
+    text = f"axiom A : Type\naxiom star : A\n{line}\n"
+    _, result = driver.check_source(GlobalEnv(), text, "u.hpt")
+    assert isinstance(result.error, UnifyFailure)
+    assert str(result.error) == f"u.hpt:3:{col}: cannot unify\n  {lhs}\nwith\n  {rhs}"
+
+
 def test_occurs_check(env):
     ctx = ElabCtx(env)
     _, m = ctx.fresh_meta(DUMMY_SPAN)

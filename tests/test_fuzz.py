@@ -96,6 +96,9 @@ def test_fuzzed_programs_check_or_fail_with_a_surface_error():
             _, result = driver.check_source(prelude, text, "fuzz.hpt")
         err = result.error
         assert err is None or isinstance(err, (SurfaceError, BudgetExhausted)), (text, err)
+        # Every message names its variables: no raw de Bruijn index shows.
+        shown = [e.text for e in result.events] + ([] if err is None else [str(err)])
+        assert not any(re.search(r"!-?\d", s) for s in shown), (text, shown)
         accepted += err is None
     assert 40 <= accepted <= 500  # near-well-formed: some, not most, are accepted
 

@@ -23,7 +23,7 @@ from hpt.kernel import (
     normalize,
     step_budget,
 )
-from hpt.surface import parse_term
+from hpt.surface import DUMMY_SPAN, parse_term
 from tests.terms import alpha_eq, replace_at, term_size
 
 
@@ -306,6 +306,15 @@ def test_readback_eval_idempotent_unfolded_small(env, body_nfs):
         nf2 = normalize(env, nf1)
         assert alpha_eq(nf1, nf2), entry.name
     assert covered == set(NF_TREE_SIZES)
+
+
+def test_unify_agrees_with_conversion_against_normal_forms(env, body_nfs):
+    """A glued body value unifies with the value of its own normal form, so
+    every rigid case of `elab._unify` meets an unfolded counterpart."""
+    small = [(e, nf) for e, nf in body_nfs if NF_TREE_SIZES.get(e.name, 20_000) < 20_000]
+    assert len(small) == 42
+    for entry, nf in small:
+        elab.unify(elab.ElabCtx(env), entry.body_value, eval_term([], env, nf), DUMMY_SPAN)
 
 
 def test_conv_equivalence_on_corpus_values(env):
