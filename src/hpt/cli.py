@@ -116,7 +116,7 @@ def _print_report(report: CheckReport, sources: dict[str, str], out, color: bool
 def _open_corpus(report: CheckReport, sources: dict[str, str]) -> GlobalEnv | None:
     """The corpus environment for --open-corpus, or None with the corpus's
     error in `report`. The corpus sources join `sources` for rendering."""
-    env, corpus_sources, results = corpus_mod.check_corpus(GlobalEnv())
+    env, corpus_sources, results = corpus_mod.check_corpus()
     sources.update(corpus_sources)
     if results and results[-1].error is not None:
         report.diagnostics.append(_error_to_diagnostic(results[-1].error, results[-1].error_span))
@@ -180,7 +180,7 @@ def cmd_eval(args, out) -> int:
 
 def cmd_corpus(args, out) -> int:
     report = CheckReport()
-    env, sources, results = corpus_mod.check_corpus(GlobalEnv())
+    env, sources, results = corpus_mod.check_corpus()
     for result in results:
         _collect_file_result(report, result)
 
@@ -232,14 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, open_corpus=True):
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--step-budget", type=_non_negative_int,
                        default=kernel.DEFAULT_STEP_BUDGET, metavar="N",
                        help="evaluation step budget per declaration")
         p.add_argument("--no-color", action="store_true", help="disable color output")
-        p.add_argument("--open-corpus", action="store_true",
-                       help="preload the bundled corpus")
+        if open_corpus:
+            p.add_argument("--open-corpus", action="store_true",
+                           help="preload the bundled corpus")
 
     p_check = sub.add_parser("check", help="check .hpt files")
     p_check.add_argument("files", nargs="*", metavar="FILE")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
 
     p_corpus = sub.add_parser("corpus", help="check the bundled corpus")
-    common(p_corpus)
+    common(p_corpus, open_corpus=False)
 
     return parser
 

@@ -47,13 +47,13 @@ def prelude_sources() -> list[tuple[str, str]]:
     return [(p.name, driver.read_source(p, p.name)) for p in sorted(corpus_dir().glob("*.hpt"))]
 
 
-def check_corpus(globals: GlobalEnv) -> tuple[GlobalEnv, dict[str, str], list[FileResult]]:
+def check_corpus() -> tuple[GlobalEnv, dict[str, str], list[FileResult]]:
     """Read and check the corpus; an unreadable file is a FileResult's error."""
     try:
         sources = dict(prelude_sources())
     except SurfaceError as e:
-        return globals, {}, [FileResult(e.span.file, error=e, error_span=e.span)]
-    env, results = driver.check_sources(globals, sources.items())
+        return GlobalEnv(), {}, [FileResult(e.span.file, error=e, error_span=e.span)]
+    env, results = driver.check_sources(GlobalEnv(), sources.items())
     return env, sources, results
 
 
@@ -108,10 +108,10 @@ def required_assertions() -> list[tuple[str, str, str]]:
     ]
 
 
-def load_corpus(globals: GlobalEnv | None = None) -> tuple[GlobalEnv, list[FileResult]]:
+def load_corpus() -> tuple[GlobalEnv, list[FileResult]]:
     """Check the whole corpus in order. Raises on the first error or failed
     assertion."""
-    env, _, results = check_corpus(globals if globals is not None else GlobalEnv())
+    env, _, results = check_corpus()
     for result in results:
         if result.error is not None:
             raise result.error

@@ -17,6 +17,10 @@ Grammar (keywords spelled exactly as below):
     term3   := atom+                      -- application, left-assoc
     atom    := IDENT | "@" IDENT | "_" | "Type" NAT? | "refl" | "J" | "(" term ")"
 
+The parser never backtracks. `{` always opens a binder, and `(` opens one
+exactly when identifiers and then `:` follow it, which starts no term.
+`term1` and `term2` are the rows of the infix table `_INFIX`.
+
 A NAT is a run of ASCII digits; as a universe level it has at most nine.
 `refl x` folds into one ReflSugar; `J` is an atom whose arguments stay on
 the application spine.
@@ -26,13 +30,15 @@ applications of the globals `concat` and `par-concat`; the parser knows
 nothing about their types. Identifiers are ASCII: a letter followed by
 letters, digits, `_`, `'`, or `-` (a `-` is taken into the identifier only
 when followed by another identifier character, so `a--b` is `a` plus a
-comment and `a->b` is `a -> b`).
+comment and `a->b` is `a -> b`). One regular expression, `_TOKEN`, holds
+every token class.
 
 Everything here is a pure function of its input.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 
@@ -81,10 +87,19 @@ EOF = "end of input"
 
 _KEYWORDS = {"def", "axiom", "fun", "Type", "refl", "J", "defeq"}
 
-# `lex` tries a two-character entry before a one-character one.
-_PUNCTUATION = {"**", ":=", "=>", "->", "(", ")", "{", "}", ":", "=", "*", "~", "_", "@"}
-
 _DIRECTIVES = {"#check", "#eval", "#assert"}
+
+# One alternative per token class, tried in order; the identifier and number
+# groups are named by their kinds. ASCII classes throughout: `\w` and `\d`
+# would also match letters and digits such as `²`.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+|--[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<identifier>[A-Za-z](?:[A-Za-z0-9_']|-[A-Za-z0-9_'])*)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<directive>#[A-Za-z0-9_']*)"
+    r"|(?P<punctuation>\*\*|:=|=>|->|[(){}:=*~_@])"
+)
 
 
 @dataclass(frozen=True)
@@ -94,84 +109,28 @@ class Token:
     span: SourceSpan
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and c.isalpha()
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c in "_'")
-
-
 def lex(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span_here(length: int) -> SourceSpan:
-        return SourceSpan(filename, line, col, line, col + length - 1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n:
-                if _is_ident_char(text[j]):
-                    j += 1
-                elif text[j] == "-" and j + 1 < n and _is_ident_char(text[j + 1]):
-                    j += 2
-                else:
-                    break
-            word = text[i:j]
-            tokens.append(Token(word if word in _KEYWORDS else IDENT, word, span_here(len(word))))
-            col += len(word)
-            i = j
-            continue
-        if "0" <= c <= "9":
-            j = i + 1
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            word = text[i:j]
-            tokens.append(Token(NAT, word, span_here(len(word))))
-            col += len(word)
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if word not in _DIRECTIVES:
-                raise LexError(span_here(j - i), f"unknown directive {word}")
-            tokens.append(Token(word, word, span_here(j - i)))
-            col += j - i
-            i = j
-            continue
-        punct = text[i : i + 2]
-        if punct not in _PUNCTUATION:
-            punct = c
-        if punct in _PUNCTUATION:
-            tokens.append(Token(punct, punct, span_here(len(punct))))
-            i += len(punct)
-            col += len(punct)
-            continue
-        raise LexError(span_here(1), f"illegal character {c!r}")
-
-    tokens.append(Token(EOF, "", SourceSpan(filename, line, col, line, col)))
-    return tokens
+    line, line_start, pos = 1, 0, 0
+    while True:
+        col = pos - line_start + 1
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            span = SourceSpan(filename, line, col, line, col)
+            if pos == len(text):
+                tokens.append(Token(EOF, "", span))
+                return tokens
+            raise LexError(span, f"illegal character {text[pos]!r}")
+        kind, word, pos = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "space":
+            span = SourceSpan(filename, line, col, line, col + len(word) - 1)
+            if kind == "directive" and word not in _DIRECTIVES:
+                raise LexError(span, f"unknown directive {word}")
+            if kind in ("directive", "punctuation") or word in _KEYWORDS:
+                kind = word
+            tokens.append(Token(kind, word, span))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +251,9 @@ class AssertDefeq(SurfaceDecl):
 
 _ATOM_STARTERS = {IDENT, "@", "_", "Type", "refl", "J", "("}
 
+# Infix operators: each one's row, loosest first, and the global it applies.
+_INFIX = {"*": (0, "concat"), "**": (1, "par-concat")}
+
 
 # How deep `_Parser.parse_term` nests before a ParseError: a level per
 # parenthesis, arrow, λ body or binder; the corpus needs 53, refl^800 800.
@@ -344,14 +306,11 @@ class _Parser:
                 body = self.parse_term()
             end = ty if body is None else body
             return Def(name, tuple(binders), ty, body, tok.span.cover(end.span))
-        if tok.kind == "#check":
+        if tok.kind in ("#check", "#eval"):
             self.next()
             t = self.parse_term()
-            return CheckDirective(t, tok.span.cover(t.span))
-        if tok.kind == "#eval":
-            self.next()
-            t = self.parse_term()
-            return EvalDirective(t, tok.span.cover(t.span))
+            directive = CheckDirective if tok.kind == "#check" else EvalDirective
+            return directive(t, tok.span.cover(t.span))
         if tok.kind == "#assert":
             self.next()
             self.expect("defeq")
@@ -391,11 +350,11 @@ class _Parser:
         if self.nesting == MAX_NESTING:
             tok = self.peek()
             raise ParseError(tok.span, f"a term nested at most {MAX_NESTING} deep", _describe(tok))
+        # A ParseError ends the parse, so only a returning call restores the count.
         self.nesting += 1
-        try:
-            return self._term()
-        finally:
-            self.nesting -= 1
+        t = self._term()
+        self.nesting -= 1
+        return t
 
     def _term(self) -> SurfaceTerm:
         tok = self.peek()
@@ -407,46 +366,39 @@ class _Parser:
             self.expect("=>")
             body = self.parse_term()
             return SLam(tuple(binders), body, tok.span.cover(body.span))
-        if tok.kind in ("(", "{"):
-            saved = self.pos
-            try:
-                binder = self.parse_binder()
-            except ParseError:
-                if tok.kind == "{":
-                    raise
-                binder = None
-            if binder is not None and self.at("->"):
-                self.next()
-                cod = self.parse_term()
-                return SPi((binder,), cod, tok.span.cover(cod.span))
-            self.pos = saved
-        t = self.parse_term1()
+        if tok.kind == "{" or tok.kind == "(" and self._binder_follows():
+            binder = self.parse_binder()
+            self.expect("->")
+            cod = self.parse_term()
+            return SPi((binder,), cod, tok.span.cover(cod.span))
+        t = self.parse_infix()
         if self.at("->"):
             self.next()
             cod = self.parse_term()
             return SArrow(t, cod, t.span.cover(cod.span))
         if self.at("="):
             self.next()
-            rhs = self.parse_term1()
+            rhs = self.parse_infix()
             return IdSugar(t, rhs, t.span.cover(rhs.span))
         return t
 
-    def parse_term1(self) -> SurfaceTerm:
-        t = self.parse_term2()
-        while self.at("*"):
-            op = self.next()
-            r = self.parse_term2()
-            span = t.span.cover(r.span)
-            t = SApp(SApp(Name("concat", op.span), t, span), r, span)
-        return t
+    def _binder_follows(self) -> bool:
+        """At `(`: whether one or more identifiers and then `:` follow,
+        which starts a binder and no term."""
+        i = self.pos + 1
+        while self.tokens[i].kind == IDENT:
+            i += 1
+        return i > self.pos + 1 and self.tokens[i].kind == ":"
 
-    def parse_term2(self) -> SurfaceTerm:
+    def parse_infix(self, row: int = 0) -> SurfaceTerm:
+        """Applications joined by the left-associative operators of
+        `_INFIX` from `row` on."""
         t = self.parse_term3()
-        while self.at("**"):
+        while (infix := _INFIX.get(self.peek().kind)) and infix[0] >= row:
             op = self.next()
-            r = self.parse_term3()
+            r = self.parse_infix(infix[0] + 1)
             span = t.span.cover(r.span)
-            t = SApp(SApp(Name("par-concat", op.span), t, span), r, span)
+            t = SApp(SApp(Name(infix[1], op.span), t, span), r, span)
         return t
 
     def parse_term3(self) -> SurfaceTerm:
@@ -489,16 +441,12 @@ class _Parser:
             self.next()
             t = self.parse_term()
             close = self.expect(")")
-            return _respan(t, tok.span.cover(close.span))
+            return replace(t, span=tok.span.cover(close.span))  # type: ignore[arg-type]
         raise ParseError(tok.span, "a term", _describe(tok))
 
 
 def _describe(tok: Token) -> str:
     return EOF if tok.kind == EOF else f"'{tok.lexeme}'"
-
-
-def _respan(t: SurfaceTerm, span: SourceSpan) -> SurfaceTerm:
-    return replace(t, span=span)  # type: ignore[arg-type]
 
 
 def parse_file(text: str, filename: str = "<input>") -> list[SurfaceDecl]:

@@ -140,6 +140,11 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_corpus_takes_no_open_corpus_flag():
+    # the corpus is what `hpt corpus` checks, so there is nothing to preload
+    assert run_cli(["corpus", "--open-corpus"])[0] == 2
+
+
 @pytest.mark.parametrize("budget, code", [("-1", 2), ("ten", 2), ("0", 0)])
 def test_step_budget_must_be_non_negative(tmp_hpt, budget, code):
     path = tmp_hpt("ok.hpt", "axiom B : Type\n")

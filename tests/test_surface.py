@@ -1,5 +1,6 @@
 """Lexer and parser for the surface language, and the parse/print round trip."""
 
+import hashlib
 import random
 
 import pytest
@@ -199,6 +200,38 @@ def test_error_in_a_binder_codomain_is_located_there(text, col):
         parse_term(text)
     assert exc.value.message == "expected a term, found ')'"
     assert exc.value.span.start_col == col
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("axiom B : (p : Type 1234567890) -> Type", 1, 21,
+         "expected a universe level below 10^9, found '1234567890'"),
+        ("axiom B : (p : a = ) -> Type", 1, 20, "expected a term, found ')'"),
+        ("#check (x : A)\n", 2, 1, "expected '->', found end of input"),
+        ("#check {x : A} y", 1, 16, "expected '->', found 'y'"),
+    ],
+)
+def test_error_in_a_binder_is_located_there(text, line, col, message):
+    # `(` followed by identifiers and `:` opens a binder, so an error inside
+    # it is reported where it occurs, not as a failed parenthesised term
+    with pytest.raises(ParseError) as exc:
+        parse_file(text)
+    assert exc.value.message == message
+    assert (exc.value.span.start_line, exc.value.span.start_col) == (line, col)
+
+
+def test_corpus_token_stream_is_pinned():
+    from hpt import corpus
+
+    digest, count = hashlib.sha256(), 0
+    for filename, text in corpus.prelude_sources():
+        for t in lex(text, filename)[:-1]:
+            s = t.span
+            digest.update(f"{t.kind}\t{t.lexeme}\t{s.start_line}\t{s.start_col}\t{s.end_col}\n".encode())
+            count += 1
+    assert count == 10124
+    assert digest.hexdigest() == "bccd42e1e058165ef41565aa8956ff74d348b19aa47efa036cd46cf10b893953"
 
 
 def test_nesting_past_the_limit_is_a_parse_error():
