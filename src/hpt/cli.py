@@ -16,16 +16,11 @@ import sys
 from dataclasses import dataclass, field
 
 from . import corpus as corpus_mod
-from . import driver, elab, kernel
+from . import driver, kernel
 from .core import pretty
+from .driver import FileResult
 from .kernel import GlobalEnv, KernelError
 from .surface import SourceSpan, SurfaceError, parse_term
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    span: SourceSpan
-    message: str
 
 
 @dataclass
@@ -34,11 +29,21 @@ class CheckReport:
     declarations_checked: int = 0
     assertions_passed: int = 0
     assertions_failed: int = 0
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[SurfaceError] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.assertions_failed == 0 and not self.diagnostics
+
+    def add(self, result: FileResult) -> None:
+        self.files.append(result.filename)
+        self.declarations_checked += result.declarations_checked
+        self.assertions_passed += result.assertions_passed
+        self.assertions_failed += result.assertions_failed
+        self.diagnostics += (SurfaceError(e.span, f"definitional assertion failed: {e.text}")
+                             for e in result.events if e.kind == "assert" and not e.ok)
+        if result.error is not None:
+            self.diagnostics.append(driver.located(result.error, result.error_span))
 
     def to_json(self) -> dict:
         return {
@@ -59,12 +64,10 @@ class CheckReport:
         }
 
 
-def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> str:
+def _render_diagnostic(d: SurfaceError, sources: dict[str, str], color: bool) -> str:
     sev = "\x1b[31merror\x1b[0m" if color else "error"
-    first_line = d.message.splitlines()[0] if d.message else ""
-    rest = d.message.splitlines()[1:]
-    out = [f"{d.span.file}:{d.span.start_line}:{d.span.start_col}: {sev}: {first_line}"]
-    out.extend(rest)
+    first, *rest = d.message.splitlines() or [""]
+    out = [f"{d.span.file}:{d.span.start_line}:{d.span.start_col}: {sev}: {first}", *rest]
     text = sources.get(d.span.file)
     if text is not None:
         lines = text.splitlines()
@@ -81,139 +84,100 @@ def _render_diagnostic(d: Diagnostic, sources: dict[str, str], color: bool) -> s
     return "\n".join(out)
 
 
-def _error_to_diagnostic(err: Exception, fallback_span: SourceSpan) -> Diagnostic:
-    if isinstance(err, SurfaceError):
-        return Diagnostic(err.span, err.message)
-    return Diagnostic(fallback_span, str(err))
-
-
-def _collect_file_result(report: CheckReport, result: driver.FileResult) -> None:
-    report.files.append(result.filename)
-    report.declarations_checked += result.declarations_checked
-    report.assertions_passed += result.assertions_passed
-    report.assertions_failed += result.assertions_failed
-    for event in result.events:
-        if event.kind == "assert" and not event.ok:
-            report.diagnostics.append(
-                Diagnostic(event.span, f"definitional assertion failed: {event.text}")
-            )
-    if result.error is not None:
-        report.diagnostics.append(_error_to_diagnostic(result.error, result.error_span))
-
-
-def _print_report(report: CheckReport, sources: dict[str, str], out, color: bool) -> None:
-    for d in report.diagnostics:
-        print(_render_diagnostic(d, sources, color), file=out)
-    print(
-        f"checked {len(report.files)} file(s): "
-        f"{report.declarations_checked} declaration(s), "
-        f"{report.assertions_passed} assertion(s) passed, "
-        f"{report.assertions_failed} failed",
-        file=out,
-    )
-
-
-def _open_corpus(report: CheckReport, sources: dict[str, str]) -> GlobalEnv | None:
-    """The corpus environment for --open-corpus, or None with the corpus's
-    error in `report`. The corpus sources join `sources` for rendering."""
-    env, corpus_sources, results = corpus_mod.check_corpus()
-    sources.update(corpus_sources)
-    if results and results[-1].error is not None:
-        report.diagnostics.append(_error_to_diagnostic(results[-1].error, results[-1].error_span))
-        return None
-    return env
-
-
-def cmd_check(args, out) -> int:
-    report = CheckReport()
-    sources: dict[str, str] = {}
-    env = _open_corpus(report, sources) if args.open_corpus else GlobalEnv()
-    if env is not None:
-        for path in args.files:
-            try:
-                text = driver.read_source(path, path)
-            except SurfaceError as e:
-                report.files.append(path)
-                report.diagnostics.append(_error_to_diagnostic(e, e.span))
-                continue
-            sources[path] = text
-            env, result = driver.check_source(env, text, path)
-            _collect_file_result(report, result)
-            if not args.json:
-                for event in result.events:
-                    if event.kind in ("check", "eval"):
-                        print(f"{path}:{event.span.start_line}: {event.text}", file=out)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2), file=out)
-    else:
-        _print_report(report, sources, out, args.color)
-    return 0 if report.ok else 1
-
-
-def cmd_eval(args, out) -> int:
-    report = CheckReport()
-    if args.expr is None:
-        print("error: eval requires -e <expr>", file=sys.stderr)
-        return 2
-    sources = {"<expr>": args.expr}
-    env = _open_corpus(report, sources) if args.open_corpus else GlobalEnv()
-    if env is not None:
-        try:
-            term = parse_term(args.expr, "<expr>")
-            core, ty = elab.elaborate_term(env, term)
-            nf = kernel.normalize(env, core)
-            if args.json:
-                print(json.dumps({"value": pretty(nf), "type": pretty(ty)}), file=out)
-            else:
-                print(f"value: {pretty(nf)}", file=out)
-                print(f"type: {pretty(ty)}", file=out)
-            return 0
-        except (SurfaceError, KernelError) as e:
-            report.diagnostics.append(_error_to_diagnostic(e, SourceSpan("<expr>", 1, 1, 1, 1)))
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2), file=out)
-    else:
-        for d in report.diagnostics:
-            print(_render_diagnostic(d, sources, args.color), file=out)
-    return 1
-
-
-def cmd_corpus(args, out) -> int:
-    report = CheckReport()
-    env, sources, results = corpus_mod.check_corpus()
-    for result in results:
-        _collect_file_result(report, result)
-
-    lines: list[str] = []
-    if not any(r.error is not None for r in results):
-        try:
-            for entry in corpus_mod.manifest():
-                present = entry.decl_name in env
-                mark = "ok  " if present else "FAIL"
-                lines.append(f"{mark} {entry.paper_anchor}  [{entry.kind}] {entry.decl_name}")
-                if not present:
-                    message = f"manifest entry {entry.decl_name!r} not present after corpus load"
-                    span = SourceSpan("manifest.tsv", entry.line, 1, entry.line, 1)
-                    report.diagnostics.append(Diagnostic(span, message))
-            for label, ok in corpus_mod.run_required_assertions(env):
-                mark = "ok  " if ok else "FAIL"
-                lines.append(f"{mark} definitional assertion  {label}")
-                if ok:
-                    report.assertions_passed += 1
-                else:
-                    report.assertions_failed += 1
-        except (SurfaceError, KernelError) as e:
-            report.diagnostics.append(
-                _error_to_diagnostic(e, SourceSpan("<assertions>", 1, 1, 1, 1))
-            )
-
+def _finish(args, out, report: CheckReport, sources: dict[str, str], lines=(),
+            summary: bool = True) -> int:
+    """Print the JSON report, or else `lines`, the diagnostics and (with
+    `summary`) the summary line. Returns the exit code."""
     if args.json:
         print(json.dumps(report.to_json(), indent=2), file=out)
     else:
         for line in lines:
             print(line, file=out)
-        _print_report(report, sources, out, args.color)
+        for d in report.diagnostics:
+            print(_render_diagnostic(d, sources, args.color), file=out)
+        if summary:
+            print(
+                f"checked {len(report.files)} file(s): "
+                f"{report.declarations_checked} declaration(s), "
+                f"{report.assertions_passed} assertion(s) passed, "
+                f"{report.assertions_failed} failed",
+                file=out,
+            )
     return 0 if report.ok else 1
+
+
+def _environment(args, report: CheckReport, sources: dict[str, str]) -> GlobalEnv | None:
+    """The environment a command starts from: empty, or for `hpt corpus` and
+    --open-corpus the checked corpus, whose sources join `sources`. `hpt
+    corpus` adds every corpus result to `report`, --open-corpus only the
+    corpus's error. None if the corpus has an error."""
+    if args.command != "corpus" and not args.open_corpus:
+        return GlobalEnv()
+    env, corpus_sources, results = corpus_mod.check_corpus()
+    sources.update(corpus_sources)
+    for result in results:
+        if args.command == "corpus":
+            report.add(result)
+        elif result.error is not None:
+            report.diagnostics.append(driver.located(result.error, result.error_span))
+    return env if all(r.error is None for r in results) else None
+
+
+def cmd_check(args, out) -> int:
+    report, sources, lines = CheckReport(), {}, []
+    env = _environment(args, report, sources)
+    if env is not None:
+        for path in args.files:
+            try:
+                sources[path] = driver.read_source(path, path)
+            except SurfaceError as e:
+                result = FileResult(path, error=e, error_span=e.span)
+            else:
+                env, result = driver.check_source(env, sources[path], path)
+            report.add(result)
+            lines += (f"{path}:{ev.span.start_line}: {ev.text}"
+                      for ev in result.events if ev.kind in ("check", "eval"))
+    return _finish(args, out, report, sources, lines)
+
+
+def cmd_eval(args, out) -> int:
+    report, sources = CheckReport(), {"<expr>": args.expr}
+    env = _environment(args, report, sources)
+    if env is not None:
+        try:
+            nf, ty = driver.evaluate(env, parse_term(args.expr, "<expr>"))
+        except (SurfaceError, KernelError) as e:
+            # A kernel error is placed at the start of the expression.
+            report.diagnostics.append(driver.located(e, SourceSpan("<expr>", 1, 1, 1, 1)))
+        else:
+            if args.json:
+                print(json.dumps({"value": pretty(nf), "type": pretty(ty)}), file=out)
+            else:
+                print(f"value: {pretty(nf)}\ntype: {pretty(ty)}", file=out)
+            return 0
+    return _finish(args, out, report, sources, summary=False)
+
+
+def cmd_corpus(args, out) -> int:
+    report, sources, rows = CheckReport(), {}, []  # rows: (ok, text)
+    env = _environment(args, report, sources)
+    if env is not None:
+        try:
+            for entry in corpus_mod.manifest():
+                present = entry.decl_name in env
+                rows.append((present, f"{entry.paper_anchor}  [{entry.kind}] {entry.decl_name}"))
+                if not present:
+                    message = f"manifest entry {entry.decl_name!r} not present after corpus load"
+                    span = SourceSpan("manifest.tsv", entry.line, 1, entry.line, 1)
+                    report.diagnostics.append(SurfaceError(span, message))
+            for label, ok in corpus_mod.run_required_assertions(env):
+                rows.append((ok, f"definitional assertion  {label}"))
+                report.assertions_passed += ok
+                report.assertions_failed += not ok
+        except SurfaceError as e:
+            report.diagnostics.append(e)
+    lines = (f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in rows)
+    return _finish(args, out, report, sources, lines)
 
 
 def _non_negative_int(text: str) -> int:
@@ -247,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
-    p_eval.add_argument("-e", dest="expr", metavar="EXPR", help="expression to evaluate")
+    p_eval.add_argument("-e", dest="expr", metavar="EXPR", required=True,
+                        help="expression to evaluate")
     common(p_eval)
 
     p_corpus = sub.add_parser("corpus", help="check the bundled corpus")

@@ -126,8 +126,9 @@ class J(CoreTerm):
     """Based path induction.
 
     `motive` binds the free endpoint and the path; `base` is the value at
-    refl; `endpoint` is retained for display and re-checking but the
-    evaluator recomputes nothing from it.
+    refl; `endpoint`, the right endpoint of the path's type, is checked
+    against it by the kernel, carried into `kernel.EJ` by evaluation, read
+    back and read by `elab.universe_of`; `pretty` never prints it.
     """
 
     __match_args__ = ("motive", "base", "endpoint", "path")

@@ -28,17 +28,13 @@ KINDS = ("axiom", "definition", "lemma", "theorem", "assertion")
 @dataclass(frozen=True)
 class CorpusEntry:
     decl_name: str
-    statement_summary: str
     paper_anchor: str
     kind: str
     line: int  # the row of manifest.tsv it was read from
 
 
 def corpus_dir() -> Path:
-    override = os.environ.get("HPT_CORPUS_DIR")
-    if override:
-        return Path(override)
-    return _BUNDLED
+    return Path(os.environ.get("HPT_CORPUS_DIR") or _BUNDLED)
 
 
 def prelude_sources() -> list[tuple[str, str]]:
@@ -58,7 +54,7 @@ def check_corpus() -> tuple[GlobalEnv, dict[str, str], list[FileResult]]:
 
 
 def manifest() -> list[CorpusEntry]:
-    """Parse the shipped manifest table (name, kind, anchor, summary per line).
+    """Parse the shipped manifest table (name, kind, anchor; then a summary for readers).
 
     A missing file, a row of fewer than three tab-separated columns or an
     unknown kind raises a SurfaceError located in manifest.tsv.
@@ -77,10 +73,9 @@ def manifest() -> list[CorpusEntry]:
         if len(parts) < 3:
             raise error(lineno, f"expected name, kind and anchor, found {len(parts)} column(s)")
         name, kind, anchor = parts[:3]
-        summary = parts[3] if len(parts) > 3 else ""
         if kind not in KINDS:
             raise error(lineno, f"unknown kind {kind!r} for {name!r}")
-        entries.append(CorpusEntry(name, summary, anchor, kind, lineno))
+        entries.append(CorpusEntry(name, anchor, kind, lineno))
     return entries
 
 
@@ -125,10 +120,10 @@ def load_corpus() -> tuple[GlobalEnv, list[FileResult]]:
 def run_required_assertions(env: GlobalEnv) -> list[tuple[str, bool]]:
     """Check every pinned assertion against a loaded corpus environment, as
     the `#assert defeq` directives of one source named <assertions>.
-    Raises the source's error, if it has one."""
+    Raises the source's error, if it has one, as a located SurfaceError."""
     pinned = required_assertions()
     text = "".join(f"#assert defeq {lhs} ~ {rhs} : {ty}\n" for lhs, rhs, ty in pinned)
     _, result = driver.check_source(env, text, "<assertions>")
     if result.error is not None:
-        raise result.error
+        raise driver.located(result.error, result.error_span)
     return [(f"{lhs} ~ {rhs}", e.ok) for (lhs, rhs, _), e in zip(pinned, result.events)]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elab, kernel
-from .core import pretty
+from .core import CoreTerm, pretty
 from .kernel import GlobalEnv, KernelError
 from .surface import (
     AssertDefeq,
@@ -19,6 +19,7 @@ from .surface import (
     SourceSpan,
     SurfaceDecl,
     SurfaceError,
+    SurfaceTerm,
     parse_file,
 )
 
@@ -51,6 +52,11 @@ class FileResult:
         return sum(1 for e in self.events if e.kind == "assert" and not e.ok)
 
 
+def located(err: SurfaceError | KernelError, span: SourceSpan) -> SurfaceError:
+    """`err` as a located message: a KernelError has no span and takes `span`."""
+    return err if isinstance(err, SurfaceError) else SurfaceError(span, str(err))
+
+
 def read_source(path: str | Path, name: str, what: str = "file") -> str:
     """The UTF-8 text of `path`, less a leading byte-order mark; failing
     that, a SurfaceError at `name`:1:1."""
@@ -58,6 +64,12 @@ def read_source(path: str | Path, name: str, what: str = "file") -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise SurfaceError(SourceSpan(name, 1, 1, 1, 1), f"cannot read {what}: {e}") from e
+
+
+def evaluate(globals: GlobalEnv, term: SurfaceTerm) -> tuple[CoreTerm, CoreTerm]:
+    """The normal form of `term` and its type: `#eval` and `hpt eval`."""
+    core, ty = elab.elaborate_term(globals, term)
+    return kernel.normalize(globals, core), ty
 
 
 def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
@@ -73,8 +85,7 @@ def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
                 core, ty = elab.elaborate_term(globals, t)
                 return globals, Event("check", span, f"{pretty(core)} : {pretty(ty)}")
             case EvalDirective(term=t, span=span):
-                core, ty = elab.elaborate_term(globals, t)
-                nf = kernel.normalize(globals, core)
+                nf, ty = evaluate(globals, t)
                 return globals, Event("eval", span, f"{pretty(nf)} : {pretty(ty)}")
             case AssertDefeq(lhs=l, rhs=r, at_type=ty, span=span):
                 ty_core, _ = elab.elaborate_term(globals, ty)

@@ -145,8 +145,8 @@ class Value:
 @dataclass(frozen=True, eq=False, slots=True)
 class EJ:
     """A stuck J elimination in a spine, where every other entry is the
-    value of an argument. The endpoint is carried for readback only; it is
-    determined by the scrutinee, so conversion ignores it."""
+    value of an argument. Its endpoint, fixed by the scrutinee and so ignored
+    by conversion, is read back and read by `elab.universe_of`."""
 
     motive: Value
     base: Value

@@ -130,6 +130,26 @@ def test_eval_json_failure_is_a_json_report():
     assert diag["message"] == "unbound name 'nope'"
 
 
+@pytest.mark.parametrize("budget, code, first", [
+    ("1", 1, "<expr>:1:1: error: evaluation step budget exhausted"),
+    ("2", 0, "value: Type"),
+])
+def test_eval_is_charged_against_the_step_budget(budget, code, first):
+    """Normalizing `(fun (X : Type 1) => X) Type` takes two steps."""
+    args = ["eval", "--step-budget", budget, "-e", "(fun (X : Type 1) => X) Type"]
+    result, out = run_cli(args)
+    assert (result, out.splitlines()[0]) == (code, first)
+
+
+def test_eval_budget_failure_is_a_json_report():
+    args = ["eval", "--json", "--step-budget", "1", "-e", "(fun (X : Type 1) => X) Type"]
+    code, out = run_cli(args)
+    assert code == 1
+    (diag,) = json.loads(out)["diagnostics"]
+    assert (diag["file"], diag["line"], diag["col"]) == ("<expr>", 1, 1)
+    assert diag["message"] == "evaluation step budget exhausted"
+
+
 def test_eval_requires_expression():
     code, _ = run_cli(["eval"])
     assert code == 2
@@ -238,6 +258,19 @@ def test_missing_manifest_entry_is_located_at_its_row(tmp_path, monkeypatch):
     assert code == 1
     message = "error: manifest entry 'no-such-decl' not present after corpus load"
     assert f"manifest.tsv:{len(rows)}:1: {message}" in out
+
+
+def test_kernel_error_in_a_pinned_assertion_is_located_at_its_line(monkeypatch):
+    """`concat`'s implicit carrier is solved by the universe `Type`, which
+    the kernel rejects (ROADMAP item 5); the error names the assertion."""
+    from hpt import corpus as corpus_mod
+
+    pinned = corpus_mod.required_assertions()[:2]
+    bad = ("concat (refl A) (refl A)", "refl A", "A = A")
+    monkeypatch.setattr(corpus_mod, "required_assertions", lambda: [*pinned, bad])
+    code, out = run_cli(["corpus"])
+    assert code == 1
+    assert "\n<assertions>:3:1: error: at assert/lhs/arg0: type mismatch\n" in out
 
 
 def test_caret_sits_under_the_error_on_a_tab_indented_line(tmp_hpt):

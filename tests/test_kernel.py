@@ -454,3 +454,9 @@ def test_the_trust_root_imports_no_elaborator_state():
     from none, so evaluation and checking cannot reach the elaborator."""
     assert _hpt_imports("kernel") <= {"hpt.core"}
     assert _hpt_imports("core") == set()
+
+
+def test_the_front_end_reaches_the_elaborator_through_the_driver():
+    """`hpt.cli` elaborates nothing itself: `hpt eval` and `#eval` share
+    `driver.evaluate`."""
+    assert "hpt.elab" not in _hpt_imports("cli")
