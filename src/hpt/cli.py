@@ -110,17 +110,17 @@ def _environment(args, report: CheckReport, sources: dict[str, str]) -> GlobalEn
     """The environment a command starts from: empty, or for `hpt corpus` and
     --open-corpus the checked corpus, whose sources join `sources`. `hpt
     corpus` adds every corpus result to `report`, --open-corpus only the
-    corpus's error. None if the corpus has an error."""
+    diagnostics. None on a corpus error, or any diagnostic of --open-corpus."""
     if args.command != "corpus" and not args.open_corpus:
         return GlobalEnv()
     env, corpus_sources, results = corpus_mod.check_corpus()
     sources.update(corpus_sources)
+    preload = CheckReport()  # under --open-corpus, only its diagnostics are kept
     for result in results:
-        if args.command == "corpus":
-            report.add(result)
-        elif result.error is not None:
-            report.diagnostics.append(driver.located(result.error, result.error_span))
-    return env if all(r.error is None for r in results) else None
+        (report if args.command == "corpus" else preload).add(result)
+    report.diagnostics += preload.diagnostics
+    failed = preload.diagnostics or any(r.error is not None for r in results)
+    return None if failed else env
 
 
 def cmd_check(args, out) -> int:
@@ -145,10 +145,13 @@ def cmd_eval(args, out) -> int:
     env = _environment(args, report, sources)
     if env is not None:
         try:
-            nf, ty = driver.evaluate(env, parse_term(args.expr, "<expr>"))
-        except (SurfaceError, KernelError) as e:
-            # A kernel error is placed at the start of the expression.
-            report.diagnostics.append(driver.located(e, SourceSpan("<expr>", 1, 1, 1, 1)))
+            term = parse_term(args.expr, "<expr>")
+            nf, ty = driver.evaluate(env, term)
+        except SurfaceError as e:
+            report.diagnostics.append(e)
+        except KernelError as e:
+            line, col = term.span.start_line, term.span.start_col  # where the expression starts
+            report.diagnostics.append(driver.located(e, SourceSpan("<expr>", line, col, line, col)))
         else:
             if args.json:
                 print(json.dumps({"value": pretty(nf), "type": pretty(ty)}), file=out)

@@ -18,10 +18,11 @@ copy, so older environments stay valid.
 A step budget (default 10**8) turns runaway evaluation of malformed input
 into a BudgetExhausted error instead of a hang. It is charged once on every
 closure application and every J elimination, which any divergent
-computation must pass through; nothing is memoized, so a repeated
-application is charged again. One budget is active at a time, held in a
-module-level variable: `step_budget` installs a fresh one for a block, and
-the driver opens one per declaration.
+computation must pass through. `Closure.apply` never memoizes, but `normalize`
+skips applications whose normal form it already has, and those are not
+charged. One budget is active at a time, held in a module-level variable:
+`step_budget` installs a fresh one for a block, and the driver opens one per
+declaration.
 
 Readback memoizes per top-level call: a value reached twice at the same
 depth is read back once, so the normal form shares that subterm in memory.
@@ -45,6 +46,7 @@ from .core import (
     Meta,
     Pi,
     Refl,
+    SUBTERMS,
     Type,
     Var,
     pretty,
@@ -157,7 +159,9 @@ class Closure:
     """A suspended body over a captured environment.
 
     Each application charges one budget step and evaluates the body in the
-    environment extended by the argument. Results are not memoized.
+    environment extended by the argument. `apply` never memoizes, but
+    `normalize` skips applications whose normal form it already has, and
+    those are not charged.
     """
 
     __slots__ = ("env", "term", "globals")
@@ -215,7 +219,7 @@ class VNeutral(Value):
 
 
 class VTop(Value):
-    """A defined global applied to a spine, with its unfolding on demand.
+    """A defined global applied to arguments, with its unfolding on demand.
 
     Conversion first tries spine equality of same-named tops and unfolds
     only as a fallback, which keeps corpus checking fast without affecting
@@ -224,7 +228,7 @@ class VTop(Value):
 
     __slots__ = ("name", "spine", "entry", "_forced")
 
-    def __init__(self, name: str, spine: tuple[Value | EJ, ...], entry: "GlobalEntry") -> None:
+    def __init__(self, name: str, spine: tuple[Value, ...], entry: "GlobalEntry") -> None:
         self.name = name
         self.spine = spine
         self.entry = entry
@@ -306,7 +310,22 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
     if tt is Var:
         return env[-1 - t.index]
     if tt is App:
-        return apply_value(eval_term(env, globals, t.fn), eval_term(env, globals, t.arg))
+        # The whole spine at once: the head, then the arguments in order.
+        terms = []
+        while type(t) is App:
+            terms.append(t.arg)
+            t = t.fn
+        f = eval_term(env, globals, t)
+        args = []
+        for a in reversed(terms):
+            args.append(env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a))
+        if type(f) is VTop:
+            return VTop(f.name, f.spine + tuple(args), f.entry)
+        if type(f) is VNeutral:
+            return VNeutral(f.head, f.spine + tuple(args))
+        for x in args:
+            f = apply_value(f, x)
+        return f
     if tt is Lam:
         dom = eval_term(env, globals, t.ann)
         return VLam(t.hint, Closure(tuple(env), t.body, globals), dom, t.implicit)
@@ -398,8 +417,45 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
     Results are memoized by depth and value identity (values hash and
     compare by identity) for the duration of this call, so a value reached
     twice is read back once and its normal form is shared.
+
+    Nodes are built by calling their constructors. With `force_top`, two more
+    tables live for the call: an intern table through which each new node is
+    swapped for its first equal, so equal subterms are one object, and
+    `known`, the normal forms of λ, Π and glued global values by what each
+    depends on. `Closure.apply` never memoizes, but `normalize` skips
+    applications whose normal form it already has, and those are not charged.
     """
     memo: dict[int, dict[Value, CoreTerm]] = {}
+    known = None
+    if force is force_top:
+        nodes, known, frees = {}, {}, {}
+
+        def share(t: CoreTerm) -> CoreTerm:
+            """The one node in `nodes` equal to `t`, whose children are shared:
+            keyed by class, scalar fields and child identities."""
+            key = (type(t), *[id(f) if isinstance(f, CoreTerm) else f
+                              for f in [getattr(t, n) for n in t.__match_args__]])
+            return nodes.setdefault(key, t)
+
+        def free(t: CoreTerm) -> frozenset[int]:
+            """The free indices of `t`, cached by identity (which keeps `t` alive)."""
+            if id(t) not in frees:
+                frees[id(t)] = t, frozenset([t.index] if type(t) is Var else [
+                    i - k for n, k in SUBTERMS[type(t)] for i in free(getattr(t, n)) if i >= k])
+            return frees[id(t)][1]
+
+        def known_key(depth: int, v: VTop | VLam | VPi) -> tuple | None:
+            """What the normal form of `v` depends on, values counting by their
+            normal forms' ids: a glued global's entry and arguments; a closure's
+            term, globals, binder, domain, and the env entries its body uses
+            (free index i >= 1 names env[-i])."""
+            if type(v) is VTop:
+                return (v.entry, depth, *[id(rb(depth, e)) for e in v.spine])
+            c = v.closure
+            if c.term.has_meta:  # a solved meta's indices count from its own depth
+                return None
+            return (type(v), id(c.term), c.globals, depth, v.hint, v.implicit,
+                    id(rb(depth, v.domain)), *[id(rb(depth, c.env[-i])) for i in free(c.term) if i])
 
     def rb(depth: int, v: Value) -> CoreTerm:
         seen = memo.get(depth)
@@ -407,6 +463,10 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             seen = memo[depth] = {}
         t = seen.get(v)
         if t is not None:
+            return t
+        key = known is not None and type(v) in (VTop, VLam, VPi) and known_key(depth, v)
+        if key and key in known:
+            t = seen[v] = known[key]
             return t
         w = v if force is None else force(v)
         tw = type(w)
@@ -429,11 +489,17 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             t = Type(w.level)
         else:
             raise KernelError(f"cannot read back {w!r}")
+        if known is not None:
+            t = share(t)
+            if key:
+                known[key] = t
         seen[v] = t
         return t
 
     def spine(depth: int, t: CoreTerm, entries: tuple[Value | EJ, ...]) -> CoreTerm:
         for e in entries:
+            if known is not None:
+                t = share(t)
             if type(e) is EJ:
                 t = J(rb(depth, e.motive), rb(depth, e.base), rb(depth, e.endpoint), t)
             else:

@@ -150,6 +150,17 @@ def test_eval_budget_failure_is_a_json_report():
     assert diag["message"] == "evaluation step budget exhausted"
 
 
+def test_eval_places_a_kernel_error_where_the_expression_starts():
+    args = ["eval", "--step-budget", "1", "-e", "   (fun (X : Type 1) => X) Type"]
+    code, out = run_cli(args)
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "<expr>:1:4: error: evaluation step budget exhausted",
+        "       (fun (X : Type 1) => X) Type",
+        "       ^",
+    ]
+
+
 def test_eval_requires_expression():
     code, _ = run_cli(["eval"])
     assert code == 2
@@ -307,6 +318,23 @@ def test_open_corpus_failure_shows_source_line(tmp_path, monkeypatch, tmp_hpt):
         assert f"02-whisker.hpt:{line}:56: error: type mismatch" in out
         assert f"    {bad}\n" in out
         assert "\n    " + " " * 55 + "^~~~" in out
+
+
+def test_open_corpus_reports_a_failed_corpus_assertion(tmp_path, monkeypatch, tmp_hpt):
+    """A corpus whose own `#assert defeq` fails is not preloaded in silence:
+    the failure is reported at its line and the command exits 1."""
+    (tmp_path / "corpus").mkdir()
+    syllepsis = copy_corpus(tmp_path / "corpus", monkeypatch) / "07-syllepsis.hpt"
+    bad = "#assert defeq loop0 ~ refl (refl star) : refl star = refl star"
+    text = syllepsis.read_text() + f"axiom loop0 : refl star = refl star\n{bad}\n"
+    syllepsis.write_text(text)
+    line = text.splitlines().index(bad) + 1
+    user = tmp_hpt("use.hpt", "axiom B : Type\n")
+    for args in (["check", "--open-corpus", user], ["eval", "--open-corpus", "-e", "star"]):
+        code, out = run_cli(args)
+        assert code == 1
+        assert f"07-syllepsis.hpt:{line}:1: error: definitional assertion failed" in out
+        assert f"    {bad}\n" in out
 
 
 def test_check_drops_a_byte_order_mark(tmp_path):

@@ -11,10 +11,13 @@ from hpt import corpus, driver, elab, kernel
 from hpt.core import App, Global, Id, J, Lam, Level, Meta, Pi, Refl, Type, Var
 from hpt.kernel import (
     BudgetExhausted,
+    Closure,
     DuplicateName,
     GlobalEnv,
     KernelError,
     KernelTypeError,
+    VLam,
+    VNeutral,
     VRefl,
     assert_defeq,
     check_decl,
@@ -24,7 +27,7 @@ from hpt.kernel import (
     step_budget,
 )
 from hpt.surface import DUMMY_SPAN, parse_term
-from tests.terms import alpha_eq, replace_at, term_size
+from tests.terms import alpha_eq, children, replace_at, term_size
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +264,60 @@ def test_readback_shares_repeated_values(env):
     t = kernel.readback(0, ty)
     assert t == Id(Global("A"), Global("star"), Global("star"))
     assert t.lhs is t.rhs
+
+
+def _normal_form_and_steps(v):
+    """The full normal form of a value, and the budget steps reading it took."""
+    with step_budget() as budget:
+        nf = kernel.readback(0, v, force=kernel.force_top)
+    return nf, kernel.DEFAULT_STEP_BUDGET - budget.remaining
+
+
+def test_normalize_keys_a_closure_by_the_env_entries_its_body_uses(spine_values):
+    """Two λs share the body `Var(1)`, which reads env[-1] and not env[-2]."""
+    env = spine_values[0]
+    a, star, body = VNeutral(Global("A")), VNeutral(Global("star")), Var(1)
+
+    def f_of(*closure_envs):
+        lams = (VLam("x", Closure(e, body, env), a) for e in closure_envs)
+        return VNeutral(Global("f"), tuple(lams))
+
+    # They differ in the entry the body uses: two normal forms, two steps.
+    nf, steps = _normal_form_and_steps(f_of((a, star), (a, a)))
+    assert nf == App(App(Global("f"), Lam("x", Global("star"), Global("A"))),
+                     Lam("x", Global("A"), Global("A")))
+    assert steps == 2
+    # They differ only in an unused entry: the second λ costs no application.
+    nf, steps = _normal_form_and_steps(f_of((star, star), (a, star)))
+    assert nf.fn.arg is nf.arg
+    assert steps == 1
+
+
+def test_normalize_reads_a_closure_whose_body_holds_a_solved_meta(spine_values):
+    """A solved meta's indices count from its own depth, not the closure's
+    binder, so two closures over it differ when their envs do."""
+    env = spine_values[0]
+    a, star = VNeutral(Global("A")), VNeutral(Global("star"))
+    m = Meta(0)
+    elab.MetaStore().update(m, Var(0), 1)  # names the outermost binder
+    lams = tuple(VLam("x", Closure((e,), m, env), a) for e in (star, a))
+    nf, _ = _normal_form_and_steps(VNeutral(Global("f"), lams))
+    assert nf == App(App(Global("f"), Lam("x", Global("star"), Global("A"))),
+                     Lam("x", Global("A"), Global("A")))
+
+
+def test_normalize_shares_equal_subterms(body_nfs):
+    """The normal form of `syllepsis` is hash-consed: its 1,245,691-node tree
+    is built from at most 10,000 node objects."""
+    (nf,) = [nf for entry, nf in body_nfs if entry.name == "syllepsis"]
+    assert term_size(nf) == 1_245_691
+    objects, stack = set(), [nf]
+    while stack:
+        t = stack.pop()
+        if id(t) not in objects:
+            objects.add(id(t))
+            stack.extend(children(t))
+    assert len(objects) <= 10_000
 
 
 # ---------------------------------------------------------------------------
