@@ -13,17 +13,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
-class Level:
-    """Universe index, 0-based. The corpus only ever uses 0 and 1."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("universe index must be non-negative")
-
-
 def _meta(t: object) -> bool:
     return getattr(t, "has_meta", False)  # a non-term child holds no meta
 
@@ -99,9 +88,12 @@ class Pi(CoreTerm):
 
 
 class Type(CoreTerm):
+    """The universe at `level`, an `int` >= 0. It is its own value: the
+    kernel evaluates it to this node and reads it back as it is."""
+
     __slots__ = __match_args__ = ("level",)
 
-    def __init__(self, level: Level) -> None:
+    def __init__(self, level: int) -> None:
         self.level = level
 
 
@@ -256,9 +248,9 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
             return n
         case Meta(i):
             return f"?{i}"
-        case Type(Level(0)):
+        case Type(0):
             return "Type"
-        case Type(Level(k)):
+        case Type(k):
             return _parens(f"Type {k}", prec, _PREC_APP)
         case Refl(p):
             return _parens(f"refl {_pp(p, names, _PREC_ATOM)}", prec, _PREC_APP)

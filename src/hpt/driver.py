@@ -115,6 +115,8 @@ def check_source(globals: GlobalEnv, text: str, filename: str) -> tuple[GlobalEn
         result.error, result.error_span = e, e.span
     except KernelError as e:
         result.error, result.error_span = e, d.span
+    except RecursionError:
+        result.error, result.error_span = KernelError("term nested too deeply"), d.span
     return globals, result
 
 

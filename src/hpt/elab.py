@@ -24,7 +24,6 @@ from .core import (
     Id,
     J,
     Lam,
-    Level,
     Meta,
     Pi,
     Refl,
@@ -47,7 +46,6 @@ from .kernel import (
     VPi,
     VRefl,
     VTop,
-    VType,
     Value,
     apply_spine,
     apply_value,
@@ -243,7 +241,7 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
 
         def solve_prefix() -> None:
             prefix = other.spine[:cut]
-            head = VNeutral(other.head, prefix) if to is VNeutral else VTop(other.name, prefix, other.entry)
+            head = VNeutral(other.head, prefix) if to is VNeutral else VTop(prefix, other.entry)
             _solve(ctx, flex.head, head, depth, span)
             _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
 
@@ -255,10 +253,10 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
                 _unify(ctx, depth, flex, other.force(), span)
             return
     elif tl is VTop or tr is VTop:
-        # Same-named glued globals: try spine equality first, then unfold.
+        # Glued globals of one entry: try spine equality first, then unfold.
         if not (
             tl is tr
-            and l.name == r.name
+            and l.entry is r.entry
             and len(l.spine) == len(r.spine)
             and _attempt(ctx, lambda: _unify_spines(ctx, depth, l.spine, r.spine, span))
         ):
@@ -283,7 +281,7 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
             _unify(ctx, depth, l.domain, r.domain, span)
             x = fresh_var(depth)
             return _unify(ctx, depth + 1, l.closure.apply(x), r.closure.apply(x), span)
-        if tl is VType and l.level == r.level:
+        if tl is Type and l.level == r.level:
             return
     raise UnifyFailure(span, ctx.show(l, depth), ctx.show(r, depth))
 
@@ -350,8 +348,8 @@ def universe_of(ctx: ElabCtx, v: Value) -> int:
     an unsolved meta gets 0; the kernel re-check is the authority."""
     v = whnf(ctx, v)
     match v:
-        case VType(lvl):
-            return lvl.index + 1
+        case Type(lvl):
+            return lvl + 1
         case VId(t, _, _):
             return universe_of(ctx, t)
         case VPi(hint, dom, clo, _):
@@ -374,7 +372,7 @@ def universe_of(ctx: ElabCtx, v: Value) -> int:
                 return 0
             ty = ty.closure.apply(e)
     ty = whnf(ctx, ty)
-    return ty.level.index if isinstance(ty, VType) else 0
+    return ty.level if type(ty) is Type else 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +395,18 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             _, ty_v = ctx.fresh_meta(span)
             return core, ty_v
         case TypeU(level=k):
-            return Type(Level(k)), VType(Level(k + 1))
+            return Type(k), Type(k + 1)
         case SArrow(domain=d, codomain=c):
             d_core, d_lvl = _as_type(ctx, d)
             c_core, c_lvl = _as_type(ctx, c)
-            return Pi("_", d_core, shift(c_core, 0, 1), False), VType(Level(max(d_lvl, c_lvl)))
+            return Pi("_", d_core, shift(c_core, 0, 1), False), Type(max(d_lvl, c_lvl))
         case SPi(binders=bs, codomain=cod):
             inner, bound = _bind(ctx, bs)
             core, lvl = _as_type(inner, cod)
             for name, ann_core, _, ann_lvl, implicit in reversed(bound):
                 core = Pi(name, ann_core, core, implicit)
                 lvl = max(lvl, ann_lvl)
-            return core, VType(Level(lvl))
+            return core, Type(lvl)
         case SLam(binders=bs, body=body):
             inner, bound = _bind(ctx, bs)
             core, ty = infer(inner, body)
@@ -423,7 +421,7 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             l_core, l_ty = _infer_inserted(ctx, l)
             r_core = check(ctx, r, l_ty)
             ty_core = ctx.quote(ctx.depth, l_ty)
-            return Id(ty_core, l_core, r_core), VType(Level(universe_of(ctx, l_ty)))
+            return Id(ty_core, l_core, r_core), Type(universe_of(ctx, l_ty))
         case ReflSugar(point=p, span=span):
             if p is None:
                 _, pt_ty = ctx.fresh_meta(span)
@@ -499,10 +497,10 @@ def _bind(ctx: ElabCtx, bs: tuple[Binder, ...]) -> tuple[ElabCtx, list]:
 def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
     core, ty = _infer_inserted(ctx, t)
     ty = whnf(ctx, ty)  # an `@name` comes back as inferred
-    if isinstance(ty, VType):
-        return core, ty.level.index
+    if type(ty) is Type:
+        return core, ty.level
     if type(ty) is VNeutral and type(ty.head) is Meta:
-        unify(ctx, ty, VType(Level(0)), t.span)
+        unify(ctx, ty, Type(0), t.span)
         return core, 0
     raise TypeMismatch(t.span, "a universe", ctx.show(ty), note="elaborating a type")
 

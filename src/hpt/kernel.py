@@ -3,14 +3,15 @@ and type checking of core declarations.
 
 Evaluation is normalization by evaluation: terms evaluate into a semantic
 domain (functions become closures, stuck eliminations become neutrals with
-spines) and normal forms are read back from values. J applied to refl
-reduces to its base argument. Defined globals unfold lazily: applying one
-builds a glued value (VTop) that remembers the global and its spine, and
-conversion first tries spine equality of same-named tops before falling
-back to the unfolding, so a neutral head is only a bound variable's level
-(an `int`), or the `Global` (axiom) or `Meta` (unsolved) node it reads back
-to. A spine entry is an argument's value itself, or an `EJ`. A solved
-`Meta` node carries its own solution, so evaluation needs no meta store.
+spines, a universe is its own `Type` node) and normal forms are read back
+from values. J applied to refl reduces to its base argument. Defined globals
+unfold lazily: applying one builds a glued value (VTop) that remembers the
+global's entry and its spine, and conversion first tries spine equality of
+tops of one entry before falling back to the unfolding, so a neutral head is
+only a bound variable's level (an `int`), or the `Global` (axiom) or `Meta`
+(unsolved) node it reads back to. A spine entry is an argument's value
+itself, or an `EJ`. A solved `Meta` node carries its own solution, so
+evaluation needs no meta store.
 
 A GlobalEnv is read-only once loaded; check_decl returns an extended
 copy, so older environments stay valid.
@@ -42,7 +43,6 @@ from .core import (
     Id,
     J,
     Lam,
-    Level,
     Meta,
     Pi,
     Refl,
@@ -193,11 +193,6 @@ class VPi(Value):
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class VType(Value):
-    level: Level
-
-
-@dataclass(frozen=True, eq=False, slots=True)
 class VId(Value):
     type: Value
     lhs: Value
@@ -219,17 +214,16 @@ class VNeutral(Value):
 
 
 class VTop(Value):
-    """A defined global applied to arguments, with its unfolding on demand.
+    """A defined global, as its entry, applied to arguments; unfolds on demand.
 
-    Conversion first tries spine equality of same-named tops and unfolds
+    Conversion first tries spine equality of tops of one entry and unfolds
     only as a fallback, which keeps corpus checking fast without affecting
     which terms are convertible.
     """
 
-    __slots__ = ("name", "spine", "entry", "_forced")
+    __slots__ = ("spine", "entry", "_forced")
 
-    def __init__(self, name: str, spine: tuple[Value, ...], entry: "GlobalEntry") -> None:
-        self.name = name
+    def __init__(self, spine: tuple[Value, ...], entry: "GlobalEntry") -> None:
         self.spine = spine
         self.entry = entry
         self._forced: Value | None = None
@@ -320,7 +314,7 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         for a in reversed(terms):
             args.append(env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a))
         if type(f) is VTop:
-            return VTop(f.name, f.spine + tuple(args), f.entry)
+            return VTop(f.spine + tuple(args), f.entry)
         if type(f) is VNeutral:
             return VNeutral(f.head, f.spine + tuple(args))
         for x in args:
@@ -342,7 +336,7 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         if entry is None:
             raise KernelError(f"unknown global {t.name!r}")
         if entry.body_value is not None:
-            return VTop(t.name, (), entry)
+            return VTop((), entry)
         return VNeutral(t)
     if tt is J:
         return j_apply(
@@ -361,14 +355,14 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         # binders; evaluate it under the env prefix.
         return eval_term(env[:t.depth], globals, t.solution)
     if tt is Type:
-        return VType(t.level)
+        return t
     raise KernelError(f"cannot evaluate {t!r}")
 
 
 def apply_value(f: Value, x: Value) -> Value:
     tf = type(f)
     if tf is VTop:
-        return VTop(f.name, f.spine + (x,), f.entry)
+        return VTop(f.spine + (x,), f.entry)
     if tf is VLam:
         return f.closure.apply(x)
     if tf is VNeutral:
@@ -474,7 +468,7 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             h = w.head
             t = spine(depth, Var(depth - 1 - h) if type(h) is int else h, w.spine)
         elif tw is VTop:
-            t = spine(depth, Global(w.name), w.spine)
+            t = spine(depth, Global(w.entry.name), w.spine)
         elif tw is VLam:
             body = rb(depth + 1, w.closure.apply(fresh_var(depth)))
             t = Lam(w.hint, body, rb(depth, w.domain), w.implicit)
@@ -485,8 +479,8 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         elif tw is VPi:
             cod = rb(depth + 1, w.closure.apply(fresh_var(depth)))
             t = Pi(w.hint, rb(depth, w.domain), cod, w.implicit)
-        elif tw is VType:
-            t = Type(w.level)
+        elif tw is Type:
+            t = w
         else:
             raise KernelError(f"cannot read back {w!r}")
         if known is not None:
@@ -520,7 +514,7 @@ def conv(depth: int, a: Value, b: Value) -> bool:
     ta = type(a)
     tb = type(b)
     if ta is VTop:
-        if tb is VTop and a.name == b.name and _conv_spines(depth, a.spine, b.spine):
+        if tb is VTop and a.entry is b.entry and _conv_spines(depth, a.spine, b.spine):
             return True
         return conv(depth, a.force(), b.force() if tb is VTop else b)
     if tb is VTop:
@@ -544,7 +538,7 @@ def conv(depth: int, a: Value, b: Value) -> bool:
             return False
         x = fresh_var(depth)
         return conv(depth + 1, a.closure.apply(x), b.closure.apply(x))
-    return ta is VType and a.level == b.level
+    return ta is Type and a.level == b.level
 
 
 def _conv_spines(depth: int, sp1: tuple[Value | EJ, ...], sp2: tuple[Value | EJ, ...]) -> bool:
@@ -587,18 +581,18 @@ def infer_type(
                 raise KernelTypeError(path, f"unknown global {name!r}")
             return entry.type_value
         case Type(lvl):
-            return VType(Level(lvl.index + 1))
+            return Type(lvl + 1)
         case Pi(_, dom, cod, _):
             i = _infer_universe(ctx, globals, dom, path + ("domain",))
             dom_v = eval_term(env, globals, dom)
             j = _infer_universe(ctx + [dom_v], globals, cod, path + ("codomain",))
-            return VType(Level(max(i, j)))
+            return Type(max(i, j))
         case Id(ty, l, r):
             i = _infer_universe(ctx, globals, ty, path + ("type",))
             ty_v = eval_term(env, globals, ty)
             _check_against(ctx, globals, l, ty_v, path + ("lhs",))
             _check_against(ctx, globals, r, ty_v, path + ("rhs",))
-            return VType(Level(i))
+            return Type(i)
         case Refl(p):
             pt = infer_type(ctx, globals, p, path + ("point",))
             # `Refl(q)` evaluates to VRefl of q's endpoint: a chain evaluates one point
@@ -652,7 +646,7 @@ def infer_type(
             _require_conv(depth + 1, inner.domain, VId(pty.type, base_pt, x), path + ("motive",),
                           "J motive's second argument must be a path from the base point")
             sort = force_top(inner.closure.apply(fresh_var(depth + 1)))
-            if not isinstance(sort, VType):
+            if type(sort) is not Type:
                 raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
             mv = eval_term(env, globals, m)
             base_wanted = apply_value(apply_value(mv, base_pt), VRefl(base_pt))
@@ -669,9 +663,9 @@ def _infer_universe(
     ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...]
 ) -> int:
     ty = force_top(infer_type(ctx, globals, t, path))
-    if not isinstance(ty, VType):
+    if type(ty) is not Type:
         raise KernelTypeError(path, "expected a type", found=readback(len(ctx), ty))
-    return ty.level.index
+    return ty.level
 
 
 def _check_against(

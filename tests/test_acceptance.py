@@ -10,7 +10,7 @@ import pytest
 
 from hpt import corpus, driver, elab, kernel
 from hpt.cli import main
-from hpt.core import CoreDecl, Global, Refl, Type, Level, Var
+from hpt.core import CoreDecl, Global, Refl, Type, Var
 from hpt.kernel import GlobalEnv, KernelError, conv, eval_term, step_budget
 from hpt.surface import parse_file, parse_term
 from tests.terms import alpha_eq, print_surface, replace_at, term_size
@@ -199,7 +199,7 @@ def test_criterion_mutation_robustness(loaded):
     bodies = [e for e in env if e.body_core is not None]
     replacements = [
         Var(0),
-        Type(Level(0)),
+        Type(0),
         Refl(Global("star")),
         Global("A"),
         Global("star"),

@@ -472,6 +472,11 @@ NO_TRACEBACK_INPUTS = {
     "20000-arrow-def-type": "def f : " + "A -> " * 20_000 + "A := f\n",
     "implicit-solved-by-a-universe": "axiom A : Type\ndef id {X : Type} (x : X) : X := x\n"
     "#assert defeq A ~ id A : Type\n",
+    "fun-without-binders": "#check fun => A\n",
+    "normal-form-131072-applications-deep": "axiom A : Type\naxiom f : A -> A\n"
+    "def g0 (x : A) : A := f x\n"
+    + "".join(f"def g{k} (x : A) : A := g{k - 1} (g{k - 1} x)\n" for k in range(1, 18))
+    + "#eval fun (x : A) => g17 x\n",
 }
 
 

@@ -16,7 +16,6 @@ from hpt.core import (
     Id,
     J,
     Lam,
-    Level,
     Meta,
     Pi,
     Refl,
@@ -40,7 +39,7 @@ def _terms(max_depth=4, metas=False):
     """
     leaves = st.one_of(
         st.integers(min_value=0, max_value=3).map(Var),
-        st.sampled_from([Global("A"), Global("star"), Type(Level(0)), Type(Level(1))]),
+        st.sampled_from([Global("A"), Global("star"), Type(0), Type(1)]),
         *([st.integers(min_value=0, max_value=2).map(Meta)] if metas else []),
     )
 
@@ -136,7 +135,7 @@ def test_the_subterm_table_lists_exactly_the_term_fields_of_every_core_class():
         if isinstance(c, type) and issubclass(c, CoreTerm) and c is not CoreTerm
     }
     assert set(core.SUBTERMS) == classes
-    samples = {"CoreTerm": Var(0), "str": "x", "int": 0, "Level": Level(0)}
+    samples = {"CoreTerm": Var(0), "str": "x", "int": 0}
     for cls in classes:
         params = inspect.signature(cls).parameters.values()
         node = cls(*(samples[p.annotation] for p in params if p.default is p.empty))
@@ -171,8 +170,8 @@ def test_pretty_examples():
     assert pretty(Refl(Global("star"))) == "refl star"
     # name supply is outermost-first, so Var(1) = "a" and Var(0) = "b"
     assert pretty(Id(Global("A"), Var(1), Var(0)), ["a", "b"]) == "a = b"
-    assert pretty(Type(Level(0))) == "Type"
-    assert pretty(Type(Level(1))) == "Type 1"
+    assert pretty(Type(0)) == "Type"
+    assert pretty(Type(1)) == "Type 1"
 
 
 def test_term_size_counts_nodes():
@@ -196,7 +195,7 @@ def test_a_non_term_child_holds_no_meta():
 
 
 def test_equality_and_hash_ignore_the_lambda_domain_but_not_the_hint():
-    a, b = Lam("x", Var(0), Global("A")), Lam("x", Var(0), Type(Level(0)))
+    a, b = Lam("x", Var(0), Global("A")), Lam("x", Var(0), Type(0))
     assert a == b and hash(a) == hash(b)
     assert Lam("y", Var(0), Global("A")) != a
     assert Lam("x", Var(0), Global("A"), True) != a
@@ -217,10 +216,10 @@ def test_a_solved_meta_keeps_its_identity_by_id():
 
 
 def test_repr_keeps_the_dataclass_format():
-    t = Lam("x", J(Var(0), Refl(Global("a")), Meta(1), Type(Level(0))), Pi("_", Var(0), Var(1)))
+    t = Lam("x", J(Var(0), Refl(Global("a")), Meta(1), Type(0)), Pi("_", Var(0), Var(1)))
     assert repr(t) == (
         "Lam(hint='x', body=J(motive=Var(index=0), base=Refl(point=Global(name='a')),"
-        " endpoint=Meta(id=1), path=Type(level=Level(index=0))),"
+        " endpoint=Meta(id=1), path=Type(level=0)),"
         " ann=Pi(hint='_', domain=Var(index=0), codomain=Var(index=1), implicit=False),"
         " implicit=False)"
     )
@@ -235,8 +234,8 @@ def test_match_patterns_with_positional_captures_bind():
             assert (h, i, m, n, imp) == ("x", 0, 4, "A", True)
         case _:
             pytest.fail("Lam pattern did not match")
-    match J(Var(0), Var(1), Refl(Var(2)), Type(Level(1))):
-        case J(_, b, Refl(p), Type(Level(k))):
+    match J(Var(0), Var(1), Refl(Var(2)), Type(1)):
+        case J(_, b, Refl(p), Type(k)):
             assert (b, p, k) == (Var(1), Var(2), 1)
         case _:
             pytest.fail("J pattern did not match")

@@ -5,6 +5,7 @@ import pytest
 from hpt import corpus, driver, kernel
 from hpt.driver import check_source
 from hpt.kernel import GlobalEnv
+from hpt.surface import SurfaceError
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,26 @@ def test_elaborated_corpus_has_a_fixed_digest(loaded):
     env, _ = loaded
     text = repr([(e.name, e.type_core, e.body_core) for e in env])
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "87065f9c7fcbbceb12d62121909824a31f3d0d51c1e1d3a58f4880d52420b15d"
+    assert digest == "e742c80234bf55da292db67243ff902206618f157d55fe69d668803a7d91fb5c"
+
+
+@pytest.mark.parametrize(
+    "extra, error, message",
+    [("def bad : A := missing\n", SurfaceError, "unbound name 'missing'"),
+     ("axiom a : A\n#assert defeq a ~ star : A\n", kernel.KernelError,
+      "1 definitional assertion\\(s\\) failed")],
+    ids=["error", "failed-assertion"],
+)
+def test_load_corpus_raises_on_an_error_or_a_failed_assertion(
+    tmp_path, monkeypatch, extra, error, message
+):
+    """A corpus copy whose first file ends in an error, or in a failed
+    `#assert defeq`, makes `load_corpus` raise."""
+    base = corpus.corpus_dir() / "01-base.hpt"
+    (tmp_path / base.name).write_text(base.read_text() + extra)
+    monkeypatch.setenv("HPT_CORPUS_DIR", str(tmp_path))
+    with pytest.raises(error, match=message):
+        corpus.load_corpus()
 
 
 def test_manifest_matches_environment(loaded):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hpt import corpus, driver, elab, kernel
-from hpt.core import App, Global, Id, J, Lam, Level, Meta, Pi, Refl, Type, Var
+from hpt.core import App, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var
 from hpt.kernel import (
     BudgetExhausted,
     Closure,
@@ -91,8 +91,8 @@ def test_readback_refl(env):
 
 
 def test_conv_rigid(env):
-    assert conv(0, kernel.VType(Level(0)), kernel.VType(Level(0)))
-    assert not conv(0, kernel.VType(Level(0)), kernel.VType(Level(1)))
+    assert conv(0, Type(0), Type(0))
+    assert not conv(0, Type(0), Type(1))
 
 
 def test_conv_eh_refl(env):
@@ -144,10 +144,10 @@ def test_check_decl_axiom_and_duplicate(env):
     fresh = GlobalEnv()
     from hpt.core import CoreDecl
 
-    fresh = check_decl(fresh, CoreDecl("B", Type(Level(0)), None))
+    fresh = check_decl(fresh, CoreDecl("B", Type(0), None))
     assert "B" in fresh
     with pytest.raises(DuplicateName):
-        check_decl(fresh, CoreDecl("B", Type(Level(0)), None))
+        check_decl(fresh, CoreDecl("B", Type(0), None))
 
 
 def test_check_decl_body_mismatch(env):
@@ -184,7 +184,7 @@ def _kernel_env():
     from hpt.core import CoreDecl
 
     env = GlobalEnv()
-    for name, ty in [("A", Type(Level(0))), ("a", _A), ("b", _A), ("p", Id(_A, _a, _b))]:
+    for name, ty in [("A", Type(0)), ("a", _A), ("b", _A), ("p", Id(_A, _a, _b))]:
         env = check_decl(env, CoreDecl(name, ty, None))
     return env
 
@@ -196,7 +196,7 @@ def _kernel_env():
         (_A, J(_motive(_A), _a, _a, _p), "J endpoint does not match the path's right endpoint"),
         (_A, J(_a, _a, _b, _p), "J motive must be a two-argument function"),
         (_A, J(Lam("y", _A, _A), _a, _b, _p), "J motive must be a two-argument function"),
-        (_A, J(_motive(Type(Level(0)), path_from=_A), _a, _b, _p),
+        (_A, J(_motive(Type(0), path_from=_A), _a, _b, _p),
          "J motive's first argument must range over the path's type"),
         (_A, J(_motive(_A, path_from=_b), _a, _b, _p),
          "J motive's second argument must be a path from the base point"),
@@ -444,7 +444,7 @@ def test_mutation_never_crashes(env):
     outcomes = {"type_error": 0, "still_checks": 0}
     replacements = [
         Var(0),
-        Type(Level(0)),
+        Type(0),
         Refl(Global("star")),
         Global("A"),
         Global("star"),
@@ -482,7 +482,6 @@ def test_pretty_reelaborate_round_trip_on_normal_forms(env, body_nfs):
 
 def test_pretty_reelaborate_round_trip_on_types(env):
     from hpt.core import pretty
-    from hpt.kernel import VType
 
     for entry in env:
         nf_ty = normalize(env, entry.type_core)
