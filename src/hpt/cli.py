@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from . import corpus as corpus_mod
 from . import driver, kernel
-from .core import pretty
 from .driver import FileResult
 from .kernel import GlobalEnv, KernelError
 from .surface import SourceSpan, SurfaceError, parse_term
@@ -146,7 +145,7 @@ def cmd_eval(args, out) -> int:
     if env is not None:
         try:
             term = parse_term(args.expr, "<expr>")
-            nf, ty = driver.evaluate(env, term)
+            value, ty = driver.within_nesting_limit(lambda: driver.evaluate(env, term))
         except SurfaceError as e:
             report.diagnostics.append(e)
         except KernelError as e:
@@ -154,9 +153,9 @@ def cmd_eval(args, out) -> int:
             report.diagnostics.append(driver.located(e, SourceSpan("<expr>", line, col, line, col)))
         else:
             if args.json:
-                print(json.dumps({"value": pretty(nf), "type": pretty(ty)}), file=out)
+                print(json.dumps({"value": value, "type": ty}), file=out)
             else:
-                print(f"value: {pretty(nf)}\ntype: {pretty(ty)}", file=out)
+                print(f"value: {value}\ntype: {ty}", file=out)
             return 0
     return _finish(args, out, report, sources, summary=False)
 

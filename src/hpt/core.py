@@ -290,15 +290,14 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
             open_b, close_b = ("{", "}") if imp else ("(", ")")
             return _parens(f"fun {open_b}{n} : {ann_s}{close_b} => {body_s}", prec, _PREC_ARROW)
         case Pi(h, dom, cod, imp):
-            dom_s = _pp(dom, names, _PREC_ARROW)
             if not imp and not mentions(cod, 0, 1):
                 # non-dependent: print as an arrow; the domain is term1, so
                 # equations and nested arrows need parentheses
-                dom_head = _pp(dom, names, _PREC_CONCAT)
+                dom_s = _pp(dom, names, _PREC_CONCAT)
                 cod_s = _pp(cod, names + ["_"], _PREC_ARROW)
-                return _parens(f"{dom_head} -> {cod_s}", prec, _PREC_ARROW)
-            used = set(names)
-            n = fresh_name(h, used)
+                return _parens(f"{dom_s} -> {cod_s}", prec, _PREC_ARROW)
+            n = fresh_name(h, set(names))
+            dom_s = _pp(dom, names, _PREC_ARROW)
             cod_s = _pp(cod, names + [n], _PREC_ARROW)
             open_b, close_b = ("{", "}") if imp else ("(", ")")
             return _parens(f"{open_b}{n} : {dom_s}{close_b} -> {cod_s}", prec, _PREC_ARROW)

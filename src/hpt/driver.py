@@ -4,12 +4,12 @@ parse, elaborate, kernel-check, and run directives in source order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elab, kernel
-from .core import CoreTerm, pretty
+from .core import pretty
 from .kernel import GlobalEnv, KernelError
 from .surface import (
     AssertDefeq,
@@ -66,10 +66,20 @@ def read_source(path: str | Path, name: str, what: str = "file") -> str:
         raise SurfaceError(SourceSpan(name, 1, 1, 1, 1), f"cannot read {what}: {e}") from e
 
 
-def evaluate(globals: GlobalEnv, term: SurfaceTerm) -> tuple[CoreTerm, CoreTerm]:
-    """The normal form of `term` and its type: `#eval` and `hpt eval`."""
+def within_nesting_limit(thunk: Callable[[], tuple]) -> tuple:
+    """`thunk()`, with a RecursionError, from a term nested past Python's
+    recursion limit, raised as the KernelError "term nested too deeply"."""
+    try:
+        return thunk()
+    except RecursionError:
+        pass  # raised below, where no error holds on to the deep traceback
+    raise KernelError("term nested too deeply")
+
+
+def evaluate(globals: GlobalEnv, term: SurfaceTerm) -> tuple[str, str]:
+    """The printed normal form of `term` and its type: `#eval` and `hpt eval`."""
     core, ty = elab.elaborate_term(globals, term)
-    return kernel.normalize(globals, core), ty
+    return pretty(kernel.normalize(globals, core)), pretty(ty)
 
 
 def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
@@ -85,8 +95,8 @@ def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
                 core, ty = elab.elaborate_term(globals, t)
                 return globals, Event("check", span, f"{pretty(core)} : {pretty(ty)}")
             case EvalDirective(term=t, span=span):
-                nf, ty = evaluate(globals, t)
-                return globals, Event("eval", span, f"{pretty(nf)} : {pretty(ty)}")
+                value, ty = evaluate(globals, t)
+                return globals, Event("eval", span, f"{value} : {ty}")
             case AssertDefeq(lhs=l, rhs=r, at_type=ty, span=span):
                 ty_core, _ = elab.elaborate_term(globals, ty)
                 ty_v = kernel.eval_term([], globals, ty_core)
@@ -109,14 +119,12 @@ def check_source(globals: GlobalEnv, text: str, filename: str) -> tuple[GlobalEn
     result = FileResult(filename)
     try:
         for d in parse_file(text, filename):
-            globals, event = process_decl(globals, d)
+            globals, event = within_nesting_limit(lambda: process_decl(globals, d))
             result.events.append(event)
     except SurfaceError as e:
         result.error, result.error_span = e, e.span
     except KernelError as e:
         result.error, result.error_span = e, d.span
-    except RecursionError:
-        result.error, result.error_span = KernelError("term nested too deeply"), d.span
     return globals, result
 
 

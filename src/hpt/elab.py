@@ -37,7 +37,6 @@ from .core import (
     subterms,
 )
 from .kernel import (
-    Closure,
     EJ,
     GlobalEnv,
     VId,
@@ -63,7 +62,6 @@ from .surface import (
     Name,
     ReflSugar,
     SApp,
-    SArrow,
     SLam,
     SPi,
     SourceSpan,
@@ -339,8 +337,8 @@ def _restrict(metas: MetaStore, t: CoreTerm, depth: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The level of the carrier of `=` (arrows and Pi binders take theirs from
-# `_as_type`)
+# The level of the carrier of `=` (Π binders, an arrow's included, take
+# theirs from `_as_type`)
 
 
 def universe_of(ctx: ElabCtx, v: Value) -> int:
@@ -396,27 +394,15 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
             return core, ty_v
         case TypeU(level=k):
             return Type(k), Type(k + 1)
-        case SArrow(domain=d, codomain=c):
-            d_core, d_lvl = _as_type(ctx, d)
-            c_core, c_lvl = _as_type(ctx, c)
-            return Pi("_", d_core, shift(c_core, 0, 1), False), Type(max(d_lvl, c_lvl))
         case SPi(binders=bs, codomain=cod):
             inner, bound = _bind(ctx, bs)
             core, lvl = _as_type(inner, cod)
-            for name, ann_core, _, ann_lvl, implicit in reversed(bound):
-                core = Pi(name, ann_core, core, implicit)
-                lvl = max(lvl, ann_lvl)
-            return core, Type(lvl)
+            return _close(bound, core)[0], Type(max([lvl, *(b_lvl for _, _, b_lvl, _ in bound)]))
         case SLam(binders=bs, body=body):
             inner, bound = _bind(ctx, bs)
-            core, ty = infer(inner, body)
-            depth = inner.depth
-            for name, ann_core, ann_v, _, implicit in reversed(bound):
-                cod_core = inner.quote(depth, ty)
-                depth -= 1
-                clo = Closure(tuple(identity_env(depth)), cod_core, ctx.globals)
-                core, ty = Lam(name, core, ann_core, implicit), VPi(name, ann_v, clo, implicit)
-            return core, ty
+            body_core, ty = infer(inner, body)
+            ty_core, core = _close(bound, inner.quote(inner.depth, ty), body_core)
+            return core, ctx.eval(ty_core)
         case IdSugar(lhs=l, rhs=r):
             l_core, l_ty = _infer_inserted(ctx, l)
             r_core = check(ctx, r, l_ty)
@@ -483,15 +469,21 @@ def _check_lam(ctx: ElabCtx, t: SLam, expected: Value) -> CoreTerm:
 
 def _bind(ctx: ElabCtx, bs: tuple[Binder, ...]) -> tuple[ElabCtx, list]:
     """Elaborate binder types left to right. Returns the context under all of
-    them and, per name, (name, type core, type value, level, implicit)."""
+    them and, per name, (name, type core, level, implicit)."""
     bound = []
     for b in bs:
         for name in b.names:
             core, lvl = _as_type(ctx, b.annotation)
-            v = ctx.eval(core)
-            bound.append((name, core, v, lvl, b.implicit))
-            ctx = ctx.bound(name, v)
+            bound.append((name, core, lvl, b.implicit))
+            ctx = ctx.bound(name, ctx.eval(core))
     return ctx, bound
+
+
+def _close(bound: list, ty: CoreTerm, body: CoreTerm | None = None) -> tuple[CoreTerm, CoreTerm | None]:
+    """`ty` and `body` under Π and λ binders for the names `_bind` bound."""
+    for name, ann, _, implicit in reversed(bound):
+        ty, body = Pi(name, ann, ty, implicit), None if body is None else Lam(name, body, ann, implicit)
+    return ty, body
 
 
 def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
@@ -595,6 +587,11 @@ def _elab_j(ctx: ElabCtx, head: JSugar, args: list[SurfaceTerm]) -> tuple[CoreTe
         raise TypeMismatch(mspan, "a two-argument function", ctx.show(motive_ty),
                            note="elaborating the motive of J")
     _unify(ctx, ctx.depth + 1, inner.domain, VId(ty_v, a_v, x), mspan)
+    # The motive must land in a universe, as in the kernel; else a path hole may solve to `Type`.
+    sort = whnf(ctx, inner.closure.apply(fresh_var(ctx.depth + 1)))
+    if type(sort) is not Type and not (type(sort) is VNeutral and type(sort.head) is Meta):
+        raise TypeMismatch(mspan, "a universe", ctx.show(sort, ctx.depth + 2),
+                           note="elaborating the motive of J")
 
     motive_v = ctx.eval(motive_core)
     base_expect = apply_value(apply_value(motive_v, a_v), VRefl(a_v))
@@ -638,11 +635,7 @@ def elaborate_decl(globals: GlobalEnv, d: SurfaceDecl) -> CoreDecl:
     ctx, bound = _bind(ElabCtx(globals), d.binders)
     result_core, _ = _as_type(ctx, d.result_type)
     body_core = None if d.body is None else check(ctx, d.body, ctx.eval(result_core))
-    type_core = result_core
-    for name, ann_core, _, _, implicit in reversed(bound):
-        type_core = Pi(name, ann_core, type_core, implicit)
-        if body_core is not None:
-            body_core = Lam(name, body_core, ann_core, implicit)
+    type_core, body_core = _close(bound, result_core, body_core)
 
     type_core = zonk(type_core)
     if body_core is not None:

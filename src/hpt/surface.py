@@ -21,6 +21,10 @@ The parser never backtracks. `{` always opens a binder, and `(` opens one
 exactly when identifiers and then `:` follow it, which starts no term.
 `term1` and `term2` are the rows of the infix table `_INFIX`.
 
+`A -> B` is `(_ : A) -> B`: an `SPi` whose one binder is named `_`, which
+lexes as punctuation, so no name can bind or reference it. `B` is
+elaborated under that binder, and a hole in `B` may depend on the argument.
+
 A NAT is a run of ASCII digits; as a universe level it has at most nine.
 `refl x` folds into one ReflSugar; `J` is an atom whose arguments stay on
 the application spine.
@@ -177,13 +181,6 @@ class SLam(SurfaceTerm):
 @dataclass(frozen=True)
 class SPi(SurfaceTerm):
     binders: tuple[Binder, ...]
-    codomain: SurfaceTerm
-    span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
-
-
-@dataclass(frozen=True)
-class SArrow(SurfaceTerm):
-    domain: SurfaceTerm
     codomain: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
@@ -375,7 +372,7 @@ class _Parser:
         if self.at("->"):
             self.next()
             cod = self.parse_term()
-            return SArrow(t, cod, t.span.cover(cod.span))
+            return SPi((Binder(("_",), t, False, t.span),), cod, t.span.cover(cod.span))
         if self.at("="):
             self.next()
             rhs = self.parse_infix()

@@ -15,7 +15,6 @@ from hpt.surface import (
     Name,
     ReflSugar,
     SApp,
-    SArrow,
     SLam,
     SPi,
     SurfaceTerm,
@@ -141,11 +140,11 @@ def _print(t: SurfaceTerm, prec: int) -> str:
         case SPi(binders=bs, codomain=cod):
             s = _print(cod, _PREC_LOW)
             for b in reversed(bs):
-                s = f"{_print_binder(b)} -> {s}"
+                # an anonymous binder prints as an arrow, whose domain is term1:
+                # equations and nested arrows need parens
+                dom = _print(b.annotation, _PREC_CONCAT) if b.names == ("_",) else _print_binder(b)
+                s = f"{dom} -> {s}"
             return _wrap(s, prec, _PREC_LOW)
-        case SArrow(domain=d, codomain=c):
-            # arrow domains are term1: equations and nested arrows need parens
-            return _wrap(f"{_print(d, _PREC_CONCAT)} -> {_print(c, _PREC_LOW)}", prec, _PREC_LOW)
         case IdSugar(lhs=l, rhs=r):
             return _wrap(f"{_print(l, _PREC_CONCAT)} = {_print(r, _PREC_CONCAT)}", prec, _PREC_ID)
         case SApp(fn=SApp(fn=Name(name="concat", explicit_all=False), arg=l), arg=r):

@@ -487,3 +487,19 @@ def test_bad_input_gets_a_located_error(tmp_path, text):
     code, out = run_cli(["check", str(path)])
     assert code == 1
     assert re.match(re.escape(str(path)) + r":\d+:\d+: error: ", out.splitlines()[0])
+
+
+# `t` applied 17 times to `f`, where `t h = h ∘ h`: a normal form 131,072
+# applications deep, past the recursion limit of readback.
+DEEP_EVAL_INPUT = (
+    "fun (A : Type) (f : A -> A) (x : A) => (fun (t : (A -> A) -> A -> A) => "
+    + "t (" * 16 + "t f" + ")" * 16
+    + " x) (fun (h : A -> A) (y : A) => h (h y))"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["--open-corpus"]], ids=["alone", "open-corpus"])
+def test_eval_of_a_too_deep_normal_form_gets_a_located_error(flags):
+    code, out = run_cli(["eval", *flags, "-e", DEEP_EVAL_INPUT])
+    assert code == 1
+    assert out.splitlines()[0] == "<expr>:1:1: error: term nested too deeply"

@@ -174,6 +174,25 @@ def test_pretty_examples():
     assert pretty(Type(1)) == "Type 1"
 
 
+def test_printing_a_left_nested_arrow_costs_calls_linear_in_its_depth(monkeypatch):
+    """`((A -> A) -> A) -> … -> A` with k Πs prints each domain once: one
+    `_pp` call per Π and one per `A`, 2k + 1 in all."""
+    original, calls = core._pp, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, "_pp", counted)
+    for k in (4, 8, 12):
+        t = Global("A")
+        for _ in range(k):
+            t = Pi("_", t, Global("A"))
+        calls[0] = 0
+        assert pretty(t) == "(" * (k - 1) + "A -> A" + ") -> A" * (k - 1)
+        assert calls[0] == 2 * k + 1
+
+
 def test_term_size_counts_nodes():
     assert term_size(Var(0)) == 1
     assert term_size(App(Var(0), Var(1))) == 3

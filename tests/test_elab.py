@@ -66,6 +66,9 @@ def test_arrow_in_too_small_a_universe_fails_in_the_elaborator():
         assert (result.error_span.start_line, result.error_span.start_col) == (2, col)
 
 
+_PATH_MOTIVE = "J (fun (z : A) (q : a = z) => q) _ _"
+
+
 @pytest.mark.parametrize(
     "line, part, col",
     [
@@ -75,8 +78,15 @@ def test_arrow_in_too_small_a_universe_fails_in_the_elaborator():
         ("#check J (fun (y : A) (e : a = y) => A) a a", "expected: an identity type", 43),
         ("#check J a a (refl a)", "expected: a two-argument function", 10),
         ("#check J (fun (y : A) => A) a (refl a)", "expected: a two-argument function", 10),
+        # A motive whose body `q` is a path, not a type: its path hole once
+        # solved to `Type`, and J met a non-path in evaluation.
+        (f"#check (x : {_PATH_MOTIVE}) -> A", "found:    a = x", 15),
+        (f"def t (x : {_PATH_MOTIVE}) : A := a", "found:    a = x", 14),
+        (f"#check fun (x : {_PATH_MOTIVE}) => x", "found:    a = x", 19),
+        (f"#check ({_PATH_MOTIVE}) -> A", "found:    a = x", 11),
     ],
-    ids=["extra-binder", "implicit-binder", "not-a-type", "j-path", "j-motive", "j-motive-arity"],
+    ids=["extra-binder", "implicit-binder", "not-a-type", "j-path", "j-motive", "j-motive-arity",
+         "j-motive-sort-pi", "j-motive-sort-def", "j-motive-sort-lambda", "j-motive-sort-arrow"],
 )
 def test_elaborator_type_mismatch_is_located(line, part, col):
     text = f"axiom A : Type\naxiom a : A\n{line}\n"
@@ -256,6 +266,8 @@ def test_metas_made_under_a_binder_solve_metas_from_outside_it():
         "#check (fun (p : _) => id p) star\n"
         "#check (fun (p : _) => J (fun (z : A) (q : star = z) => A) star p) (refl star)\n"
         "#check fun (x : A) => (fun (p : _) => J (fun (z : A) (q : x = z) => A) star p) (refl x)\n"
+        # `A -> _` is `(_ : A) -> _`, so its hole is made under the binder.
+        "def f : A -> _ := fun (x : A) => refl x\n#check f\n"
     )
     _, result = driver.check_source(GlobalEnv(), text, "m.hpt")
     assert result.error is None, str(result.error)
@@ -265,6 +277,7 @@ def test_metas_made_under_a_binder_solve_metas_from_outside_it():
         " (refl star) : A",
         "fun (x : A) => (fun (p : x = x) => J (fun (z : A) => fun (q : x = z) => A) star p)"
         " (refl x) : A -> A",
+        "f : (x : A) -> x = x",
     ]
 
 

@@ -17,7 +17,6 @@ from hpt.surface import (
     ParseError,
     ReflSugar,
     SApp,
-    SArrow,
     SLam,
     SPi,
     SurfaceTerm,
@@ -140,9 +139,9 @@ def test_parse_mixed_binders():
 def test_parse_pi_and_arrow():
     t = parse_term("(x : A) -> B")
     assert isinstance(t, SPi)
-    t2 = parse_term("A -> B -> C")
-    assert isinstance(t2, SArrow)
-    assert isinstance(t2.codomain, SArrow)
+    # an arrow is a Π whose one binder is anonymous
+    arrow = lambda dom, cod: SPi((Binder(("_",), dom, False),), cod)  # noqa: E731
+    assert parse_term("A -> B -> C") == arrow(Name("A"), arrow(Name("B"), Name("C")))
 
 
 def test_parse_at_name_and_hole():
@@ -281,7 +280,7 @@ def _gen_term(rng: random.Random, depth: int) -> SurfaceTerm:
     if pick == 1:
         return IdSugar(sub(), sub())
     if pick == 2:
-        return SArrow(sub(), sub())
+        return SPi((Binder(("_",), sub(), False),), sub())
     if pick == 3:
         binders = tuple(
             Binder((rng.choice(_IDENTS),), sub(), rng.random() < 0.3)
