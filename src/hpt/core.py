@@ -2,9 +2,13 @@
 
 Terms are immutable by convention, as `kernel.Closure` is, and are shared
 freely; the one exception is `Meta`, the metavariable itself, whose scope and
-solution `elab.MetaStore` updates in place. `has_meta` says whether a `Meta`
-lies in the tree: a node sets it from its children when built, and a leaf
-class fixes it.
+solution `elab.MetaStore` updates in place. Two summaries of the tree are set
+when a node is built, from its children, and a leaf class fixes them:
+`has_meta` says whether a `Meta` lies in the tree, and `free` is the set of
+the tree's free de Bruijn indices as a bitmask (bit i set when index i is
+free). `Var(i)` sets bit i, a child under k binders contributes its `free`
+shifted right by k, and a `Meta` counts as closed, as `shift` and `mentions`
+ignore its solution.
 """
 
 from __future__ import annotations
@@ -17,15 +21,21 @@ def _meta(t: object) -> bool:
     return getattr(t, "has_meta", False)  # a non-term child holds no meta
 
 
+def _free(t: object) -> int:
+    return getattr(t, "free", 0)  # a non-term child has no free index
+
+
 class CoreTerm:
     """Base class for kernel terms. Variables are de Bruijn indices.
 
     `__match_args__` names the fields in order; `repr`, `==` and `hash` use
     them as a frozen dataclass's would (`Lam` leaves `ann` out of the last two).
+    `has_meta` and `free` are not fields.
     """
 
     __slots__ = ()
     has_meta = False
+    free = 0
 
     def _key(self) -> tuple:
         return tuple(getattr(self, n) for n in self.__match_args__)
@@ -42,10 +52,12 @@ class CoreTerm:
 
 
 class Var(CoreTerm):
-    __slots__ = __match_args__ = ("index",)
+    __match_args__ = ("index",)
+    __slots__ = __match_args__ + ("free",)
 
     def __init__(self, index: int) -> None:
         self.index = index
+        self.free = 1 << index if index >= 0 else 0
 
 
 class Global(CoreTerm):
@@ -60,11 +72,12 @@ class Lam(CoreTerm):
     # though `==` compares it. `ann` is the domain, which every lambda
     # carries so that it infers; `==` and `hash` ignore it.
     __match_args__ = ("hint", "body", "ann", "implicit")
-    __slots__ = __match_args__ + ("has_meta",)
+    __slots__ = __match_args__ + ("has_meta", "free")
 
     def __init__(self, hint: str, body: CoreTerm, ann: CoreTerm, implicit: bool = False) -> None:
         self.hint, self.body, self.ann, self.implicit = hint, body, ann, implicit
         self.has_meta = _meta(body) or _meta(ann)
+        self.free = _free(ann) | _free(body) >> 1
 
     def _key(self) -> tuple:
         return (self.hint, self.body, self.implicit)
@@ -72,19 +85,21 @@ class Lam(CoreTerm):
 
 class App(CoreTerm):
     __match_args__ = ("fn", "arg")
-    __slots__ = __match_args__ + ("has_meta",)
+    __slots__ = __match_args__ + ("has_meta", "free")
 
     def __init__(self, fn: CoreTerm, arg: CoreTerm) -> None:
         self.fn, self.arg, self.has_meta = fn, arg, _meta(fn) or _meta(arg)
+        self.free = _free(fn) | _free(arg)
 
 
 class Pi(CoreTerm):
     __match_args__ = ("hint", "domain", "codomain", "implicit")
-    __slots__ = __match_args__ + ("has_meta",)
+    __slots__ = __match_args__ + ("has_meta", "free")
 
     def __init__(self, hint: str, domain: CoreTerm, codomain: CoreTerm, implicit: bool = False) -> None:
         self.hint, self.domain, self.codomain, self.implicit = hint, domain, codomain, implicit
         self.has_meta = _meta(domain) or _meta(codomain)
+        self.free = _free(domain) | _free(codomain) >> 1
 
 
 class Type(CoreTerm):
@@ -99,19 +114,20 @@ class Type(CoreTerm):
 
 class Id(CoreTerm):
     __match_args__ = ("type", "lhs", "rhs")
-    __slots__ = __match_args__ + ("has_meta",)
+    __slots__ = __match_args__ + ("has_meta", "free")
 
     def __init__(self, type: CoreTerm, lhs: CoreTerm, rhs: CoreTerm) -> None:
         self.type, self.lhs, self.rhs = type, lhs, rhs
         self.has_meta = _meta(type) or _meta(lhs) or _meta(rhs)
+        self.free = _free(type) | _free(lhs) | _free(rhs)
 
 
 class Refl(CoreTerm):
     __match_args__ = ("point",)
-    __slots__ = __match_args__ + ("has_meta",)
+    __slots__ = __match_args__ + ("has_meta", "free")
 
     def __init__(self, point: CoreTerm) -> None:
-        self.point, self.has_meta = point, _meta(point)
+        self.point, self.has_meta, self.free = point, _meta(point), _free(point)
 
 
 class J(CoreTerm):
@@ -124,11 +140,12 @@ class J(CoreTerm):
     """
 
     __match_args__ = ("motive", "base", "endpoint", "path")
-    __slots__ = __match_args__ + ("has_meta",)
+    __slots__ = __match_args__ + ("has_meta", "free")
 
     def __init__(self, motive: CoreTerm, base: CoreTerm, endpoint: CoreTerm, path: CoreTerm) -> None:
         self.motive, self.base, self.endpoint, self.path = motive, base, endpoint, path
         self.has_meta = _meta(motive) or _meta(base) or _meta(endpoint) or _meta(path)
+        self.free = _free(motive) | _free(base) | _free(endpoint) | _free(path)
 
 
 class Meta(CoreTerm):
@@ -157,8 +174,9 @@ class CoreDecl:
 
 
 # Each node class's subterm fields in visit order, with the binders each lies
-# under; a leaf has none. `subterms`, `rebuild` and `mentions` read it, and
-# `shift`, `elab.zonk` and `elab._restrict` walk terms through the first two.
+# under; a leaf has none. `subterms` and `rebuild` read it, and `shift`,
+# `elab.zonk`, `elab._restrict` and `mentions`' search for a meta walk terms
+# through them. The constructors read the same fields to set `free`.
 SUBTERMS: dict[type, tuple[tuple[str, int], ...]] = {
     Var: (), Global: (), Type: (), Meta: (),
     App: (("fn", 0), ("arg", 0)),
@@ -193,9 +211,12 @@ def rebuild(t: CoreTerm, f: Callable[[CoreTerm, int], CoreTerm], depth: int) -> 
 
 def shift(t: CoreTerm, cutoff: int, amount: int) -> CoreTerm:
     """Add `amount` to every free index >= cutoff. Bound indices untouched;
-    a subterm with no free index >= cutoff comes back as the same object."""
+    a subterm with no free index >= cutoff comes back as the same object, at
+    once."""
+    if not t.free >> cutoff and type(t) in SUBTERMS:  # a non-term fails in `rebuild`
+        return t
     if type(t) is Var:
-        return Var(t.index + amount) if t.index >= cutoff else t
+        return Var(t.index + amount)
     return rebuild(t, lambda u, c: shift(u, c, amount), cutoff)
 
 
@@ -239,68 +260,58 @@ def pretty(t: CoreTerm, names: list[str] | None = None) -> str:
 
 
 def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
-    match t:
-        case Var(i):
-            if 0 <= i < len(names):
-                return names[len(names) - 1 - i]
-            return f"!{i}"
-        case Global(n):
-            return n
-        case Meta(i):
-            return f"?{i}"
-        case Type(0):
-            return "Type"
-        case Type(k):
-            return _parens(f"Type {k}", prec, _PREC_APP)
-        case Refl(p):
-            return _parens(f"refl {_pp(p, names, _PREC_ATOM)}", prec, _PREC_APP)
-        case Id(_, l, r):
-            s = f"{_pp(l, names, _PREC_CONCAT)} = {_pp(r, names, _PREC_CONCAT)}"
-            return _parens(s, prec, _PREC_ID)
-        case J(m, b, _, p):
-            parts = [
-                "J",
-                _pp(m, names, _PREC_ATOM),
-                _pp(b, names, _PREC_ATOM),
-                _pp(p, names, _PREC_ATOM),
-            ]
-            return _parens(" ".join(parts), prec, _PREC_APP)
-        case App(f, x):
-            # Fully applied concatenation operators print as their sugar.
-            spine = [x]
-            head = f
-            while isinstance(head, App):
-                spine.append(head.arg)
-                head = head.fn
-            spine.reverse()
-            if isinstance(head, Global):
-                if head.name == "concat" and len(spine) == 6:
-                    s = f"{_pp(spine[4], names, _PREC_CONCAT)} * {_pp(spine[5], names, _PREC_PAR)}"
-                    return _parens(s, prec, _PREC_CONCAT)
-                if head.name == "par-concat" and len(spine) == 10:
-                    s = f"{_pp(spine[8], names, _PREC_PAR)} ** {_pp(spine[9], names, _PREC_APP)}"
-                    return _parens(s, prec, _PREC_PAR)
-            s = f"{_pp(f, names, _PREC_APP)} {_pp(x, names, _PREC_ATOM)}"
-            return _parens(s, prec, _PREC_APP)
-        case Lam(h, body, ann, imp):
-            used = set(names)
-            n = fresh_name(h, used)
-            ann_s = _pp(ann, names, _PREC_ARROW)
-            body_s = _pp(body, names + [n], _PREC_ARROW)
-            open_b, close_b = ("{", "}") if imp else ("(", ")")
-            return _parens(f"fun {open_b}{n} : {ann_s}{close_b} => {body_s}", prec, _PREC_ARROW)
-        case Pi(h, dom, cod, imp):
-            if not imp and not mentions(cod, 0, 1):
-                # non-dependent: print as an arrow; the domain is term1, so
-                # equations and nested arrows need parentheses
-                dom_s = _pp(dom, names, _PREC_CONCAT)
-                cod_s = _pp(cod, names + ["_"], _PREC_ARROW)
-                return _parens(f"{dom_s} -> {cod_s}", prec, _PREC_ARROW)
-            n = fresh_name(h, set(names))
-            dom_s = _pp(dom, names, _PREC_ARROW)
-            cod_s = _pp(cod, names + [n], _PREC_ARROW)
-            open_b, close_b = ("{", "}") if imp else ("(", ")")
-            return _parens(f"{open_b}{n} : {dom_s}{close_b} -> {cod_s}", prec, _PREC_ARROW)
+    # Exact-type tests, most frequent first, as in `kernel.eval_term`.
+    tt = type(t)
+    if tt is Var:
+        i = t.index
+        return names[-1 - i] if 0 <= i < len(names) else f"!{i}"
+    if tt is App:
+        # Fully applied concatenation operators print as their sugar; the
+        # operands are the last two arguments.
+        head, n = t.fn, 1
+        while type(head) is App:
+            head, n = head.fn, n + 1
+        if type(head) is Global:
+            if head.name == "concat" and n == 6:
+                s = f"{_pp(t.fn.arg, names, _PREC_CONCAT)} * {_pp(t.arg, names, _PREC_PAR)}"
+                return _parens(s, prec, _PREC_CONCAT)
+            if head.name == "par-concat" and n == 10:
+                s = f"{_pp(t.fn.arg, names, _PREC_PAR)} ** {_pp(t.arg, names, _PREC_APP)}"
+                return _parens(s, prec, _PREC_PAR)
+        s = f"{_pp(t.fn, names, _PREC_APP)} {_pp(t.arg, names, _PREC_ATOM)}"
+        return _parens(s, prec, _PREC_APP)
+    if tt is Global:
+        return t.name
+    if tt is Refl:
+        return _parens(f"refl {_pp(t.point, names, _PREC_ATOM)}", prec, _PREC_APP)
+    if tt is Id:
+        s = f"{_pp(t.lhs, names, _PREC_CONCAT)} = {_pp(t.rhs, names, _PREC_CONCAT)}"
+        return _parens(s, prec, _PREC_ID)
+    if tt is Lam:
+        n = fresh_name(t.hint, set(names))
+        ann_s = _pp(t.ann, names, _PREC_ARROW)
+        body_s = _pp(t.body, names + [n], _PREC_ARROW)
+        open_b, close_b = ("{", "}") if t.implicit else ("(", ")")
+        return _parens(f"fun {open_b}{n} : {ann_s}{close_b} => {body_s}", prec, _PREC_ARROW)
+    if tt is Pi:
+        if not t.implicit and not t.codomain.free & 1:
+            # non-dependent: print as an arrow; the domain is term1, so
+            # equations and nested arrows need parentheses
+            dom_s = _pp(t.domain, names, _PREC_CONCAT)
+            cod_s = _pp(t.codomain, names + ["_"], _PREC_ARROW)
+            return _parens(f"{dom_s} -> {cod_s}", prec, _PREC_ARROW)
+        n = fresh_name(t.hint, set(names))
+        dom_s = _pp(t.domain, names, _PREC_ARROW)
+        cod_s = _pp(t.codomain, names + [n], _PREC_ARROW)
+        open_b, close_b = ("{", "}") if t.implicit else ("(", ")")
+        return _parens(f"{open_b}{n} : {dom_s}{close_b} -> {cod_s}", prec, _PREC_ARROW)
+    if tt is J:
+        parts = ["J", *(_pp(u, names, _PREC_ATOM) for u in (t.motive, t.base, t.path))]
+        return _parens(" ".join(parts), prec, _PREC_APP)
+    if tt is Type:
+        return "Type" if t.level == 0 else _parens(f"Type {t.level}", prec, _PREC_APP)
+    if tt is Meta:
+        return f"?{t.id}"
     raise TypeError(f"not a core term: {t!r}")
 
 
@@ -310,11 +321,10 @@ def _parens(s: str, outer: int, inner: int) -> str:
 
 def mentions(t: CoreTerm, lo: int, n: int, meta: int | None = None) -> bool:
     """Does `t` use a free index in [lo, lo + n) (counted at `t`'s root), or
-    contain Meta(meta)?"""
-    if not n and not t.has_meta:
-        return False
-    if type(t) is Var:
-        return lo <= t.index < lo + n
+    contain Meta(meta)? A negative index is never free."""
+    if not t.has_meta:
+        lo, n = max(lo, 0), n + min(lo, 0)
+        return n > 0 and bool(t.free >> lo & (1 << n) - 1)
     if type(t) is Meta:
         return t.id == meta
     for name, k in _fields(t):

@@ -39,6 +39,7 @@ from .core import (
 from .kernel import (
     EJ,
     GlobalEnv,
+    UNUSED,
     VId,
     VLam,
     VNeutral,
@@ -547,7 +548,8 @@ def _apply_args(
             )
         arg_core = check(ctx, arg, ty.domain)
         core = App(core, arg_core)
-        ty = ty.closure.apply(ctx.eval(arg_core))
+        c = ty.closure
+        ty = c.apply(ctx.eval(arg_core) if c.reads_binder() else UNUSED)
     return core, ty
 
 

@@ -18,12 +18,13 @@ copy, so older environments stay valid.
 
 A step budget (default 10**8) turns runaway evaluation of malformed input
 into a BudgetExhausted error instead of a hang. It is charged once on every
-closure application and every J elimination, which any divergent
-computation must pass through. `Closure.apply` never memoizes, but `normalize`
-skips applications whose normal form it already has, and those are not
-charged. One budget is active at a time, held in a module-level variable:
-`step_budget` installs a fresh one for a block, and the driver opens one per
-declaration.
+closure application, once on every argument a glued global's unfolding
+binds in its body's λ prefix (`VTop.force`), and once on every J
+elimination, which any divergent computation must pass through.
+`Closure.apply` never memoizes, but `normalize` skips applications whose
+normal form it already has, and those are not charged. One budget is active
+at a time, held in a module-level variable: `step_budget` installs a fresh
+one for a block, and the driver opens one per declaration.
 
 Readback memoizes per top-level call: a value reached twice at the same
 depth is read back once, so the normal form shares that subterm in memory.
@@ -46,7 +47,6 @@ from .core import (
     Meta,
     Pi,
     Refl,
-    SUBTERMS,
     Type,
     Var,
     pretty,
@@ -128,10 +128,10 @@ def _ensure_budget() -> AbstractContextManager:
     return step_budget() if _budget is None else nullcontext()
 
 
-def _tick() -> None:
+def _tick(steps: int = 1) -> None:
     budget = _budget
     if budget is not None:
-        budget.remaining -= 1
+        budget.remaining -= steps
         if budget.remaining < 0:
             raise BudgetExhausted()
 
@@ -161,7 +161,8 @@ class Closure:
     Each application charges one budget step and evaluates the body in the
     environment extended by the argument. `apply` never memoizes, but
     `normalize` skips applications whose normal form it already has, and
-    those are not charged.
+    those are not charged. `VTop.force` binds a λ prefix without `apply`,
+    charging the same step per argument.
     """
 
     __slots__ = ("env", "term", "globals")
@@ -174,6 +175,11 @@ class Closure:
     def apply(self, v: Value) -> Value:
         _tick()
         return eval_term(self.env + (v,), self.globals, self.term)
+
+    def reads_binder(self) -> bool:
+        """May the body read its argument? A meta's solution may name the
+        binder unseen by `free`, so a body holding a meta counts as reading it."""
+        return bool(self.term.free & 1) or self.term.has_meta
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -229,9 +235,21 @@ class VTop(Value):
         self._forced: Value | None = None
 
     def force(self) -> Value:
+        """The body applied to the spine, unfolded to a canonical shape. A λ
+        body's closure env is extended by every argument its λ prefix binds,
+        one budget step each, and the inner body evaluated once; `apply_spine`
+        replays the rest of the spine."""
         v = self._forced
         if v is None:
-            v = self._forced = force_top(apply_spine(self.entry.body_value, self.spine))
+            body, spine = self.entry.body_value, self.spine
+            if type(body) is VLam and spine:
+                c = body.closure
+                t, k = c.term, 1
+                while type(t) is Lam and k < len(spine):
+                    t, k = t.body, k + 1
+                _tick(k)
+                body, spine = eval_term(c.env + spine[:k], c.globals, t), spine[k:]
+            v = self._forced = force_top(apply_spine(body, spine))
         return v
 
 
@@ -247,6 +265,11 @@ def fresh_var(depth: int) -> Value:
 
 
 _IDENTITY_ENV: list[Value] = []
+
+
+# The argument given to a closure whose body never reads its binder; readback
+# would print it as `<unused>`.
+UNUSED = VNeutral(Global("<unused>"))
 
 
 def identity_env(depth: int) -> list[Value]:
@@ -422,7 +445,7 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
     memo: dict[int, dict[Value, CoreTerm]] = {}
     known = None
     if force is force_top:
-        nodes, known, frees = {}, {}, {}
+        nodes, known = {}, {}
 
         def share(t: CoreTerm) -> CoreTerm:
             """The one node in `nodes` equal to `t`, whose children are shared:
@@ -430,13 +453,6 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             key = (type(t), *[id(f) if isinstance(f, CoreTerm) else f
                               for f in [getattr(t, n) for n in t.__match_args__]])
             return nodes.setdefault(key, t)
-
-        def free(t: CoreTerm) -> frozenset[int]:
-            """The free indices of `t`, cached by identity (which keeps `t` alive)."""
-            if id(t) not in frees:
-                frees[id(t)] = t, frozenset([t.index] if type(t) is Var else [
-                    i - k for n, k in SUBTERMS[type(t)] for i in free(getattr(t, n)) if i >= k])
-            return frees[id(t)][1]
 
         def known_key(depth: int, v: VTop | VLam | VPi) -> tuple | None:
             """What the normal form of `v` depends on, values counting by their
@@ -448,8 +464,9 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             c = v.closure
             if c.term.has_meta:  # a solved meta's indices count from its own depth
                 return None
-            return (type(v), id(c.term), c.globals, depth, v.hint, v.implicit,
-                    id(rb(depth, v.domain)), *[id(rb(depth, c.env[-i])) for i in free(c.term) if i])
+            free = c.term.free
+            return (type(v), id(c.term), c.globals, depth, v.hint, v.implicit, id(rb(depth, v.domain)),
+                    *[id(rb(depth, c.env[-i])) for i in range(1, free.bit_length()) if free >> i & 1])
 
     def rb(depth: int, v: Value) -> CoreTerm:
         seen = memo.get(depth)
@@ -622,7 +639,8 @@ def infer_type(
                         found=readback(depth, fty),
                     )
                 _check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",))
-                fty = fty.closure.apply(eval_term(env, globals, x))
+                c = fty.closure
+                fty = c.apply(eval_term(env, globals, x) if c.reads_binder() else UNUSED)
             return fty
         case J(m, b, e, p):
             pty = force_top(infer_type(ctx, globals, p, path + ("path",)))

@@ -1,11 +1,12 @@
 """Helpers that only the tests use: over core terms, alpha equivalence,
-subterm replacement by preorder position, and tree and DAG size; over surface
-terms, a printer whose output parses back to the same term."""
+subterm replacement by preorder position, free indices, and tree and DAG
+size; over surface terms, a printer whose output parses back to the same
+term."""
 
 from __future__ import annotations
 
 from hpt.core import (
-    App, CoreTerm, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var, rebuild, subterms,
+    App, CoreTerm, Global, Id, J, Lam, Meta, Pi, Refl, SUBTERMS, Type, Var, rebuild, subterms,
 )
 from hpt.surface import (
     Binder,
@@ -68,6 +69,18 @@ def replace_at(t: CoreTerm, pos: int, new: CoreTerm) -> CoreTerm:
         return new if counter[0] == pos + 1 else rebuild(node, go, 0)
 
     return go(t)
+
+
+def free_indices(t: CoreTerm, cache: dict | None = None) -> frozenset[int]:
+    """The free de Bruijn indices of `t`, by a plain walk of the subterm table:
+    the oracle for `CoreTerm.free`. A meta counts as closed and a negative
+    index as no index. `cache`, keyed by identity, makes a DAG cost its DAG
+    size; it keeps each term alive."""
+    cache = {} if cache is None else cache
+    if id(t) not in cache:
+        cache[id(t)] = t, frozenset([t.index] if type(t) is Var and t.index >= 0 else [
+            i - k for n, k in SUBTERMS[type(t)] for i in free_indices(getattr(t, n), cache) if i >= k])
+    return cache[id(t)][1]
 
 
 def term_size(t: CoreTerm) -> int:

@@ -27,7 +27,7 @@ from hpt.core import (
     shift,
     subterms,
 )
-from tests.terms import alpha_eq, children, dag_size, term_size
+from tests.terms import alpha_eq, children, dag_size, free_indices, term_size
 
 
 def _terms(max_depth=4, metas=False):
@@ -126,6 +126,44 @@ def test_mentions_counts_free_indices_from_the_root():
     assert not mentions(Meta(3), 0, 1, meta=4)
 
 
+def test_mentions_on_a_non_term_annotation_and_a_range_starting_below_zero():
+    assert not mentions(Lam("x", Var(0), None), 0, 1)
+    assert mentions(Lam("x", Var(1), None), 0, 1)
+    # [lo, lo + n) is clipped at 0: no index is negative
+    assert mentions(Var(0), -1, 2) and mentions(App(Var(3), Var(1)), -2, 4)
+    assert not mentions(Var(0), -1, 1) and not mentions(Var(2), -3, 4)
+    assert not mentions(Var(0), 0, 0) and not mentions(Var(0), 0, -1)
+
+
+def test_shift_returns_a_term_without_a_free_index_at_or_above_the_cutoff_at_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "rebuild", lambda *args: calls.append(args))
+    t = Pi("x", Var(1), Lam("y", App(Var(0), Var(2)), Var(1)))  # free indices: 1
+    assert shift(t, 2, 5) is t and shift(Var(0), 1, 5).index == 0
+    assert calls == []
+    shift(t, 1, 5)
+    assert len(calls) == 1
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@given(_terms(metas=True))
+@settings(max_examples=300)
+def test_free_is_the_set_of_free_indices(t):
+    assert t.free == _mask(free_indices(t))
+
+
+def test_free_is_set_by_every_class_and_is_not_a_field():
+    assert Var(3).free == 0b1000 and Var(-1).free == 0
+    assert Lam("x", Var(0), None).free == 0 and Lam("x", Var(2), Var(0)).free == 0b11
+    assert Pi("x", Var(1), Var(1)).free == 0b11 and Meta(0).free == 0
+    assert J(Var(0), Var(1), Refl(Var(2)), Id(Type(0), Global("a"), Var(4))).free == 0b10111
+    for cls in core.SUBTERMS:
+        assert "free" not in cls.__match_args__
+
+
 def test_the_subterm_table_lists_exactly_the_term_fields_of_every_core_class():
     """One node of each `CoreTerm` subclass in `hpt.core`, built from its
     constructor's annotations: the table names each field that holds a term,
@@ -172,6 +210,9 @@ def test_pretty_examples():
     assert pretty(Id(Global("A"), Var(1), Var(0)), ["a", "b"]) == "a = b"
     assert pretty(Type(0)) == "Type"
     assert pretty(Type(1)) == "Type 1"
+    # a Π prints as an arrow exactly when its codomain does not use the binder
+    xx = Id(Global("A"), Var(1), Var(1))
+    assert pretty(Pi("x", Global("A"), Pi("y", Global("A"), xx))) == "(x : A) -> A -> x = x"
 
 
 def test_printing_a_left_nested_arrow_costs_calls_linear_in_its_depth(monkeypatch):
@@ -191,6 +232,27 @@ def test_printing_a_left_nested_arrow_costs_calls_linear_in_its_depth(monkeypatc
         calls[0] = 0
         assert pretty(t) == "(" * (k - 1) + "A -> A" + ") -> A" * (k - 1)
         assert calls[0] == 2 * k + 1
+
+
+def test_printing_a_right_nested_arrow_makes_no_mentions_calls(monkeypatch):
+    """`A -> A -> … -> A` with k Πs reads each codomain's `free` to choose
+    the arrow: no `mentions` call, and one `_pp` call per Π and per `A`."""
+    original, calls, mention_calls = core._pp, [0], []
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, "_pp", counted)
+    monkeypatch.setattr(core, "mentions", lambda *args: mention_calls.append(args))
+    for k in (4, 40, 400):
+        t = Global("A")
+        for _ in range(k):
+            t = Pi("_", Global("A"), t)
+        calls[0] = 0
+        assert pretty(t) == "A -> " * k + "A"
+        assert calls[0] == 2 * k + 1
+    assert mention_calls == []
 
 
 def test_term_size_counts_nodes():

@@ -618,3 +618,22 @@ def test_zonk_makes_no_recursive_call_on_a_meta_free_term(env, monkeypatch):
     calls = _count_calls(monkeypatch, elab, "zonk")
     assert original(body) is body
     assert calls[0] == 0
+
+
+def test_a_concatenation_chain_evaluates_linearly_many_times(env, monkeypatch):
+    """`refl star * … * refl star` with k factors. `concat`'s type never
+    reads `p` or `q` after binding them, so neither the elaborator nor the
+    kernel evaluates those arguments to apply it, and `eval_term` calls grow
+    linearly in k; evaluating each argument made them quadratic."""
+    calls = _count_calls(monkeypatch, kernel, "eval_term", elab)
+    elab_counts, kernel_counts = [], []
+    for k in (10, 20, 40):
+        calls[0] = 0
+        core, ty = elaborate_term(env, parse_term(" * ".join(["refl star"] * k)))
+        elab_counts.append(calls[0])
+        assert pretty(ty) == "star = star"  # no skipped argument shows
+        calls[0] = 0
+        kernel.infer_type([], env, core)
+        kernel_counts.append(calls[0])
+    for c in (elab_counts, kernel_counts):
+        assert c[2] - c[1] == 2 * (c[1] - c[0])

@@ -19,6 +19,8 @@ from hpt.kernel import (
     VLam,
     VNeutral,
     VRefl,
+    VTop,
+    apply_spine,
     assert_defeq,
     check_decl,
     conv,
@@ -27,7 +29,7 @@ from hpt.kernel import (
     step_budget,
 )
 from hpt.surface import DUMMY_SPAN, parse_term
-from tests.terms import alpha_eq, children, replace_at, term_size
+from tests.terms import alpha_eq, children, free_indices, replace_at, term_size
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +320,62 @@ def test_normalize_shares_equal_subterms(body_nfs):
             objects.add(id(t))
             stack.extend(children(t))
     assert len(objects) <= 10_000
+
+
+def test_free_agrees_with_a_plain_walk_on_corpus_cores_and_normal_forms(env, body_nfs):
+    """Every node of every corpus core, and of every body's normal form (the
+    hash-consed terms readback keys closures by), has as `free` exactly the
+    free indices that a plain walk of the subterm table finds."""
+    cache, seen = {}, set()
+    stack = [t for e in env for t in (e.type_core, e.body_core) if t is not None]
+    stack += [nf for _, nf in body_nfs]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            assert t.free == sum(1 << i for i in free_indices(t, cache))
+            stack.extend(children(t))
+    assert len(seen) > 10_000
+
+
+def test_a_closure_reads_its_binder_through_a_solved_meta(spine_values):
+    env = spine_values[0]
+    m = Meta(0)
+    elab.MetaStore().update(m, Var(0), 1)  # names the closure's binder, unseen by `free`
+    assert Closure((), m, env).reads_binder() and Closure((), Var(0), env).reads_binder()
+    assert not Closure((), Var(1), env).reads_binder()
+    assert not Closure((), Lam("x", Var(0), Var(1)), env).reads_binder()
+
+
+@pytest.mark.parametrize("k_fn", ["neutral", "lambda"])
+def test_unfolding_a_glued_global_enters_its_lambda_prefix(k_fn):
+    """`g`'s body has three λs. Forced on 2, 3 and 4 arguments, its glued
+    value charges the steps that replaying the spine on the body value closure
+    by closure charges: one per argument its λ prefix binds, plus the
+    applications the rest of the work makes. Both give one normal form."""
+    text = ("axiom A : Type\naxiom star : A\naxiom f : A -> A -> A\naxiom h : A -> A -> A\n"
+            "def g (x : A) (y : A) (k : A -> A -> A) : A -> A := k (f x y)\n")
+    env, result = driver.check_source(GlobalEnv(), text, "g.hpt")
+    assert result.error is None
+    entry = env.get("g")
+    star = eval_term([], env, Global("star"))
+    fss = eval_term([], env, App(App(Global("f"), Global("star")), Global("star")))
+    lam = Lam("u", Lam("v", App(App(Global("f"), Var(0)), Var(1)), Global("A")), Global("A"))
+    k = eval_term([], env, Global("h") if k_fn == "neutral" else lam)
+    for n in (2, 3, 4):
+        spine = (star, fss, k, star)[:n]
+        with step_budget() as budget:
+            v = VTop(spine, entry).force()
+            steps = kernel.DEFAULT_STEP_BUDGET - budget.remaining
+        with step_budget() as budget:
+            w = kernel.force_top(apply_spine(entry.body_value, spine))
+            replayed = kernel.DEFAULT_STEP_BUDGET - budget.remaining
+        assert steps == replayed
+        if k_fn == "neutral":
+            assert steps == min(n, 3)
+        nf = kernel.readback(0, v, force=kernel.force_top)
+        assert nf == kernel.readback(0, w, force=kernel.force_top)
+        assert (type(nf) is Lam) == (n == 2 or n == 3 and k_fn == "lambda")
 
 
 # ---------------------------------------------------------------------------
