@@ -238,6 +238,10 @@ _PREC_PAR = 3
 _PREC_APP = 4
 _PREC_ATOM = 5
 
+# A concatenation operator applied to its arity of arguments prints as infix
+# sugar, the last two being the operands; further arguments apply to it.
+_INFIX = {"concat": (6, "*", _PREC_CONCAT), "par-concat": (10, "**", _PREC_PAR)}
+
 
 def fresh_name(hint: str, used: set[str]) -> str:
     base = hint if hint and hint != "_" else "x"
@@ -266,20 +270,7 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
         i = t.index
         return names[-1 - i] if 0 <= i < len(names) else f"!{i}"
     if tt is App:
-        # Fully applied concatenation operators print as their sugar; the
-        # operands are the last two arguments.
-        head, n = t.fn, 1
-        while type(head) is App:
-            head, n = head.fn, n + 1
-        if type(head) is Global:
-            if head.name == "concat" and n == 6:
-                s = f"{_pp(t.fn.arg, names, _PREC_CONCAT)} * {_pp(t.arg, names, _PREC_PAR)}"
-                return _parens(s, prec, _PREC_CONCAT)
-            if head.name == "par-concat" and n == 10:
-                s = f"{_pp(t.fn.arg, names, _PREC_PAR)} ** {_pp(t.arg, names, _PREC_APP)}"
-                return _parens(s, prec, _PREC_PAR)
-        s = f"{_pp(t.fn, names, _PREC_APP)} {_pp(t.arg, names, _PREC_ATOM)}"
-        return _parens(s, prec, _PREC_APP)
+        return _pp_spine(t, names, prec)
     if tt is Global:
         return t.name
     if tt is Refl:
@@ -313,6 +304,27 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
     if tt is Meta:
         return f"?{t.id}"
     raise TypeError(f"not a core term: {t!r}")
+
+
+def _pp_spine(t: App, names: list[str], prec: int) -> str:
+    """An application, its spine walked once from the top `App`. Kept out of
+    `_pp`, whose far more frequent other cases then run in a smaller frame."""
+    args = []
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    infix = _INFIX.get(t.name) if type(t) is Global else None
+    if infix and len(args) >= infix[0]:
+        k, op, p = infix
+        s = f"{_pp(args[k - 2], names, p)} {op} {_pp(args[k - 1], names, p + 1)}"
+        args = args[k:]
+    else:
+        s, p = _pp(t, names, _PREC_APP), _PREC_APP
+    if not args:
+        return _parens(s, prec, p)
+    s = " ".join([_parens(s, _PREC_APP, p), *[_pp(a, names, _PREC_ATOM) for a in args]])
+    return _parens(s, prec, _PREC_APP)
 
 
 def _parens(s: str, outer: int, inner: int) -> str:

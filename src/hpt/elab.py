@@ -39,7 +39,6 @@ from .core import (
 from .kernel import (
     EJ,
     GlobalEnv,
-    UNUSED,
     VId,
     VLam,
     VNeutral,
@@ -141,7 +140,7 @@ class MetaStore:
 
 @dataclass
 class ElabCtx:
-    """One elaboration session: binders, globals, and the meta store."""
+    """One elaboration session: every binder it is under, globals, and the meta store."""
 
     globals: GlobalEnv
     metas: MetaStore = field(default_factory=MetaStore)
@@ -156,6 +155,13 @@ class ElabCtx:
 
     def bound(self, name: str, ty: Value) -> "ElabCtx":
         return ElabCtx(self.globals, self.metas, self.bindings + [(name, ty)])
+
+    def under(self, name: str, ty: Value, apart: bool = False) -> tuple["ElabCtx", Value]:
+        """Go under a binder of type `ty`: the context that binds it, and its
+        variable. With `apart`, `name` is renamed away from the names in scope."""
+        if apart:
+            name = fresh_name(name, {n for n, _ in self.bindings})
+        return self.bound(name, ty), fresh_var(self.depth)
 
     def lookup(self, name: str) -> tuple[int, Value] | None:
         for i, (n, ty) in enumerate(reversed(self.bindings)):
@@ -181,19 +187,14 @@ class ElabCtx:
             v = apply_spine(sol, v.spine)
         return v
 
-    def quote(self, depth: int, v: Value) -> CoreTerm:
-        """Read a value back to a term, resolving solved metas; unsolved
-        metas stay as Meta nodes, to be zonked later."""
-        return kernel.readback(depth, v, force=self.force)
+    def quote(self, v: Value) -> CoreTerm:
+        """Read a value back to a term under the context's binders, resolving
+        solved metas; unsolved metas stay as Meta nodes, to be zonked later."""
+        return kernel.readback(self.depth, v, force=self.force)
 
-    def show(self, v: Value, depth: int | None = None) -> str:
-        """Print `v` under `depth` binders, by default the context's; each
-        binder beyond the context gets a name that no context name uses."""
-        depth = self.depth if depth is None else depth
-        names = [n for (n, _) in self.bindings]
-        while len(names) < depth:
-            names.append(fresh_name("x", set(names)))
-        return pretty(self.quote(depth, v), names)
+    def show(self, v: Value) -> str:
+        """Print `v` with the names of the context's binders."""
+        return pretty(self.quote(v), [n for n, _ in self.bindings])
 
 
 def whnf(ctx: ElabCtx, v: Value) -> Value:
@@ -205,11 +206,7 @@ def whnf(ctx: ElabCtx, v: Value) -> Value:
 # Unification
 
 
-def unify(ctx: ElabCtx, l: Value, r: Value, span: SourceSpan) -> None:
-    _unify(ctx, ctx.depth, l, r, span)
-
-
-def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> None:
+def _unify(ctx: ElabCtx, l: Value, r: Value, span: SourceSpan) -> None:
     # Exact-type tests, one branch per case; a case whose parts do not match
     # falls through to the one failure at the end.
     if l is r:
@@ -224,14 +221,14 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
     r_flex = tr is VNeutral and type(r.head) is Meta
     if tl is VNeutral and tr is VNeutral and l.head == r.head:
         if len(l.spine) == len(r.spine):
-            return _unify_spines(ctx, depth, l.spine, r.spine, span)
+            return _unify_spines(ctx, l.spine, r.spine, span)
     elif l_flex or r_flex:
         # A bare meta is solved first, the left one before the right one.
         flex, other = (l, r) if l_flex else (r, l)
         if flex.spine and r_flex and not r.spine:
             flex, other = r, l
         if not flex.spine:
-            return _solve(ctx, flex.head, other, depth, span)
+            return _solve(ctx, flex.head, other, span)
         # A meta heading a non-empty spine (typically a stuck elimination
         # whose scrutinee is the meta) is solved by the other side's head
         # and spine prefix; the spine's tail must then match the rest.
@@ -241,15 +238,15 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
         def solve_prefix() -> None:
             prefix = other.spine[:cut]
             head = VNeutral(other.head, prefix) if to is VNeutral else VTop(prefix, other.entry)
-            _solve(ctx, flex.head, head, depth, span)
-            _unify_spines(ctx, depth, flex.spine, other.spine[cut:], span)
+            _solve(ctx, flex.head, head, span)
+            _unify_spines(ctx, flex.spine, other.spine[cut:], span)
 
         if to is VNeutral and cut >= 0:
             return solve_prefix()
         if to is VTop:
             # Speculatively, before the global unfolds.
             if not (cut >= 0 and _attempt(ctx, solve_prefix)):
-                _unify(ctx, depth, flex, other.force(), span)
+                _unify(ctx, flex, other.force(), span)
             return
     elif tl is VTop or tr is VTop:
         # Glued globals of one entry: try spine equality first, then unfold.
@@ -257,32 +254,36 @@ def _unify(ctx: ElabCtx, depth: int, l: Value, r: Value, span: SourceSpan) -> No
             tl is tr
             and l.entry is r.entry
             and len(l.spine) == len(r.spine)
-            and _attempt(ctx, lambda: _unify_spines(ctx, depth, l.spine, r.spine, span))
+            and _attempt(ctx, lambda: _unify_spines(ctx, l.spine, r.spine, span))
         ):
-            _unify(ctx, depth, l.force() if tl is VTop else l, r.force() if tr is VTop else r, span)
+            _unify(ctx, l.force() if tl is VTop else l, r.force() if tr is VTop else r, span)
         return
     elif tl is VLam or tr is VLam:
         if tl is tr or (tr if tl is VLam else tl) is VNeutral:
             if tl is tr:
                 # Decomposing the domains solves corner metas that the body
                 # alone never mentions.
-                _unify(ctx, depth, l.domain, r.domain, span)
-            x = fresh_var(depth)
-            return _unify(ctx, depth + 1, apply_value(l, x), apply_value(r, x), span)
+                _unify(ctx, l.domain, r.domain, span)
+            lam = l if tl is VLam else r
+            inner, x = ctx.under(lam.hint, lam.domain, apart=True)
+            return _unify(inner, apply_value(l, x), apply_value(r, x), span)
     elif tl is tr:
         if tl is VRefl:
-            return _unify(ctx, depth, l.point, r.point, span)
+            return _unify(ctx, l.point, r.point, span)
         if tl is VId:
-            _unify(ctx, depth, l.type, r.type, span)
-            _unify(ctx, depth, l.lhs, r.lhs, span)
-            return _unify(ctx, depth, l.rhs, r.rhs, span)
+            _unify(ctx, l.type, r.type, span)
+            _unify(ctx, l.lhs, r.lhs, span)
+            return _unify(ctx, l.rhs, r.rhs, span)
         if tl is VPi and l.implicit == r.implicit:
-            _unify(ctx, depth, l.domain, r.domain, span)
-            x = fresh_var(depth)
-            return _unify(ctx, depth + 1, l.closure.apply(x), r.closure.apply(x), span)
+            _unify(ctx, l.domain, r.domain, span)
+            inner, x = ctx.under(l.hint, l.domain, apart=True)
+            return _unify(inner, l.closure.apply(x), r.closure.apply(x), span)
         if tl is Type and l.level == r.level:
             return
-    raise UnifyFailure(span, ctx.show(l, depth), ctx.show(r, depth))
+    raise UnifyFailure(span, ctx.show(l), ctx.show(r))
+
+
+unify = _unify  # the public name
 
 
 def _attempt(ctx: ElabCtx, thunk: Callable[[], None]) -> bool:
@@ -296,25 +297,24 @@ def _attempt(ctx: ElabCtx, thunk: Callable[[], None]) -> bool:
         return False
 
 
-def _unify_spines(ctx, depth, sp1, sp2, span) -> None:
+def _unify_spines(ctx, sp1, sp2, span) -> None:
     for e1, e2 in zip(sp1, sp2):
         j1 = type(e1) is EJ
         if j1 is not (type(e2) is EJ):
             raise UnifyFailure(span, "<spine>", "<spine>")
         if j1:
-            _unify(ctx, depth, e1.motive, e2.motive, span)
-            _unify(ctx, depth, e1.base, e2.base, span)
+            _unify(ctx, e1.motive, e2.motive, span)
+            _unify(ctx, e1.base, e2.base, span)
         else:  # two arguments unify whatever their value classes
-            _unify(ctx, depth, e1, e2, span)
+            _unify(ctx, e1, e2, span)
 
 
-def _solve(ctx: ElabCtx, meta: Meta, v: Value, depth: int, span: SourceSpan) -> None:
-    # Every free variable of `v` has a level below the unification depth, so
-    # the variables readback makes for binders (levels >= depth) capture none.
-    t = ctx.quote(depth, v)
-    # The free indices below depth - meta.depth name levels >= meta.depth,
-    # which lie outside the meta's scope.
-    outside = depth - meta.depth
+def _solve(ctx: ElabCtx, meta: Meta, v: Value, span: SourceSpan) -> None:
+    """Solve `meta` by `v`, read back in `ctx`. The binders of `ctx` made
+    after the meta lie outside its scope, so the solution may mention
+    neither them nor the meta itself."""
+    t = ctx.quote(v)
+    outside = ctx.depth - meta.depth
     if mentions(t, 0, outside, meta.id):
         if mentions(t, 0, 0, meta.id):
             raise OccursCheck(span, meta.id)
@@ -352,8 +352,8 @@ def universe_of(ctx: ElabCtx, v: Value) -> int:
         case VId(t, _, _):
             return universe_of(ctx, t)
         case VPi(hint, dom, clo, _):
-            cod = clo.apply(fresh_var(ctx.depth))
-            return max(universe_of(ctx, dom), universe_of(ctx.bound(hint, dom), cod))
+            inner, x = ctx.under(hint, dom)
+            return max(universe_of(ctx, dom), universe_of(inner, clo.apply(x)))
         case VNeutral(int(lvl), spine):
             ty = ctx.bindings[lvl][1]
         case VNeutral(Global(name), spine):
@@ -402,12 +402,12 @@ def infer(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, Value]:
         case SLam(binders=bs, body=body):
             inner, bound = _bind(ctx, bs)
             body_core, ty = infer(inner, body)
-            ty_core, core = _close(bound, inner.quote(inner.depth, ty), body_core)
+            ty_core, core = _close(bound, inner.quote(ty), body_core)
             return core, ctx.eval(ty_core)
         case IdSugar(lhs=l, rhs=r):
             l_core, l_ty = _infer_inserted(ctx, l)
             r_core = check(ctx, r, l_ty)
-            ty_core = ctx.quote(ctx.depth, l_ty)
+            ty_core = ctx.quote(l_ty)
             return Id(ty_core, l_core, r_core), Type(universe_of(ctx, l_ty))
         case ReflSugar(point=p, span=span):
             if p is None:
@@ -435,14 +435,14 @@ def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
     if isinstance(expected, VPi) and expected.implicit:
         if not (isinstance(t, SLam) and t.binders[0].implicit):
             # implicit function expected, term is not an implicit lambda: wrap
-            inner_ctx = ctx.bound(expected.hint, expected.domain)
-            body = check(inner_ctx, t, expected.closure.apply(fresh_var(ctx.depth)))
-            return Lam(expected.hint, body, ctx.quote(ctx.depth, expected.domain), True)
+            inner, x = ctx.under(expected.hint, expected.domain)
+            body = check(inner, t, expected.closure.apply(x))
+            return Lam(expected.hint, body, ctx.quote(expected.domain), True)
     if isinstance(t, SLam):
         return _check_lam(ctx, t, expected)
     core, ty = _infer_inserted(ctx, t)
     try:
-        unify(ctx, ty, expected, t.span)
+        _unify(ctx, ty, expected, t.span)
     except UnifyFailure as e:
         raise TypeMismatch(t.span, ctx.show(expected), ctx.show(ty)) from e
     return core
@@ -454,17 +454,13 @@ def _check_lam(ctx: ElabCtx, t: SLam, expected: Value) -> CoreTerm:
     if not isinstance(expected, VPi):
         raise TypeMismatch(t.span, ctx.show(expected), "a function", note="checking a lambda")
     if b.implicit and not expected.implicit:
-        raise TypeMismatch(
-            b.span, ctx.show(expected), "an implicit binder", note="checking a lambda"
-        )
+        raise TypeMismatch(b.span, ctx.show(expected), "an implicit binder",
+                           note="checking a lambda")
     ann_core, _ = _as_type(ctx, b.annotation)
-    unify(ctx, ctx.eval(ann_core), expected.domain, b.span)
+    _unify(ctx, ctx.eval(ann_core), expected.domain, b.span)
     rest = tuple(r for r in (replace(b, names=b.names[1:]), *t.binders[1:]) if r.names)
-    body = check(
-        ctx.bound(b.names[0], expected.domain),
-        replace(t, binders=rest) if rest else t.body,
-        expected.closure.apply(fresh_var(ctx.depth)),
-    )
+    inner, x = ctx.under(b.names[0], expected.domain)
+    body = check(inner, replace(t, binders=rest) if rest else t.body, expected.closure.apply(x))
     return Lam(b.names[0], body, ann_core, b.implicit)
 
 
@@ -493,7 +489,7 @@ def _as_type(ctx: ElabCtx, t: SurfaceTerm) -> tuple[CoreTerm, int]:
     if type(ty) is Type:
         return core, ty.level
     if type(ty) is VNeutral and type(ty.head) is Meta:
-        unify(ctx, ty, Type(0), t.span)
+        _unify(ctx, ty, Type(0), t.span)
         return core, 0
     raise TypeMismatch(t.span, "a universe", ctx.show(ty), note="elaborating a type")
 
@@ -540,16 +536,10 @@ def _apply_args(
         else:
             core, ty = _insert_all_implicits(ctx, core, ty, arg.span)
         if not isinstance(ty, VPi):
-            raise TypeMismatch(
-                arg.span,
-                "a function type",
-                ctx.show(ty),
-                note="applying an argument",
-            )
+            raise TypeMismatch(arg.span, "a function type", ctx.show(ty), note="applying an argument")
         arg_core = check(ctx, arg, ty.domain)
         core = App(core, arg_core)
-        c = ty.closure
-        ty = c.apply(ctx.eval(arg_core) if c.reads_binder() else UNUSED)
+        ty = ty.closure.apply_arg(ctx.env(), ctx.globals, arg_core)
     return core, ty
 
 
@@ -565,41 +555,35 @@ def _elab_j(ctx: ElabCtx, head: JSugar, args: list[SurfaceTerm]) -> tuple[CoreTe
         _, t_v = ctx.fresh_meta(head.span)
         _, a_v = ctx.fresh_meta(head.span)
         _, b_v = ctx.fresh_meta(head.span)
-        unify(ctx, path_ty, VId(t_v, a_v, b_v), path_s.span)
+        _unify(ctx, path_ty, VId(t_v, a_v, b_v), path_s.span)
         path_ty = whnf(ctx, path_ty)
     if not isinstance(path_ty, VId):
-        raise TypeMismatch(
-            path_s.span,
-            "an identity type",
-            ctx.show(path_ty),
-            note="elaborating the path argument of J",
-        )
+        raise TypeMismatch(path_s.span, "an identity type", ctx.show(path_ty),
+                           note="elaborating the path argument of J")
     ty_v, a_v, b_v = path_ty.type, path_ty.lhs, path_ty.rhs
 
     motive_core, motive_ty = infer(ctx, motive_s)
     motive_ty = whnf(ctx, motive_ty)
     mspan = motive_s.span
-    if not isinstance(motive_ty, VPi):
+    if isinstance(motive_ty, VPi):
+        _unify(ctx, motive_ty.domain, ty_v, mspan)
+        x_ctx, x = ctx.under(motive_ty.hint, motive_ty.domain, apart=True)
+        inner = whnf(ctx, motive_ty.closure.apply(x))
+    if not (isinstance(motive_ty, VPi) and isinstance(inner, VPi)):
         raise TypeMismatch(mspan, "a two-argument function", ctx.show(motive_ty),
                            note="elaborating the motive of J")
-    unify(ctx, motive_ty.domain, ty_v, mspan)
-    x = fresh_var(ctx.depth)
-    inner = whnf(ctx, motive_ty.closure.apply(x))
-    if not isinstance(inner, VPi):
-        raise TypeMismatch(mspan, "a two-argument function", ctx.show(motive_ty),
-                           note="elaborating the motive of J")
-    _unify(ctx, ctx.depth + 1, inner.domain, VId(ty_v, a_v, x), mspan)
+    _unify(x_ctx, inner.domain, VId(ty_v, a_v, x), mspan)
     # The motive must land in a universe, as in the kernel; else a path hole may solve to `Type`.
-    sort = whnf(ctx, inner.closure.apply(fresh_var(ctx.depth + 1)))
+    e_ctx, e = x_ctx.under(inner.hint, inner.domain, apart=True)
+    sort = whnf(ctx, inner.closure.apply(e))
     if type(sort) is not Type and not (type(sort) is VNeutral and type(sort.head) is Meta):
-        raise TypeMismatch(mspan, "a universe", ctx.show(sort, ctx.depth + 2),
-                           note="elaborating the motive of J")
+        raise TypeMismatch(mspan, "a universe", e_ctx.show(sort), note="elaborating the motive of J")
 
     motive_v = ctx.eval(motive_core)
     base_expect = apply_value(apply_value(motive_v, a_v), VRefl(a_v))
     base_core = check(ctx, base_s, base_expect)
 
-    endpoint_core = ctx.quote(ctx.depth, whnf(ctx, b_v))
+    endpoint_core = ctx.quote(whnf(ctx, b_v))
     core: CoreTerm = J(motive_core, base_core, endpoint_core, path_core)
     result_ty = apply_value(apply_value(motive_v, b_v), ctx.eval(path_core))
     return _apply_args(ctx, core, result_ty, args[3:], False)
@@ -652,5 +636,5 @@ def elaborate_term(globals: GlobalEnv, t: SurfaceTerm) -> tuple[CoreTerm, CoreTe
     # result (say, a bare polymorphic global) stays as it is.
     core, ty = infer(ctx, t)
     core = zonk(core)
-    ty_core = zonk(ctx.quote(0, ty))
+    ty_core = zonk(ctx.quote(ty))
     return core, ty_core

@@ -181,6 +181,10 @@ class Closure:
         binder unseen by `free`, so a body holding a meta counts as reading it."""
         return bool(self.term.free & 1) or self.term.has_meta
 
+    def apply_arg(self, env: Sequence[Value], globals: "GlobalEnv", arg: CoreTerm) -> Value:
+        """Apply to `arg`'s value in `env`, evaluated only if the body may read it."""
+        return self.apply(eval_term(env, globals, arg) if self.reads_binder() else UNUSED)
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class VLam(Value):
@@ -639,8 +643,7 @@ def infer_type(
                         found=readback(depth, fty),
                     )
                 _check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",))
-                c = fty.closure
-                fty = c.apply(eval_term(env, globals, x) if c.reads_binder() else UNUSED)
+                fty = fty.closure.apply_arg(env, globals, x)
             return fty
         case J(m, b, e, p):
             pty = force_top(infer_type(ctx, globals, p, path + ("path",)))

@@ -234,6 +234,31 @@ def test_printing_a_left_nested_arrow_costs_calls_linear_in_its_depth(monkeypatc
         assert calls[0] == 2 * k + 1
 
 
+def test_printing_an_application_spine_costs_calls_linear_in_its_length(monkeypatch):
+    """`f a1 … an` walks its spine once: one `_pp` call for the spine, one
+    for `f` and one per argument, n + 2 in all. A concatenation operator
+    applied to more than its arity prints its sugar applied to the rest."""
+    original, calls = core._pp, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, "_pp", counted)
+    for n in (10, 100, 1000):
+        t = Global("f")
+        for i in range(n):
+            t = App(t, Global(f"a{i}"))
+        calls[0] = 0
+        assert pretty(t) == "f " + " ".join(f"a{i}" for i in range(n))
+        assert calls[0] == n + 2
+    for head, k, op in (("concat", 6, "*"), ("par-concat", 10, "**")):
+        t = Global(head)
+        for i in range(k + 2):
+            t = App(t, Global(f"a{i}"))
+        assert pretty(t) == f"(a{k - 2} {op} a{k - 1}) a{k} a{k + 1}"
+
+
 def test_printing_a_right_nested_arrow_makes_no_mentions_calls(monkeypatch):
     """`A -> A -> … -> A` with k Πs reads each codomain's `free` to choose
     the arrow: no `mentions` call, and one `_pp` call per Π and per `A`."""

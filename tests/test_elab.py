@@ -80,10 +80,10 @@ _PATH_MOTIVE = "J (fun (z : A) (q : a = z) => q) _ _"
         ("#check J (fun (y : A) => A) a (refl a)", "expected: a two-argument function", 10),
         # A motive whose body `q` is a path, not a type: its path hole once
         # solved to `Type`, and J met a non-path in evaluation.
-        (f"#check (x : {_PATH_MOTIVE}) -> A", "found:    a = x", 15),
-        (f"def t (x : {_PATH_MOTIVE}) : A := a", "found:    a = x", 14),
-        (f"#check fun (x : {_PATH_MOTIVE}) => x", "found:    a = x", 19),
-        (f"#check ({_PATH_MOTIVE}) -> A", "found:    a = x", 11),
+        (f"#check (x : {_PATH_MOTIVE}) -> A", "found:    a = z", 15),
+        (f"def t (x : {_PATH_MOTIVE}) : A := a", "found:    a = z", 14),
+        (f"#check fun (x : {_PATH_MOTIVE}) => x", "found:    a = z", 19),
+        (f"#check ({_PATH_MOTIVE}) -> A", "found:    a = z", 11),
     ],
     ids=["extra-binder", "implicit-binder", "not-a-type", "j-path", "j-motive", "j-motive-arity",
          "j-motive-sort-pi", "j-motive-sort-def", "j-motive-sort-lambda", "j-motive-sort-arrow"],
@@ -95,6 +95,41 @@ def test_elaborator_type_mismatch_is_located(line, part, col):
     assert result.error.message.startswith("type mismatch\n")
     assert f"\n  {part}\n" in result.error.message
     assert (result.error_span.start_line, result.error_span.start_col) == (3, col)
+
+
+@pytest.mark.parametrize(
+    "line, found",
+    [
+        ("#check J (fun (w : A) (q : a = w) => q) _ _", "a = w"),
+        ("def t (z : A) (x : J (fun (z : A) (q : a = z) => q) _ _) : A := a", "a = z1"),
+    ],
+    ids=["own-name", "named-apart"],
+)
+def test_j_motive_sort_error_names_the_motive_binders(line, found):
+    """The motive's binders print under their own names, renamed apart from
+    the names in scope."""
+    text = f"axiom A : Type\naxiom a : A\n{line}\n"
+    _, result = driver.check_source(GlobalEnv(), text, "m.hpt")
+    assert isinstance(result.error, TypeMismatch)
+    assert f"\n  found:    {found}\n" in result.error.message
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("def k (x : A) (x : x = x) : A := x", "expected: A\n  found:    x = x"),
+        ("def k (x : A) : (x : A) -> x = x := fun (x : A) => refl a",
+         "expected: x = x\n  found:    a = a"),
+    ],
+    ids=["def-binders", "lambda-binder"],
+)
+def test_shadowed_source_binders_keep_their_names(line, message):
+    """A source binder is bound under its own name even where it shadows
+    another, as in the source."""
+    text = f"axiom A : Type\naxiom a : A\n{line}\n"
+    _, result = driver.check_source(GlobalEnv(), text, "m.hpt")
+    assert isinstance(result.error, TypeMismatch)
+    assert result.error.message == f"type mismatch\n  {message}"
 
 
 def test_explicit_name_whose_type_unfolds_to_a_universe_or_a_path_type():
@@ -355,16 +390,20 @@ def test_each_flex_case_solves_the_pinned_meta(left, right, solved, solution):
 @pytest.mark.parametrize(
     "line, col, lhs, rhs",
     [
-        ("#check J (fun (y : A) (e : y = star) => A) star (refl star)", 10, "x", "star"),
+        ("#check J (fun (y : A) (e : y = star) => A) star (refl star)", 10, "y", "star"),
         ("def k : ((x : A) -> x = x) -> A := fun (f : (x : A) -> x = star) => star", 40, "star", "x"),
         ("def k (x : A) : ((y : A) -> y = y) -> A := fun (f : (y : A) -> y = star) => star", 48,
+         "star", "y"),
+        ("def k (x : A) : ((x : A) -> x = x) -> A := fun (f : (x : A) -> x = star) => star", 48,
          "star", "x1"),
+        ("def k : ((fun (y : A) => y) = (fun (y : A) => y)) -> A := "
+         "fun (p : (fun (z : A) => star) = (fun (z : A) => star)) => star", 63, "star", "z"),
     ],
-    ids=["j-motive", "lambda-annotation", "named-apart"],
+    ids=["j-motive", "lambda-annotation", "named-apart", "clash", "lambda-bodies"],
 )
 def test_unify_failure_names_the_binders_it_went_under(line, col, lhs, rhs):
-    """Values are printed at the unification depth; a binder beyond the
-    context gets a name no context name uses, never a raw index."""
+    """Unification binds each binder it opens under the binder's own name,
+    renamed apart from the names in scope, so values print with those names."""
     text = f"axiom A : Type\naxiom star : A\n{line}\n"
     _, result = driver.check_source(GlobalEnv(), text, "u.hpt")
     assert isinstance(result.error, UnifyFailure)
@@ -452,10 +491,10 @@ def test_rollback_retracts_solutions_made_during_speculation(env):
     unify(ctx, a, VRefl(b), DUMMY_SPAN)
     mark = ctx.metas.checkpoint()
     unify(ctx, b, star, DUMMY_SPAN)
-    assert ctx.quote(0, ctx.force(a)) == Refl(Global("star"))
+    assert ctx.quote(ctx.force(a)) == Refl(Global("star"))
     ctx.metas.rollback(mark)
     assert ctx.force(b) is b
-    assert ctx.quote(0, ctx.force(a)) == Refl(Meta(b.head.id))
+    assert ctx.quote(ctx.force(a)) == Refl(Meta(b.head.id))
 
 
 def test_solving_an_outer_meta_narrows_inner_metas_until_rollback(env):

@@ -2,7 +2,6 @@
 
 import ast
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -206,17 +205,25 @@ def _kernel_env():
         (Pi("x", _A, _A), Lam("x", Var(0), _A, implicit=True), "binder plicity mismatch"),
         (_A, Global("nope"), "unknown global 'nope'"),
         (_A, Meta(0), "unsolved metavariable ?0 reached the kernel"),
+        (_A, Var(0), "unbound variable index 0"),
+        (_a, J(_motive(_A), _a, _b, _p), "expected a type"),
+        (Pi("x", _A, _A), Lam("x", Var(0), Id(_A, _a, _a)),
+         "lambda annotation does not match expected domain"),
+        (_A, App(_a, _a), "applied a term whose type is not a function type"),
+        (_A, J(_motive(_A), _p, _b, _p), "type mismatch"),
     ],
     ids=["scrutinee", "endpoint", "motive-not-a-function", "motive-of-one-argument",
-         "motive-domain", "motive-path", "motive-sort", "plicity", "unknown-global", "meta"],
+         "motive-domain", "motive-path", "motive-sort", "plicity", "unknown-global", "meta",
+         "unbound-variable", "not-a-type", "annotation", "not-a-function", "mismatch"],
 )
 def test_the_kernel_rejects_each_single_fault(ty, body, message):
     from hpt.core import CoreDecl
 
     env = _kernel_env()
     check_decl(env, CoreDecl("ok", _A, J(_motive(_A), _a, _b, _p)))
-    with pytest.raises(KernelTypeError, match=re.escape(message)):
+    with pytest.raises(KernelTypeError) as info:
         check_decl(env, CoreDecl("bad", ty, body))
+    assert info.value.message == message
 
 
 def test_assert_defeq_reflexivity(env):
