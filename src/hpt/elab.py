@@ -434,8 +434,9 @@ def check(ctx: ElabCtx, t: SurfaceTerm, expected: Value) -> CoreTerm:
     expected = whnf(ctx, expected)
     if isinstance(expected, VPi) and expected.implicit:
         if not (isinstance(t, SLam) and t.binders[0].implicit):
-            # implicit function expected, term is not an implicit lambda: wrap
-            inner, x = ctx.under(expected.hint, expected.domain)
+            # implicit function expected, term is not an implicit lambda: wrap,
+            # binding `_` as an arrow does, so that no source name resolves to it
+            inner, x = ctx.under("_", expected.domain)
             body = check(inner, t, expected.closure.apply(x))
             return Lam(expected.hint, body, ctx.quote(expected.domain), True)
     if isinstance(t, SLam):

@@ -137,14 +137,15 @@ def _tick(steps: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Values
+# Values: unfrozen records, so built by plain slot stores, immutable by
+# convention; `==` and `hash` are identity, which readback's memo keys on.
 
 
 class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class EJ:
     """A stuck J elimination in a spine, where every other entry is the
     value of an argument. Its endpoint, fixed by the scrutinee and so ignored
@@ -186,7 +187,7 @@ class Closure:
         return self.apply(eval_term(env, globals, arg) if self.reads_binder() else UNUSED)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class VLam(Value):
     hint: str
     closure: Closure
@@ -194,7 +195,7 @@ class VLam(Value):
     implicit: bool = False
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class VPi(Value):
     hint: str
     domain: Value
@@ -202,19 +203,19 @@ class VPi(Value):
     implicit: bool = False
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class VId(Value):
     type: Value
     lhs: Value
     rhs: Value
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class VRefl(Value):
     point: Value
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class VNeutral(Value):
     """A head, a bound variable's level or the `Global`/`Meta` node readback
     returns as it is, under a spine of argument values and `EJ`s, in order."""
@@ -288,7 +289,7 @@ def identity_env(depth: int) -> list[Value]:
 # Global environment
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class GlobalEntry:
     name: str
     type_value: Value

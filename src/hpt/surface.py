@@ -37,16 +37,18 @@ when followed by another identifier character, so `a--b` is `a` plus a
 comment and `a->b` is `a -> b`). One regular expression, `_TOKEN`, holds
 every token class.
 
-Everything here is a pure function of its input.
+Everything here is a pure function of its input. Records are unfrozen, so
+built by plain slot stores; the parser re-spans a `(` term it has just built,
+and otherwise they are immutable by convention.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SourceSpan:
     file: str
     start_line: int
@@ -106,7 +108,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     kind: str
     lexeme: str
@@ -145,25 +147,25 @@ class SurfaceTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Name(SurfaceTerm):
     name: str
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
     explicit_all: bool = False  # True for `@name`
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Hole(SurfaceTerm):
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypeU(SurfaceTerm):
     level: int
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binder:
     names: tuple[str, ...]
     annotation: SurfaceTerm
@@ -171,41 +173,41 @@ class Binder:
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SLam(SurfaceTerm):
     binders: tuple[Binder, ...]
     body: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SPi(SurfaceTerm):
     binders: tuple[Binder, ...]
     codomain: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SApp(SurfaceTerm):
     fn: SurfaceTerm
     arg: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IdSugar(SurfaceTerm):
     lhs: SurfaceTerm
     rhs: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReflSugar(SurfaceTerm):
     point: SurfaceTerm | None
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class JSugar(SurfaceTerm):
     """The eliminator `J`; its motive, base and path are the arguments of
     the application it heads."""
@@ -217,7 +219,7 @@ class SurfaceDecl:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Def(SurfaceDecl):
     name: str
     binders: tuple[Binder, ...]
@@ -226,19 +228,19 @@ class Def(SurfaceDecl):
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckDirective(SurfaceDecl):
     term: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EvalDirective(SurfaceDecl):
     term: SurfaceTerm
     span: SourceSpan = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssertDefeq(SurfaceDecl):
     lhs: SurfaceTerm
     rhs: SurfaceTerm
@@ -438,7 +440,8 @@ class _Parser:
             self.next()
             t = self.parse_term()
             close = self.expect(")")
-            return replace(t, span=tok.span.cover(close.span))  # type: ignore[arg-type]
+            t.span = tok.span.cover(close.span)  # `t` is new: nothing else holds it
+            return t
         raise ParseError(tok.span, "a term", _describe(tok))
 
 

@@ -132,6 +132,20 @@ def test_shadowed_source_binders_keep_their_names(line, message):
     assert result.error.message == f"type mismatch\n  {message}"
 
 
+def test_no_source_name_resolves_to_an_inserted_implicit_lambda():
+    """The λ inserted for an expected implicit Π keeps the Π's hint in the
+    core, but a source name never refers to it."""
+    local, _ = driver.check_source(GlobalEnv(), "axiom A : Type\n", "a.hpt")
+    f = _decl(local, "def f (x : A) : {x : A} -> A := x")
+    assert f.body == Lam("x", Lam("x", Var(1), Global("A"), True), Global("A"))
+    assert pretty(f.body) == "fun (x : A) => fun {x1 : A} => x"
+    with pytest.raises(UnboundName) as exc:
+        _decl(local, "def g (x : A) : {y : A} -> A := y")
+    assert exc.value.message == "unbound name 'y'"
+    span = exc.value.span
+    assert (span.start_line, span.start_col, span.end_col) == (1, 33, 33)
+
+
 def test_explicit_name_whose_type_unfolds_to_a_universe_or_a_path_type():
     """`@X` and `@p` keep their inferred types (globals `U`, `L`); used as a
     type or as the path of J, those types still unfold."""

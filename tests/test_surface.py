@@ -1,5 +1,6 @@
 """Lexer and parser for the surface language, and the parse/print round trip."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -19,7 +20,9 @@ from hpt.surface import (
     SApp,
     SLam,
     SPi,
+    SourceSpan,
     SurfaceTerm,
+    Token,
     TypeU,
     lex,
     parse_file,
@@ -354,27 +357,75 @@ def open_corpus_text():
     return corpus.prelude_sources()[0][1]
 
 
-def test_spans_contained_in_parents():
-    from hpt import corpus
-    from hpt.surface import SourceSpan
+def _children(x):
+    """The surface nodes, binders included, that are fields of `x`."""
+    for f in dataclasses.fields(x):
+        child = getattr(x, f.name)
+        for c in child if isinstance(child, tuple) else (child,):
+            if dataclasses.is_dataclass(c) and f.name != "span":
+                yield c
 
+
+def _nodes(x):
+    yield x
+    for c in _children(x):
+        yield from _nodes(c)
+
+
+def _corpus_decls():
+    from hpt import corpus
+
+    return [d for filename, text in corpus.prelude_sources() for d in parse_file(text, filename)]
+
+
+def test_corpus_spans_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for d in _corpus_decls():
+        for n in _nodes(d):
+            s = n.span
+            digest.update(f"{type(n).__name__}\t{s.file}\t{s.start_line}\t{s.start_col}\t"
+                          f"{s.end_line}\t{s.end_col}\n".encode())
+            count += 1
+    assert count == 8459
+    assert digest.hexdigest() == "716d31817100c38b2692c9e8e6d026d986e73f2be7fc67825e00ad46b0a44fe0"
+
+
+def test_spans_contained_in_parents():
     def contains(outer: SourceSpan, inner: SourceSpan) -> bool:
         start_ok = (outer.start_line, outer.start_col) <= (inner.start_line, inner.start_col)
         end_ok = (inner.end_line, inner.end_col) <= (outer.end_line, outer.end_col)
         return start_ok and end_ok
 
-    def walk(t, parent_span):
-        span = getattr(t, "span", None)
-        if span is not None and parent_span is not None:
-            assert contains(parent_span, span), (parent_span, span)
-        here = span or parent_span
-        for field_name in getattr(t, "__dataclass_fields__", {}):
-            child = getattr(t, field_name)
-            children = child if isinstance(child, tuple) else (child,)
-            for c in children:
-                if hasattr(c, "__dataclass_fields__") and hasattr(c, "span"):
-                    walk(c, here)
+    for n in (n for d in _corpus_decls() for n in _nodes(d)):
+        for c in _children(n):
+            assert contains(n.span, c.span), (n.span, c.span)
 
-    filename, text = corpus.prelude_sources()[0]
-    for d in parse_file(text, filename):
-        walk(d, None)
+
+def test_records_are_slotted_and_unfrozen():
+    """Building a frozen dataclass stores each field through
+    `object.__setattr__`; these records are plain slot stores, immutable by
+    convention, and keep the interface the frozen ones had."""
+    from hpt import kernel, surface
+
+    records = [c for m in (surface, kernel) for c in vars(m).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == m.__name__]
+    assert len(records) == 16 + 7
+    for c in records:
+        assert not c.__dataclass_params__.frozen, c
+        assert "__slots__" in vars(c), c
+
+    span = SourceSpan("f.hpt", 1, 2, 3, 4)
+    assert repr(span) == "SourceSpan(file='f.hpt', start_line=1, start_col=2, end_line=3, end_col=4)"
+    assert repr(Token(IDENT, "x", span)) == (
+        "Token(kind='identifier', lexeme='x', span=SourceSpan(file='f.hpt', start_line=1, "
+        "start_col=2, end_line=3, end_col=4))")
+    a, b = SApp(Name("f"), Name("x"), span), SApp(Name("f"), Name("x"))
+    assert a == b and hash(a) == hash(b)
+    binder = Binder(("x", "y"), Hole(), True, span)
+    match binder:
+        case Binder(names, Hole(), True):
+            assert names == ("x", "y")
+        case _:
+            pytest.fail("no match")
+    rest = dataclasses.replace(binder, names=("y",))
+    assert rest == Binder(("y",), Hole(), True) and rest.span is span and binder.names == ("x", "y")
