@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import corpus as corpus_mod
 from . import driver, kernel
 from .driver import FileResult
-from .kernel import GlobalEnv, KernelError
+from .kernel import GlobalEnv
 from .surface import SourceSpan, SurfaceError, parse_term
 
 
@@ -39,10 +39,7 @@ class CheckReport:
         self.declarations_checked += result.declarations_checked
         self.assertions_passed += result.assertions_passed
         self.assertions_failed += result.assertions_failed
-        self.diagnostics += (SurfaceError(e.span, f"definitional assertion failed: {e.text}")
-                             for e in result.events if e.kind == "assert" and not e.ok)
-        if result.error is not None:
-            self.diagnostics.append(driver.located(result.error, result.error_span))
+        self.diagnostics += result.diagnostics
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +127,7 @@ def cmd_check(args, out) -> int:
             try:
                 sources[path] = driver.read_source(path, path)
             except SurfaceError as e:
-                result = FileResult(path, error=e, error_span=e.span)
+                result = FileResult(path, error=e)
             else:
                 env, result = driver.check_source(env, sources[path], path)
             report.add(result)
@@ -145,12 +142,11 @@ def cmd_eval(args, out) -> int:
     if env is not None:
         try:
             term = parse_term(args.expr, "<expr>")
-            value, ty = driver.within_nesting_limit(lambda: driver.evaluate(env, term))
+            line, col = term.span.start_line, term.span.start_col  # where the expression starts
+            value, ty = driver.located(lambda: driver.evaluate(env, term),
+                                       SourceSpan("<expr>", line, col, line, col))
         except SurfaceError as e:
             report.diagnostics.append(e)
-        except KernelError as e:
-            line, col = term.span.start_line, term.span.start_col  # where the expression starts
-            report.diagnostics.append(driver.located(e, SourceSpan("<expr>", line, col, line, col)))
         else:
             if args.json:
                 print(json.dumps({"value": value, "type": ty}), file=out)

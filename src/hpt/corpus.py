@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import driver
 from .driver import FileResult
-from .kernel import GlobalEnv, KernelError
+from .kernel import GlobalEnv
 from .surface import SourceSpan, SurfaceError
 
 _BUNDLED = Path(__file__).resolve().parent / "corpus"
@@ -48,7 +48,7 @@ def check_corpus() -> tuple[GlobalEnv, dict[str, str], list[FileResult]]:
     try:
         sources = dict(prelude_sources())
     except SurfaceError as e:
-        return GlobalEnv(), {}, [FileResult(e.span.file, error=e, error_span=e.span)]
+        return GlobalEnv(), {}, [FileResult(e.span.file, error=e)]
     env, results = driver.check_sources(GlobalEnv(), sources.items())
     return env, sources, results
 
@@ -104,26 +104,22 @@ def required_assertions() -> list[tuple[str, str, str]]:
 
 
 def load_corpus() -> tuple[GlobalEnv, list[FileResult]]:
-    """Check the whole corpus in order. Raises on the first error or failed
-    assertion."""
+    """Check the whole corpus in order. Raises the first diagnostic that
+    `hpt corpus` prints, a failed assertion or an error, located."""
     env, _, results = check_corpus()
     for result in results:
-        if result.error is not None:
-            raise result.error
-        if result.assertions_failed:
-            raise KernelError(
-                f"{result.filename}: {result.assertions_failed} definitional assertion(s) failed"
-            )
+        if diagnostics := result.diagnostics:
+            raise diagnostics[0]
     return env, results
 
 
 def run_required_assertions(env: GlobalEnv) -> list[tuple[str, bool]]:
     """Check every pinned assertion against a loaded corpus environment, as
     the `#assert defeq` directives of one source named <assertions>.
-    Raises the source's error, if it has one, as a located SurfaceError."""
+    Raises the source's error, if it has one, located at its line."""
     pinned = required_assertions()
     text = "".join(f"#assert defeq {lhs} ~ {rhs} : {ty}\n" for lhs, rhs, ty in pinned)
     _, result = driver.check_source(env, text, "<assertions>")
     if result.error is not None:
-        raise driver.located(result.error, result.error_span)
+        raise result.error
     return [(f"{lhs} ~ {rhs}", e.ok) for (lhs, rhs, _), e in zip(pinned, result.events)]

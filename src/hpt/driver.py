@@ -36,8 +36,7 @@ class Event:
 class FileResult:
     filename: str
     events: list[Event] = field(default_factory=list)
-    error: SurfaceError | KernelError | None = None
-    error_span: SourceSpan | None = None
+    error: SurfaceError | None = None
 
     @property
     def declarations_checked(self) -> int:
@@ -51,10 +50,12 @@ class FileResult:
     def assertions_failed(self) -> int:
         return sum(1 for e in self.events if e.kind == "assert" and not e.ok)
 
-
-def located(err: SurfaceError | KernelError, span: SourceSpan) -> SurfaceError:
-    """`err` as a located message: a KernelError has no span and takes `span`."""
-    return err if isinstance(err, SurfaceError) else SurfaceError(span, str(err))
+    @property
+    def diagnostics(self) -> list[SurfaceError]:
+        """Each failed assertion, located at its directive, then the error."""
+        failed = [SurfaceError(e.span, f"definitional assertion failed: {e.text}")
+                  for e in self.events if e.kind == "assert" and not e.ok]
+        return failed if self.error is None else [*failed, self.error]
 
 
 def read_source(path: str | Path, name: str, what: str = "file") -> str:
@@ -66,14 +67,19 @@ def read_source(path: str | Path, name: str, what: str = "file") -> str:
         raise SurfaceError(SourceSpan(name, 1, 1, 1, 1), f"cannot read {what}: {e}") from e
 
 
-def within_nesting_limit(thunk: Callable[[], tuple]) -> tuple:
-    """`thunk()`, with a RecursionError, from a term nested past Python's
-    recursion limit, raised as the KernelError "term nested too deeply"."""
+def located(thunk: Callable[[], tuple], span: SourceSpan) -> tuple:
+    """`thunk()` under a fresh step budget, whose limit is the enclosing
+    budget's (the default if none). A KernelError, which has no span, and a
+    RecursionError, from a term nested past Python's recursion limit, are
+    raised as a SurfaceError at `span`."""
     try:
-        return thunk()
+        with kernel.step_budget():
+            return thunk()
+    except KernelError as e:
+        message = str(e)
     except RecursionError:
-        pass  # raised below, where no error holds on to the deep traceback
-    raise KernelError("term nested too deeply")
+        message = "term nested too deeply"
+    raise SurfaceError(span, message)  # here, where no error holds on to the deep traceback
 
 
 def evaluate(globals: GlobalEnv, term: SurfaceTerm) -> tuple[str, str]:
@@ -83,29 +89,27 @@ def evaluate(globals: GlobalEnv, term: SurfaceTerm) -> tuple[str, str]:
 
 
 def process_decl(globals: GlobalEnv, d: SurfaceDecl) -> tuple[GlobalEnv, Event]:
-    """Elaborate and check one declaration or directive under a fresh step
-    budget, whose limit is the enclosing budget's (the default if none)."""
-    with kernel.step_budget():
-        match d:
-            case Def():
-                core = elab.elaborate_decl(globals, d)
-                globals = kernel.check_decl(globals, core)
-                return globals, Event("decl", d.span, d.name)
-            case CheckDirective(term=t, span=span):
-                core, ty = elab.elaborate_term(globals, t)
-                return globals, Event("check", span, f"{pretty(core)} : {pretty(ty)}")
-            case EvalDirective(term=t, span=span):
-                value, ty = evaluate(globals, t)
-                return globals, Event("eval", span, f"{value} : {ty}")
-            case AssertDefeq(lhs=l, rhs=r, at_type=ty, span=span):
-                ty_core, _ = elab.elaborate_term(globals, ty)
-                ty_v = kernel.eval_term([], globals, ty_core)
-                ctx = elab.ElabCtx(globals)
-                l_core = elab.zonk(elab.check(ctx, l, ty_v))
-                r_core = elab.zonk(elab.check(ctx, r, ty_v))
-                ok = kernel.assert_defeq(globals, l_core, r_core, ty_core)
-                text = f"{pretty(l_core)} ~ {pretty(r_core)}"
-                return globals, Event("assert", span, text, ok)
+    """Elaborate and check one declaration or directive."""
+    match d:
+        case Def():
+            core = elab.elaborate_decl(globals, d)
+            globals = kernel.check_decl(globals, core)
+            return globals, Event("decl", d.span, d.name)
+        case CheckDirective(term=t, span=span):
+            core, ty = elab.elaborate_term(globals, t)
+            return globals, Event("check", span, f"{pretty(core)} : {pretty(ty)}")
+        case EvalDirective(term=t, span=span):
+            value, ty = evaluate(globals, t)
+            return globals, Event("eval", span, f"{value} : {ty}")
+        case AssertDefeq(lhs=l, rhs=r, at_type=ty, span=span):
+            ty_core, _ = elab.elaborate_term(globals, ty)
+            ty_v = kernel.eval_term([], globals, ty_core)
+            ctx = elab.ElabCtx(globals)
+            l_core = elab.zonk(elab.check(ctx, l, ty_v))
+            r_core = elab.zonk(elab.check(ctx, r, ty_v))
+            ok = kernel.assert_defeq(globals, l_core, r_core, ty_core)
+            text = f"{pretty(l_core)} ~ {pretty(r_core)}"
+            return globals, Event("assert", span, text, ok)
     raise ValueError(f"unknown declaration {d!r}")
 
 
@@ -119,12 +123,10 @@ def check_source(globals: GlobalEnv, text: str, filename: str) -> tuple[GlobalEn
     result = FileResult(filename)
     try:
         for d in parse_file(text, filename):
-            globals, event = within_nesting_limit(lambda: process_decl(globals, d))
+            globals, event = located(lambda: process_decl(globals, d), d.span)
             result.events.append(event)
     except SurfaceError as e:
-        result.error, result.error_span = e, e.span
-    except KernelError as e:
-        result.error, result.error_span = e, d.span
+        result.error = e
     return globals, result
 
 

@@ -88,8 +88,6 @@ class KernelTypeError(KernelError):
         super().__init__(f"at {where}: {detail}")
         self.path = path
         self.message = message
-        self.expected = expected
-        self.found = found
 
 
 class _Budget:

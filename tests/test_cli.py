@@ -503,3 +503,53 @@ def test_eval_of_a_too_deep_normal_form_gets_a_located_error(flags):
     code, out = run_cli(["eval", *flags, "-e", DEEP_EVAL_INPUT])
     assert code == 1
     assert out.splitlines()[0] == "<expr>:1:1: error: term nested too deeply"
+
+
+def _benchmark_reach():
+    """The hpt modules `benchmarks/run.py` imports, and the (module, attribute)
+    pairs that it and `benchmarks/layers.py` reach: the SPAN_POINTS entries,
+    the `replace` calls with literal names, and every `hpt.<module>.<attr>`."""
+    import ast
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    trees = [ast.parse((bench / name).read_text()) for name in ("layers.py", "run.py")]
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    import_hpt = next(n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "import_hpt")
+
+    def assigned(name, among):
+        return next(ast.literal_eval(n.value) for n in among if isinstance(n, ast.Assign)
+                    and getattr(n.targets[0], "id", None) == name)
+
+    imported = assigned("names", ast.walk(import_hpt))
+    span_points = assigned("SPAN_POINTS", nodes)
+    replaced = [
+        (n.args[1].value, n.args[2].value) for n in nodes
+        if isinstance(n, ast.Call) and len(n.args) >= 3
+        and (isinstance(n.func, ast.Name) and n.func.id == "replace"
+             or isinstance(n.func, ast.Attribute) and n.func.attr == "replace"
+             and isinstance(n.func.value, ast.Name) and n.func.value.id == "layers")
+        and all(isinstance(a, ast.Constant) for a in n.args[1:3])
+    ]
+    chains = [
+        (n.value.attr, n.attr) for n in nodes
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+        and isinstance(n.value.value, ast.Name) and n.value.value.id == "hpt"
+    ]
+    return imported, [p[:2] for p in span_points], replaced, chains
+
+
+def test_every_hpt_name_the_benchmark_reaches_resolves():
+    """A renamed or deleted function that the benchmark wraps or calls fails
+    here, without a benchmark run; the benchmark's files are only read."""
+    import importlib
+
+    imported, span_points, replaced, chains = _benchmark_reach()
+    assert ("driver", "process_decl") in replaced and ("kernel", "VTop.force") in replaced
+    assert ("corpus", "load_corpus") in chains and len(span_points) >= 20
+    for module, attr in [*span_points, *replaced, *chains]:
+        assert module in imported, module
+        target = importlib.import_module(f"hpt.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+            assert target is not None, f"hpt.{module}.{attr}"

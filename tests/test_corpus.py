@@ -2,7 +2,7 @@
 
 import pytest
 
-from hpt import corpus, driver, kernel
+from hpt import corpus, driver
 from hpt.driver import check_source
 from hpt.kernel import GlobalEnv
 from hpt.surface import SurfaceError
@@ -36,8 +36,8 @@ def test_elaborated_corpus_has_a_fixed_digest(loaded):
 @pytest.mark.parametrize(
     "extra, error, message",
     [("def bad : A := missing\n", SurfaceError, "unbound name 'missing'"),
-     ("axiom a : A\n#assert defeq a ~ star : A\n", kernel.KernelError,
-      "1 definitional assertion\\(s\\) failed")],
+     ("axiom a : A\n#assert defeq a ~ star : A\n", SurfaceError,
+      "definitional assertion failed: a ~ star")],
     ids=["error", "failed-assertion"],
 )
 def test_load_corpus_raises_on_an_error_or_a_failed_assertion(
@@ -50,6 +50,21 @@ def test_load_corpus_raises_on_an_error_or_a_failed_assertion(
     monkeypatch.setenv("HPT_CORPUS_DIR", str(tmp_path))
     with pytest.raises(error, match=message):
         corpus.load_corpus()
+
+
+def test_load_corpus_locates_a_kernel_error_at_its_declaration(tmp_path, monkeypatch):
+    """A corpus copy whose first file ends in a second `axiom star : A`: the
+    kernel's duplicate name reaches `load_corpus` as a SurfaceError at that
+    line, as `hpt corpus` prints it."""
+    base = corpus.corpus_dir() / "01-base.hpt"
+    text = base.read_text() + "axiom star : A\n"
+    (tmp_path / base.name).write_text(text)
+    monkeypatch.setenv("HPT_CORPUS_DIR", str(tmp_path))
+    with pytest.raises(SurfaceError) as info:
+        corpus.load_corpus()
+    span = info.value.span
+    assert (span.file, span.start_line, span.start_col) == (base.name, len(text.splitlines()), 1)
+    assert info.value.message == "duplicate global name 'star'"
 
 
 def test_manifest_matches_environment(loaded):

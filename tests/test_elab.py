@@ -63,7 +63,7 @@ def test_arrow_in_too_small_a_universe_fails_in_the_elaborator():
         text = f"axiom A : Type\ndef f (P : A -> Type 1) (a : A){binders} : Type := {body}\n"
         _, result = driver.check_source(GlobalEnv(), text, "f.hpt")
         assert isinstance(result.error, TypeMismatch), body
-        assert (result.error_span.start_line, result.error_span.start_col) == (2, col)
+        assert (result.error.span.start_line, result.error.span.start_col) == (2, col)
 
 
 _PATH_MOTIVE = "J (fun (z : A) (q : a = z) => q) _ _"
@@ -94,7 +94,7 @@ def test_elaborator_type_mismatch_is_located(line, part, col):
     assert isinstance(result.error, TypeMismatch)
     assert result.error.message.startswith("type mismatch\n")
     assert f"\n  {part}\n" in result.error.message
-    assert (result.error_span.start_line, result.error_span.start_col) == (3, col)
+    assert (result.error.span.start_line, result.error.span.start_col) == (3, col)
 
 
 @pytest.mark.parametrize(

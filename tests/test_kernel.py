@@ -27,7 +27,7 @@ from hpt.kernel import (
     normalize,
     step_budget,
 )
-from hpt.surface import DUMMY_SPAN, parse_term
+from hpt.surface import DUMMY_SPAN, SurfaceError, parse_term
 from tests.terms import alpha_eq, children, free_indices, replace_at, term_size
 
 
@@ -149,6 +149,14 @@ def test_check_decl_axiom_and_duplicate(env):
     assert "B" in fresh
     with pytest.raises(DuplicateName):
         check_decl(fresh, CoreDecl("B", Type(0), None))
+
+
+def test_a_duplicate_name_leaves_the_driver_located_at_its_declaration():
+    """The kernel's DuplicateName has no span; `check_source` reports it as a
+    SurfaceError at the second declaration, with the kernel's message."""
+    _, result = driver.check_source(GlobalEnv(), "axiom A : Type\naxiom A : Type", "dup.hpt")
+    assert type(result.error) is SurfaceError
+    assert str(result.error) == "dup.hpt:2:1: duplicate global name 'A'"
 
 
 def test_check_decl_body_mismatch(env):
@@ -581,3 +589,20 @@ def test_the_front_end_reaches_the_elaborator_through_the_driver():
     """`hpt.cli` elaborates nothing itself: `hpt eval` and `#eval` share
     `driver.evaluate`."""
     assert "hpt.elab" not in _hpt_imports("cli")
+
+
+def _kernel_error_names(cls=KernelError):
+    return {cls.__name__}.union(*(_kernel_error_names(sub) for sub in cls.__subclasses__()))
+
+
+def test_the_front_end_names_no_kernel_error():
+    """`hpt.driver` locates every kernel failure, so `hpt.cli` and
+    `hpt.corpus` see only SurfaceErrors and name no KernelError class."""
+    kernel_errors = _kernel_error_names()
+    assert {"BudgetExhausted", "DuplicateName", "KernelTypeError"} < kernel_errors
+    for module in ("cli", "corpus"):
+        tree = ast.parse(Path(kernel.__file__).with_name(f"{module}.py").read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & kernel_errors, module
