@@ -71,15 +71,15 @@ def located(thunk: Callable[[], tuple], span: SourceSpan) -> tuple:
     """`thunk()` under a fresh step budget, whose limit is the enclosing
     budget's (the default if none). A KernelError, which has no span, and a
     RecursionError, from a term nested past Python's recursion limit, are
-    raised as a SurfaceError at `span`."""
+    raised as a SurfaceError at `span`, from the error less its traceback."""
     try:
         with kernel.step_budget():
             return thunk()
     except KernelError as e:
-        message = str(e)
-    except RecursionError:
-        message = "term nested too deeply"
-    raise SurfaceError(span, message)  # here, where no error holds on to the deep traceback
+        cause, message = e.with_traceback(None), str(e)
+    except RecursionError as e:
+        cause, message = e.with_traceback(None), "term nested too deeply"
+    raise SurfaceError(span, message) from cause  # here, where no deep traceback is held
 
 
 def evaluate(globals: GlobalEnv, term: SurfaceTerm) -> tuple[str, str]:

@@ -91,7 +91,7 @@ def test_criterion_syllepsis_endpoints(loaded):
     from hpt.kernel import KernelTypeError
 
     _, res = check_source(env_before, mutated, filename)
-    mutation_fails = isinstance(res.error, (TypeMismatch, KernelTypeError))
+    mutation_fails = isinstance(res.error, TypeMismatch) or isinstance(res.error.__cause__, KernelTypeError)
     _report(
         f"syllepsis endpoint test (checks={checks}, mutation fails={mutation_fails})",
         checks and mutation_fails,

@@ -200,7 +200,7 @@ def test_syllepsis_mutation_fails(loaded):
     from hpt.elab import TypeMismatch
     from hpt.kernel import KernelTypeError
 
-    assert isinstance(res.error, (TypeMismatch, KernelTypeError))
+    assert isinstance(res.error, TypeMismatch) or isinstance(res.error.__cause__, KernelTypeError)
 
 
 def test_corpus_prelude_order_is_stable():

@@ -153,10 +153,13 @@ def test_check_decl_axiom_and_duplicate(env):
 
 def test_a_duplicate_name_leaves_the_driver_located_at_its_declaration():
     """The kernel's DuplicateName has no span; `check_source` reports it as a
-    SurfaceError at the second declaration, with the kernel's message."""
+    SurfaceError at the second declaration, with the kernel's message; the
+    kernel's error stays its cause, less the traceback."""
     _, result = driver.check_source(GlobalEnv(), "axiom A : Type\naxiom A : Type", "dup.hpt")
     assert type(result.error) is SurfaceError
     assert str(result.error) == "dup.hpt:2:1: duplicate global name 'A'"
+    assert type(result.error.__cause__) is DuplicateName
+    assert result.error.__cause__.__traceback__ is None
 
 
 def test_check_decl_body_mismatch(env):
