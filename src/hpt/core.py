@@ -257,47 +257,52 @@ def pretty(t: CoreTerm, names: list[str] | None = None) -> str:
     """Render a core term as surface syntax.
 
     `names` supplies binder names outermost-first for the term's free
-    variables; it must be at least as deep as the term's context.
+    variables; it must be at least as deep as the term's context. A binder's
+    name avoids them and the name of every global in `t`, which it would capture.
     """
-    names = list(names or [])
-    return _pp(t, names, _PREC_ARROW)
+    return _pp(t, list(names or []), _PREC_ARROW, [t])
 
 
-def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
+def _pp(t: CoreTerm, names: list[str], prec: int, taken: list) -> str:
     # Exact-type tests, most frequent first, as in `kernel.eval_term`.
+    # `taken` holds the root until the first binder replaces it by the set of
+    # the names of the globals in the term, so a term without one costs no walk.
     tt = type(t)
     if tt is Var:
         i = t.index
         return names[-1 - i] if 0 <= i < len(names) else f"!{i}"
     if tt is App:
-        return _pp_spine(t, names, prec)
+        return _pp_spine(t, names, prec, taken)
     if tt is Global:
         return t.name
     if tt is Refl:
-        return _parens(f"refl {_pp(t.point, names, _PREC_ATOM)}", prec, _PREC_APP)
+        return _parens(f"refl {_pp(t.point, names, _PREC_ATOM, taken)}", prec, _PREC_APP)
     if tt is Id:
-        s = f"{_pp(t.lhs, names, _PREC_CONCAT)} = {_pp(t.rhs, names, _PREC_CONCAT)}"
+        s = f"{_pp(t.lhs, names, _PREC_CONCAT, taken)} = {_pp(t.rhs, names, _PREC_CONCAT, taken)}"
         return _parens(s, prec, _PREC_ID)
-    if tt is Lam:
-        n = fresh_name(t.hint, set(names))
-        ann_s = _pp(t.ann, names, _PREC_ARROW)
-        body_s = _pp(t.body, names + [n], _PREC_ARROW)
-        open_b, close_b = ("{", "}") if t.implicit else ("(", ")")
-        return _parens(f"fun {open_b}{n} : {ann_s}{close_b} => {body_s}", prec, _PREC_ARROW)
+    if tt is Lam or tt is Pi and (t.implicit or t.codomain.free & 1):
+        if type(taken[0]) is not set:  # each shared node is visited once
+            seen, stack = {}, [taken[0]]
+            while stack:
+                u = stack.pop()
+                if id(u) not in seen:
+                    seen[id(u)] = u
+                    for name, _ in _fields(u):
+                        stack.append(getattr(u, name))
+            taken[0] = {u.name for u in seen.values() if type(u) is Global}
+        n = fresh_name(t.hint, taken[0].union(names))
+        dom, cod = (t.ann, t.body) if tt is Lam else (t.domain, t.codomain)
+        dom_s, cod_s = _pp(dom, names, _PREC_ARROW, taken), _pp(cod, names + [n], _PREC_ARROW, taken)
+        binder = f"{{{n} : {dom_s}}}" if t.implicit else f"({n} : {dom_s})"
+        return _parens(f"fun {binder} => {cod_s}" if tt is Lam else f"{binder} -> {cod_s}", prec, _PREC_ARROW)
     if tt is Pi:
-        if not t.implicit and not t.codomain.free & 1:
-            # non-dependent: print as an arrow; the domain is term1, so
-            # equations and nested arrows need parentheses
-            dom_s = _pp(t.domain, names, _PREC_CONCAT)
-            cod_s = _pp(t.codomain, names + ["_"], _PREC_ARROW)
-            return _parens(f"{dom_s} -> {cod_s}", prec, _PREC_ARROW)
-        n = fresh_name(t.hint, set(names))
-        dom_s = _pp(t.domain, names, _PREC_ARROW)
-        cod_s = _pp(t.codomain, names + [n], _PREC_ARROW)
-        open_b, close_b = ("{", "}") if t.implicit else ("(", ")")
-        return _parens(f"{open_b}{n} : {dom_s}{close_b} -> {cod_s}", prec, _PREC_ARROW)
+        # non-dependent: print as an arrow; the domain is term1, so
+        # equations and nested arrows need parentheses
+        dom_s = _pp(t.domain, names, _PREC_CONCAT, taken)
+        cod_s = _pp(t.codomain, names + ["_"], _PREC_ARROW, taken)
+        return _parens(f"{dom_s} -> {cod_s}", prec, _PREC_ARROW)
     if tt is J:
-        parts = ["J", *(_pp(u, names, _PREC_ATOM) for u in (t.motive, t.base, t.path))]
+        parts = ["J", *(_pp(u, names, _PREC_ATOM, taken) for u in (t.motive, t.base, t.path))]
         return _parens(" ".join(parts), prec, _PREC_APP)
     if tt is Type:
         return "Type" if t.level == 0 else _parens(f"Type {t.level}", prec, _PREC_APP)
@@ -306,7 +311,7 @@ def _pp(t: CoreTerm, names: list[str], prec: int) -> str:
     raise TypeError(f"not a core term: {t!r}")
 
 
-def _pp_spine(t: App, names: list[str], prec: int) -> str:
+def _pp_spine(t: App, names: list[str], prec: int, taken: list) -> str:
     """An application, its spine walked once from the top `App`. Kept out of
     `_pp`, whose far more frequent other cases then run in a smaller frame."""
     args = []
@@ -317,13 +322,13 @@ def _pp_spine(t: App, names: list[str], prec: int) -> str:
     infix = _INFIX.get(t.name) if type(t) is Global else None
     if infix and len(args) >= infix[0]:
         k, op, p = infix
-        s = f"{_pp(args[k - 2], names, p)} {op} {_pp(args[k - 1], names, p + 1)}"
+        s = f"{_pp(args[k - 2], names, p, taken)} {op} {_pp(args[k - 1], names, p + 1, taken)}"
         args = args[k:]
     else:
-        s, p = _pp(t, names, _PREC_APP), _PREC_APP
+        s, p = _pp(t, names, _PREC_APP, taken), _PREC_APP
     if not args:
         return _parens(s, prec, p)
-    s = " ".join([_parens(s, _PREC_APP, p), *[_pp(a, names, _PREC_ATOM) for a in args]])
+    s = " ".join([_parens(s, _PREC_APP, p), *[_pp(a, names, _PREC_ATOM, taken) for a in args]])
     return _parens(s, prec, _PREC_APP)
 
 

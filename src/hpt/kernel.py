@@ -347,16 +347,15 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
             f = apply_value(f, x)
         return f
     if tt is Lam:
-        dom = eval_term(env, globals, t.ann)
+        dom = env[-1 - t.ann.index] if type(t.ann) is Var else eval_term(env, globals, t.ann)
         return VLam(t.hint, Closure(tuple(env), t.body, globals), dom, t.implicit)
     if tt is Refl:
-        return VRefl(eval_term(env, globals, t.point))
+        return VRefl(env[-1 - t.point.index] if type(t.point) is Var else eval_term(env, globals, t.point))
     if tt is Id:
-        return VId(
-            eval_term(env, globals, t.type),
-            eval_term(env, globals, t.lhs),
-            eval_term(env, globals, t.rhs),
-        )
+        a, l, r = t.type, t.lhs, t.rhs
+        return VId(env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a),
+                   env[-1 - l.index] if type(l) is Var else eval_term(env, globals, l),
+                   env[-1 - r.index] if type(r) is Var else eval_term(env, globals, r))
     if tt is Global:
         entry = globals.get(t.name)
         if entry is None:
@@ -372,7 +371,7 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
             eval_term(env, globals, t.path),
         )
     if tt is Pi:
-        dom = eval_term(env, globals, t.domain)
+        dom = env[-1 - t.domain.index] if type(t.domain) is Var else eval_term(env, globals, t.domain)
         return VPi(t.hint, dom, Closure(tuple(env), t.codomain, globals), t.implicit)
     if tt is Meta:
         if t.solution is None:
@@ -424,38 +423,27 @@ def j_apply(motive: Value, base: Value, endpoint: Value, path: Value) -> Value:
 
 
 def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None) -> CoreTerm:
-    """Read a value back to a beta-normal core term.
+    """Read a value back to a beta-normal core term (η is left to `conv`).
 
-    `force`, if given, is applied to every value before it is read back:
-    `normalize` passes `force_top` to unfold defined globals away (full
-    normal forms), and the elaborator passes its meta resolution. Without
-    it, glued global applications read back as the global applied to its
-    spine.
-    Eta-expansion is not performed here; conversion handles eta for Pi by
-    comparing values applicatively.
+    `force`, if given, is applied to every value but a `VRefl` or `VId`, which
+    no hook changes, before it is read back: `normalize` passes `force_top` to
+    unfold defined globals away (full normal forms), and the elaborator passes
+    its meta resolution. Without it, a glued global application reads back as
+    the global applied to its spine.
 
-    Results are memoized by depth and value identity (values hash and
-    compare by identity) for the duration of this call, so a value reached
-    twice is read back once and its normal form is shared.
-
-    Nodes are built by calling their constructors. With `force_top`, two more
-    tables live for the call: an intern table through which each new node is
-    swapped for its first equal, so equal subterms are one object, and
-    `known`, the normal forms of λ, Π and glued global values by what each
-    depends on. `Closure.apply` never memoizes, but `normalize` skips
-    applications whose normal form it already has, and those are not charged.
+    Results are memoized by depth and value identity for the call, so a value
+    reached twice is read back once and its normal form is shared. Without
+    `force_top`, nodes are built by their constructors. With it, two more
+    tables live for the call: `nodes` hash-conses the output, each node looked
+    up by its class, scalar fields and children's ids before it is built, so
+    equal subterms are one object and every node built is kept; `known` holds
+    the normal forms of λ, Π and glued global values by what each depends on,
+    so `normalize` skips applications whose normal form it has, uncharged.
     """
     memo: dict[int, dict[Value, CoreTerm]] = {}
-    known = None
+    nodes = known = None
     if force is force_top:
         nodes, known = {}, {}
-
-        def share(t: CoreTerm) -> CoreTerm:
-            """The one node in `nodes` equal to `t`, whose children are shared:
-            keyed by class, scalar fields and child identities."""
-            key = (type(t), *[id(f) if isinstance(f, CoreTerm) else f
-                              for f in [getattr(t, n) for n in t.__match_args__]])
-            return nodes.setdefault(key, t)
 
         def known_key(depth: int, v: VTop | VLam | VPi) -> tuple | None:
             """What the normal form of `v` depends on, values counting by their
@@ -471,6 +459,13 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             return (type(v), id(c.term), c.globals, depth, v.hint, v.implicit, id(rb(depth, v.domain)),
                     *[id(rb(depth, c.env[-i])) for i in range(1, free.bit_length()) if free >> i & 1])
 
+        def node(key: tuple, *fields: object) -> CoreTerm:
+            """The node of class `key[0]` with `fields`, built on a miss."""
+            t = nodes.get(key)
+            if t is None:
+                t = nodes[key] = key[0](*fields)
+            return t
+
     def rb(depth: int, v: Value) -> CoreTerm:
         seen = memo.get(depth)
         if seen is None:
@@ -478,46 +473,52 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         t = seen.get(v)
         if t is not None:
             return t
-        key = known is not None and type(v) in (VTop, VLam, VPi) and known_key(depth, v)
-        if key and key in known:
-            t = seen[v] = known[key]
-            return t
-        w = v if force is None else force(v)
+        w, key = v, None
+        if type(v) is not VRefl and type(v) is not VId:  # canonical: not in `known`, kept by `force`
+            key = known is not None and type(v) in (VTop, VLam, VPi) and known_key(depth, v)
+            if key and key in known:
+                t = seen[v] = known[key]
+                return t
+            w = v if force is None else force(v)
         tw = type(w)
-        if tw is VNeutral:
-            h = w.head
-            t = spine(depth, Var(depth - 1 - h) if type(h) is int else h, w.spine)
-        elif tw is VTop:
-            t = spine(depth, Global(w.entry.name), w.spine)
-        elif tw is VLam:
-            body = rb(depth + 1, w.closure.apply(fresh_var(depth)))
-            t = Lam(w.hint, body, rb(depth, w.domain), w.implicit)
+        if tw is VRefl:
+            p = rb(depth, w.point)
+            t = Refl(p) if nodes is None else node((Refl, id(p)), p)
         elif tw is VId:
-            t = Id(rb(depth, w.type), rb(depth, w.lhs), rb(depth, w.rhs))
-        elif tw is VRefl:
-            t = Refl(rb(depth, w.point))
+            a, l, r = rb(depth, w.type), rb(depth, w.lhs), rb(depth, w.rhs)
+            t = Id(a, l, r) if nodes is None else node((Id, id(a), id(l), id(r)), a, l, r)
+        elif tw is VNeutral or tw is VTop:
+            h = w.head if tw is VNeutral else Global(w.entry.name)
+            if type(h) is int:
+                h = Var(depth - 1 - h) if nodes is None else node((Var, depth - 1 - h), depth - 1 - h)
+            elif nodes is not None and type(h) is Global:
+                h = node((Global, h.name), h.name)
+            t = spine(depth, h, w.spine)
+        elif tw is VLam:
+            body, ann = rb(depth + 1, w.closure.apply(fresh_var(depth))), rb(depth, w.domain)
+            t = (Lam(w.hint, body, ann, w.implicit) if nodes is None else
+                 node((Lam, w.hint, id(body), id(ann), w.implicit), w.hint, body, ann, w.implicit))
         elif tw is VPi:
-            cod = rb(depth + 1, w.closure.apply(fresh_var(depth)))
-            t = Pi(w.hint, rb(depth, w.domain), cod, w.implicit)
+            cod, dom = rb(depth + 1, w.closure.apply(fresh_var(depth))), rb(depth, w.domain)
+            t = (Pi(w.hint, dom, cod, w.implicit) if nodes is None else
+                 node((Pi, w.hint, id(dom), id(cod), w.implicit), w.hint, dom, cod, w.implicit))
         elif tw is Type:
-            t = w
+            t = w if nodes is None else node((Type, w.level), w.level)
         else:
             raise KernelError(f"cannot read back {w!r}")
-        if known is not None:
-            t = share(t)
-            if key:
-                known[key] = t
+        if key:
+            known[key] = t
         seen[v] = t
         return t
 
     def spine(depth: int, t: CoreTerm, entries: tuple[Value | EJ, ...]) -> CoreTerm:
         for e in entries:
-            if known is not None:
-                t = share(t)
             if type(e) is EJ:
-                t = J(rb(depth, e.motive), rb(depth, e.base), rb(depth, e.endpoint), t)
+                m, b, x = rb(depth, e.motive), rb(depth, e.base), rb(depth, e.endpoint)
+                t = J(m, b, x, t) if nodes is None else node((J, id(m), id(b), id(x), id(t)), m, b, x, t)
             else:
-                t = App(t, rb(depth, e))
+                a = rb(depth, e)
+                t = App(t, a) if nodes is None else node((App, id(t), id(a)), t, a)
         return t
 
     return rb(depth, v)

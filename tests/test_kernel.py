@@ -28,7 +28,7 @@ from hpt.kernel import (
     step_budget,
 )
 from hpt.surface import DUMMY_SPAN, SurfaceError, parse_term
-from tests.terms import alpha_eq, children, free_indices, replace_at, term_size
+from tests.terms import alpha_eq, children, dag_size, free_indices, replace_at, term_size
 
 
 @pytest.fixture(scope="module")
@@ -326,18 +326,50 @@ def test_normalize_reads_a_closure_whose_body_holds_a_solved_meta(spine_values):
                      Lam("x", Global("A"), Global("A")))
 
 
+# DAG sizes of some corpus normal forms, as `tests.terms.dag_size` counts.
+NF_DAG_SIZES = {"EH": 192, "EH-1-L": 347, "syllepsis-triangle": 3130, "syllepsis-hexagon": 700,
+                "EH-L-nat-refl": 1191}
+
+
 def test_normalize_shares_equal_subterms(body_nfs):
-    """The normal form of `syllepsis` is hash-consed: its 1,245,691-node tree
-    is built from at most 10,000 node objects."""
+    """Every normal form is hash-consed: it holds exactly as many node objects
+    as it has structurally distinct subterms (`Lam.ann` counting), so the
+    1,245,691-node tree of `syllepsis` is at most 10,000 objects."""
+    sizes = {}
+    for entry, nf in body_nfs:
+        objects, stack = set(), [nf]
+        while stack:
+            t = stack.pop()
+            if id(t) not in objects:
+                objects.add(id(t))
+                stack.extend(children(t))
+        sizes[entry.name] = dag_size(nf)
+        assert len(objects) == sizes[entry.name], entry.name
+    assert {name: sizes[name] for name in NF_DAG_SIZES} == NF_DAG_SIZES
     (nf,) = [nf for entry, nf in body_nfs if entry.name == "syllepsis"]
-    assert term_size(nf) == 1_245_691
-    objects, stack = set(), [nf]
-    while stack:
-        t = stack.pop()
-        if id(t) not in objects:
-            objects.add(id(t))
-            stack.extend(children(t))
-    assert len(objects) <= 10_000
+    assert term_size(nf) == 1_245_691 and sizes["syllepsis"] <= 10_000
+
+
+def test_normalize_keeps_lambdas_apart_that_differ_only_in_their_domain(spine_values):
+    """`Lam.__eq__` ignores `ann`, so the intern key must not be `==`: two λs
+    with one body and different domains stay two nodes, each with its own."""
+    env = spine_values[0]
+    a, star = VNeutral(Global("A")), VNeutral(Global("star"))
+    lams = tuple(VLam("x", Closure((), Var(0), env), dom) for dom in (a, star))
+    nf, _ = _normal_form_and_steps(VNeutral(Global("f"), lams))
+    assert nf == App(App(Global("f"), Lam("x", Var(0), Global("A"))), Lam("x", Var(0), Global("A")))
+    assert nf.fn.arg is not nf.arg and nf.fn.arg.body is nf.arg.body
+    assert (nf.fn.arg.ann, nf.arg.ann) == (Global("A"), Global("star"))
+
+
+def test_normalize_reads_equal_leaves_back_to_one_node(spine_values):
+    """Two `Type 0` objects at different depths, and two neutrals headed by
+    distinct `Global` objects of one name, each read back to one node."""
+    lam = VLam("x", Closure((), Type(0), spine_values[0]), Type(0))
+    args = (Type(0), lam, VNeutral(Global("A")), VNeutral(Global("A")))
+    nf, _ = _normal_form_and_steps(VNeutral(Global("f"), args))
+    assert nf == App(App(App(App(Global("f"), Type(0)), Lam("x", Type(0), Type(0))), Global("A")), Global("A"))
+    assert nf.fn.fn.fn.arg is nf.fn.fn.arg.body and nf.fn.arg is nf.arg
 
 
 def test_free_agrees_with_a_plain_walk_on_corpus_cores_and_normal_forms(env, body_nfs):
@@ -554,6 +586,23 @@ def test_pretty_reelaborate_round_trip_on_normal_forms(env, body_nfs):
         assert conv(0, eval_term([], env, ty_core), entry.type_value), entry.name
         checked += 1
     assert checked >= 40
+
+
+def test_a_printed_binder_does_not_capture_a_global():
+    """`h` binds `star` and returns the global `star`: its printed normal
+    form renames the binder, so it re-elaborates to the same term."""
+    from hpt.core import pretty
+
+    text = ("axiom A : Type\naxiom star : A\ndef c : A := star\n"
+            "def h (star : A) : A := c\n")
+    env, result = driver.check_source(GlobalEnv(), text, "capture.hpt")
+    assert result.error is None
+    nf = normalize(env, env.get("h").body_core)
+    assert nf == Lam("star", Global("star"), Global("A"))
+    printed = pretty(nf)
+    assert printed == "fun (star1 : A) => star"
+    core, _ = elab.elaborate_term(env, parse_term(printed))
+    assert alpha_eq(normalize(env, core), nf)
 
 
 def test_pretty_reelaborate_round_trip_on_types(env):
