@@ -10,6 +10,7 @@ stdout (timings are kept out of the default output).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -228,6 +229,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2 if e.code not in (0, None) else 0
     args.color = (not args.no_color) and hasattr(out, "isatty") and out.isatty()
     commands = {"check": cmd_check, "eval": cmd_eval, "corpus": cmd_corpus}
+    thresholds = gc.get_threshold()
+    gc.set_threshold(50_000, 20, 100)  # checking makes no reference cycles: collect rarely
     try:
         with kernel.step_budget(args.step_budget):
             code = commands[args.command](args, out)
@@ -237,6 +240,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         # rest to devnull, so that the flush at shutdown cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1
+    finally:
+        gc.set_threshold(*thresholds)
     return code
 
 

@@ -126,7 +126,7 @@ def check_source(globals: GlobalEnv, text: str, filename: str) -> tuple[GlobalEn
             globals, event = located(lambda: process_decl(globals, d), d.span)
             result.events.append(event)
     except SurfaceError as e:
-        result.error = e
+        result.error = e.with_traceback(None)  # its frames hold `result`: a cycle
     return globals, result
 
 

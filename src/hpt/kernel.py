@@ -439,6 +439,8 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
     equal subterms are one object and every node built is kept; `known` holds
     the normal forms of λ, Π and glued global values by what each depends on,
     so `normalize` skips applications whose normal form it has, uncharged.
+    All of these per-call tables are freed by reference count when the call
+    returns or raises: no reference cycle outlives it for the collector.
     """
     memo: dict[int, dict[Value, CoreTerm]] = {}
     nodes = known = None
@@ -521,7 +523,10 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
                 t = App(t, a) if nodes is None else node((App, id(t), id(a)), t, a)
         return t
 
-    return rb(depth, v)
+    try:
+        return rb(depth, v)
+    finally:
+        del rb, spine  # each names the other: clearing the cells frees the tables by refcount
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -420,6 +421,47 @@ def test_closed_stdout_ends_quietly(tmp_hpt):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class _ClosedStdout:
+    """An in-process stdout whose reader has left: `flush` raises, as a pipe
+    closed early does; `fileno` is a file the test owns, for `main` to point
+    at devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("args, code, closed", [
+    (["corpus"], 0, False),
+    (["check", "bad.hpt"], 1, False),
+    (["check", "--no-such-flag"], 2, False),
+    (["check", "bad.hpt"], 1, True),
+], ids=["corpus", "check-error", "usage-error", "closed-stdout"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, args, code, closed):
+    """`main` collects rarely while a command runs and hands an in-process
+    caller back its own thresholds, however the command ends."""
+    (tmp_path / "bad.hpt").write_text("def f : missing := missing\n")
+    monkeypatch.chdir(tmp_path)
+    saved, enabled = gc.get_threshold(), gc.isenabled()
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    gc.set_threshold(1234, 5, 6)
+    try:
+        out = _ClosedStdout(fd) if closed else io.StringIO()
+        assert main(args, out=out) == code
+        assert (gc.get_threshold(), gc.isenabled()) == ((1234, 5, 6), enabled)
+    finally:
+        gc.set_threshold(*saved)
+        os.close(fd)
 
 
 _LAYERS_CHILD = """

@@ -1,6 +1,7 @@
 """Kernel behavior: evaluation, readback, conversion, type checking."""
 
 import ast
+import gc
 import random
 from pathlib import Path
 
@@ -107,6 +108,26 @@ def test_conv_compares_spine_arguments_of_different_value_classes(spine_values):
     assert type(fg.spine[0]) is not type(fstar.spine[0])  # a VTop and a VNeutral
     assert conv(0, fg, fstar) and conv(0, fstar, fg)
     assert not conv(0, stuck, applied) and not conv(0, applied, stuck)
+
+
+_SHORTCUT_PRELUDE = ("axiom A : Type\naxiom B : Type\naxiom a : A\naxiom b : A\naxiom f : A -> A\n"
+                     "def g1 (x : A) : A := a\ndef g2 (x : A) : A := b\n")
+
+
+@pytest.mark.parametrize("assertion, holds", [
+    ("g1 a ~ g2 a : A", False),  # glued-spine shortcut: equal spines, different entries
+    ("A -> A ~ B -> A : Type", False),  # Π: equal plicity, different domains
+    ("f ~ fun (x : A) => f x : A -> A", True),  # η: a λ against a neutral
+], ids=["glued-spine", "pi-domain", "eta-neutral"])
+def test_conv_shortcuts_decide_definitional_equality(assertion, holds):
+    """Each early exit of `conv` answers as the full comparison would: a
+    shortcut that fires too often is unsound, one that fires too rarely
+    incomplete. The elaborator rejects such `def`s before the kernel sees
+    them, so `#assert defeq` is where they reach `conv`."""
+    text = f"{_SHORTCUT_PRELUDE}#assert defeq {assertion}\n"
+    _, result = driver.check_source(GlobalEnv(), text, "shortcuts.hpt")
+    assert result.error is None
+    assert [e.ok for e in result.events if e.kind == "assert"] == [holds]
 
 
 def test_infer_type_refl(env):
@@ -613,6 +634,40 @@ def test_pretty_reelaborate_round_trip_on_types(env):
         text = pretty(nf_ty)
         core, _ = elab.elaborate_term(env, parse_term(text))
         assert alpha_eq(core, nf_ty), entry.name
+
+
+def test_checking_leaves_no_reference_cycles():
+    """With the collector off, checking the corpus, normalizing and printing
+    a body, re-elaborating a printed normal form, and an elaboration and a
+    kernel failure leave nothing for `gc.collect()` to find: readback frees
+    its per-call tables, and a stored error the frames that would hold its
+    result, by reference count."""
+    from hpt.core import pretty
+
+    def error(text, budget=None):
+        with step_budget(budget):
+            _, result = driver.check_source(env, text, "fails.hpt")
+        return str(result.error)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        env, _ = corpus.load_corpus()
+        found = {"corpus": gc.collect()}
+        pretty(normalize(env, env.get("syllepsis-triangle").body_core))
+        found["normalize"] = gc.collect()
+        printed = pretty(normalize(env, env.get("EH").type_core))
+        elab.elaborate_term(env, parse_term(printed))
+        found["re-elaborate"] = gc.collect()
+        assert "unbound name 'missing'" in error("def bad : A := missing\n")
+        found["elab-error"] = gc.collect()
+        assert "step budget exhausted" in error("#eval syllepsis-triangle\n", budget=50)
+        found["kernel-error"] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == dict.fromkeys(found, 0)
 
 
 def _hpt_imports(module):
