@@ -128,7 +128,7 @@ def cmd_check(args, out) -> int:
             try:
                 sources[path] = driver.read_source(path, path)
             except SurfaceError as e:
-                result = FileResult(path, error=e)
+                result = FileResult(path, error=e.with_traceback(None))  # its frames hold `report`
             else:
                 env, result = driver.check_source(env, sources[path], path)
             report.add(result)
@@ -147,7 +147,7 @@ def cmd_eval(args, out) -> int:
             value, ty = driver.located(lambda: driver.evaluate(env, term),
                                        SourceSpan("<expr>", line, col, line, col))
         except SurfaceError as e:
-            report.diagnostics.append(e)
+            report.diagnostics.append(e.with_traceback(None))
         else:
             if args.json:
                 print(json.dumps({"value": value, "type": ty}), file=out)
@@ -174,7 +174,7 @@ def cmd_corpus(args, out) -> int:
                 report.assertions_passed += ok
                 report.assertions_failed += not ok
         except SurfaceError as e:
-            report.diagnostics.append(e)
+            report.diagnostics.append(e.with_traceback(None))
     lines = (f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in rows)
     return _finish(args, out, report, sources, lines)
 
@@ -238,7 +238,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except BrokenPipeError:
         # The reader left early (`hpt check … | head -1`); send the unwritten
         # rest to devnull, so that the flush at shutdown cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
         return 1
     finally:
         gc.set_threshold(*thresholds)

@@ -60,11 +60,12 @@ class FileResult:
 
 def read_source(path: str | Path, name: str, what: str = "file") -> str:
     """The UTF-8 text of `path`, less a leading byte-order mark; failing
-    that, a SurfaceError at `name`:1:1."""
+    that, a SurfaceError at `name`:1:1, from the error less its traceback."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
-        raise SurfaceError(SourceSpan(name, 1, 1, 1, 1), f"cannot read {what}: {e}") from e
+        raise SurfaceError(SourceSpan(name, 1, 1, 1, 1),
+                           f"cannot read {what}: {e}") from e.with_traceback(None)
 
 
 def located(thunk: Callable[[], tuple], span: SourceSpan) -> tuple:

@@ -258,7 +258,7 @@ class VTop(Value):
 
 def force_top(v: Value) -> Value:
     """Unfold defined-global applications until a canonical shape appears."""
-    while isinstance(v, VTop):
+    while type(v) is VTop:
         v = v.force()
     return v
 
@@ -410,11 +410,10 @@ def j_apply(motive: Value, base: Value, endpoint: Value, path: Value) -> Value:
     # The beta decision needs the path's canonical shape, so a glued
     # global application is unfolded here.
     path = force_top(path)
-    match path:
-        case VRefl(_):
-            return base
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (EJ(motive, base, endpoint),))
+    if type(path) is VRefl:
+        return base
+    if type(path) is VNeutral:
+        return VNeutral(path.head, path.spine + (EJ(motive, base, endpoint),))
     raise KernelError("J applied to a non-path value (ill-typed input)")
 
 
@@ -546,7 +545,7 @@ def conv(depth: int, a: Value, b: Value) -> bool:
     if tb is VTop:
         return conv(depth, a, b.force())
     if ta is VNeutral and tb is VNeutral:
-        return a.head == b.head and _conv_spines(depth, a.spine, b.spine)
+        return (a.head is b.head or a.head == b.head) and _conv_spines(depth, a.spine, b.spine)
     if ta is VLam or tb is VLam:
         # eta: a neutral is compared with a lambda applicatively
         if ta is not tb and (tb if ta is VLam else ta) is not VNeutral:
@@ -593,95 +592,98 @@ def infer_type(
     `ctx` holds the types of the free variables (innermost last); the term
     is evaluated in the identity environment of fresh variables for them.
     """
+    # Exact-type tests, most frequent first; only evaluating cases build an env.
     depth = len(ctx)
-    env = identity_env(depth)
-
-    match t:
-        case Var(i):
-            if i >= depth:
-                raise KernelTypeError(path, f"unbound variable index {i}")
-            return ctx[depth - 1 - i]
-        case Global(name):
-            entry = globals.get(name)
-            if entry is None:
-                raise KernelTypeError(path, f"unknown global {name!r}")
-            return entry.type_value
-        case Type(lvl):
-            return Type(lvl + 1)
-        case Pi(_, dom, cod, _):
-            i = _infer_universe(ctx, globals, dom, path + ("domain",))
-            dom_v = eval_term(env, globals, dom)
-            j = _infer_universe(ctx + [dom_v], globals, cod, path + ("codomain",))
-            return Type(max(i, j))
-        case Id(ty, l, r):
-            i = _infer_universe(ctx, globals, ty, path + ("type",))
-            ty_v = eval_term(env, globals, ty)
-            _check_against(ctx, globals, l, ty_v, path + ("lhs",))
-            _check_against(ctx, globals, r, ty_v, path + ("rhs",))
-            return Type(i)
-        case Refl(p):
-            pt = infer_type(ctx, globals, p, path + ("point",))
-            # `Refl(q)` evaluates to VRefl of q's endpoint: a chain evaluates one point
-            pv = VRefl(pt.lhs) if type(p) is Refl else eval_term(env, globals, p)
-            return VId(pt, pv, pv)
-        case Lam(h, body, ann, imp):
-            _infer_universe(ctx, globals, ann, path + ("annotation",))
-            dom_v = eval_term(env, globals, ann)
-            body_ty = infer_type(ctx + [dom_v], globals, body, path + ("body",))
-            cod_core = readback(depth + 1, body_ty)
-            return VPi(h, dom_v, Closure(tuple(env), cod_core, globals), imp)
-        case App():
-            # Flatten the application spine: errors name the k-th argument
-            # `arg{k}`, and a long application adds no recursion depth.
-            spine: list[CoreTerm] = []
-            head: CoreTerm = t
-            while isinstance(head, App):
-                spine.append(head.arg)
-                head = head.fn
-            spine.reverse()
-            fty = infer_type(ctx, globals, head, path + ("fn",))
-            for k, x in enumerate(spine):
-                fty = force_top(fty)
-                if not isinstance(fty, VPi):
-                    raise KernelTypeError(
-                        path, "applied a term whose type is not a function type",
-                        found=readback(depth, fty),
-                    )
-                _check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",))
-                fty = fty.closure.apply_arg(env, globals, x)
-            return fty
-        case J(m, b, e, p):
-            pty = force_top(infer_type(ctx, globals, p, path + ("path",)))
-            if not isinstance(pty, VId):
+    tt = type(t)
+    if tt is Var:
+        i = t.index
+        if i >= depth:
+            raise KernelTypeError(path, f"unbound variable index {i}")
+        return ctx[depth - 1 - i]
+    if tt is Refl:
+        pt = infer_type(ctx, globals, t.point, path + ("point",))
+        # `Refl(q)` evaluates to VRefl of q's endpoint: a chain evaluates one point
+        pv = VRefl(pt.lhs) if type(t.point) is Refl else eval_term(identity_env(depth), globals, t.point)
+        return VId(pt, pv, pv)
+    if tt is Global:
+        entry = globals.get(t.name)
+        if entry is None:
+            raise KernelTypeError(path, f"unknown global {t.name!r}")
+        return entry.type_value
+    if tt is App:
+        # Flatten the application spine: errors name the k-th argument
+        # `arg{k}`, and a long application adds no recursion depth.
+        spine: list[CoreTerm] = []
+        head: CoreTerm = t
+        while type(head) is App:
+            spine.append(head.arg)
+            head = head.fn
+        spine.reverse()
+        fty = infer_type(ctx, globals, head, path + ("fn",))
+        env = identity_env(depth)
+        for k, x in enumerate(spine):
+            fty = force_top(fty)
+            if type(fty) is not VPi:
                 raise KernelTypeError(
-                    path, "J scrutinee is not an identity proof", found=readback(depth, pty)
+                    path, "applied a term whose type is not a function type",
+                    found=readback(depth, fty),
                 )
-            base_pt, end_v = pty.lhs, pty.rhs
-            _check_against(ctx, globals, e, pty.type, path + ("endpoint",))
-            _require_conv(depth, eval_term(env, globals, e), end_v, path + ("endpoint",),
-                          "J endpoint does not match the path's right endpoint")
-            mty = force_top(infer_type(ctx, globals, m, path + ("motive",)))
-            if not isinstance(mty, VPi):
-                raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
-            _require_conv(depth, mty.domain, pty.type, path + ("motive",),
-                          "J motive's first argument must range over the path's type")
-            x = fresh_var(depth)
-            inner = force_top(mty.closure.apply(x))
-            if not isinstance(inner, VPi):
-                raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
-            _require_conv(depth + 1, inner.domain, VId(pty.type, base_pt, x), path + ("motive",),
-                          "J motive's second argument must be a path from the base point")
-            sort = force_top(inner.closure.apply(fresh_var(depth + 1)))
-            if type(sort) is not Type:
-                raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
-            mv = eval_term(env, globals, m)
-            base_wanted = apply_value(apply_value(mv, base_pt), VRefl(base_pt))
-            base_ty = infer_type(ctx, globals, b, path + ("base",))
-            _require_conv(depth, base_ty, base_wanted, path + ("base",), "type mismatch")
-            pv = eval_term(env, globals, p)
-            return apply_value(apply_value(mv, end_v), pv)
-        case Meta(i):
-            raise KernelTypeError(path, f"unsolved metavariable ?{i} reached the kernel")
+            _check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",))
+            fty = fty.closure.apply_arg(env, globals, x)
+        return fty
+    if tt is Id:
+        i = _infer_universe(ctx, globals, t.type, path + ("type",))
+        ty_v = eval_term(identity_env(depth), globals, t.type)
+        _check_against(ctx, globals, t.lhs, ty_v, path + ("lhs",))
+        _check_against(ctx, globals, t.rhs, ty_v, path + ("rhs",))
+        return Type(i)
+    if tt is Pi:
+        i = _infer_universe(ctx, globals, t.domain, path + ("domain",))
+        dom_v = eval_term(identity_env(depth), globals, t.domain)
+        j = _infer_universe(ctx + [dom_v], globals, t.codomain, path + ("codomain",))
+        return Type(max(i, j))
+    if tt is Lam:
+        _infer_universe(ctx, globals, t.ann, path + ("annotation",))
+        env = identity_env(depth)
+        dom_v = eval_term(env, globals, t.ann)
+        body_ty = infer_type(ctx + [dom_v], globals, t.body, path + ("body",))
+        cod_core = readback(depth + 1, body_ty)
+        return VPi(t.hint, dom_v, Closure(tuple(env), cod_core, globals), t.implicit)
+    if tt is Type:
+        return Type(t.level + 1)
+    if tt is J:
+        env = identity_env(depth)
+        pty = force_top(infer_type(ctx, globals, t.path, path + ("path",)))
+        if type(pty) is not VId:
+            raise KernelTypeError(
+                path, "J scrutinee is not an identity proof", found=readback(depth, pty)
+            )
+        base_pt, end_v = pty.lhs, pty.rhs
+        _check_against(ctx, globals, t.endpoint, pty.type, path + ("endpoint",))
+        _require_conv(depth, eval_term(env, globals, t.endpoint), end_v, path + ("endpoint",),
+                      "J endpoint does not match the path's right endpoint")
+        mty = force_top(infer_type(ctx, globals, t.motive, path + ("motive",)))
+        if type(mty) is not VPi:
+            raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
+        _require_conv(depth, mty.domain, pty.type, path + ("motive",),
+                      "J motive's first argument must range over the path's type")
+        x = fresh_var(depth)
+        inner = force_top(mty.closure.apply(x))
+        if type(inner) is not VPi:
+            raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
+        _require_conv(depth + 1, inner.domain, VId(pty.type, base_pt, x), path + ("motive",),
+                      "J motive's second argument must be a path from the base point")
+        sort = force_top(inner.closure.apply(fresh_var(depth + 1)))
+        if type(sort) is not Type:
+            raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
+        mv = eval_term(env, globals, t.motive)
+        base_wanted = apply_value(apply_value(mv, base_pt), VRefl(base_pt))
+        base_ty = infer_type(ctx, globals, t.base, path + ("base",))
+        _require_conv(depth, base_ty, base_wanted, path + ("base",), "type mismatch")
+        pv = eval_term(env, globals, t.path)
+        return apply_value(apply_value(mv, end_v), pv)
+    if tt is Meta:
+        raise KernelTypeError(path, f"unsolved metavariable ?{t.id} reached the kernel")
     raise KernelTypeError(path, f"unrecognized term {t!r}")
 
 
@@ -704,7 +706,7 @@ def _check_against(
     """Check t against an expected type, descending through lambdas."""
     depth = len(ctx)
     expected = force_top(expected)
-    if isinstance(t, Lam) and isinstance(expected, VPi):
+    if type(t) is Lam and type(expected) is VPi:
         if t.implicit != expected.implicit:
             raise KernelTypeError(path, "binder plicity mismatch")
         _infer_universe(ctx, globals, t.ann, path + ("annotation",))

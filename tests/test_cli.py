@@ -464,6 +464,48 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, args, c
         os.close(fd)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_a_closed_stdout_leaks_no_file_descriptor(tmp_path, monkeypatch):
+    """`main` opens devnull to stand in for a closed stdout, and closes it."""
+    (tmp_path / "bad.hpt").write_text("def f : missing := missing\n")
+    monkeypatch.chdir(tmp_path)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert main(["check", "bad.hpt"], out=_ClosedStdout(fd)) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("failed, succeeded", [
+    (["check", "nonexist.hpt"], ["check", "good.hpt"]),
+    (["eval", "-e", "missing"], ["eval", "-e", "Type"]),
+    (["eval", "--step-budget", "1", "-e", "(fun (X : Type 1) => X) Type"], ["eval", "-e", "Type"]),
+], ids=["unreadable-file", "unbound-name", "step-budget"])
+def test_a_failed_command_leaves_no_more_cyclic_garbage_than_a_successful_one(
+        tmp_path, monkeypatch, failed, succeeded):
+    """With the collector off, a failed command leaves no more for
+    `gc.collect()` than a successful one (argparse's own cycles): the error
+    it reports is stored without the traceback whose frames hold the report."""
+    (tmp_path / "good.hpt").write_text("axiom A : Type\n")
+    monkeypatch.chdir(tmp_path)
+
+    def garbage(args, code):
+        gc.collect()
+        assert main(args, out=io.StringIO()) == code
+        return gc.collect()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert garbage(failed, 1) <= garbage(succeeded, 0)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 _LAYERS_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -222,40 +222,72 @@ def _kernel_env():
     return env
 
 
+# Each row's path is where the kernel reports the fault; `bad` names the
+# declaration. The last row reaches `infer_type`'s fallback for a non-term.
 @pytest.mark.parametrize(
-    "ty, body, message",
+    "ty, body, message, path",
     [
-        (_A, J(_motive(_A), _a, _b, _a), "J scrutinee is not an identity proof"),
-        (_A, J(_motive(_A), _a, _a, _p), "J endpoint does not match the path's right endpoint"),
-        (_A, J(_a, _a, _b, _p), "J motive must be a two-argument function"),
-        (_A, J(Lam("y", _A, _A), _a, _b, _p), "J motive must be a two-argument function"),
+        (_A, J(_motive(_A), _a, _b, _a), "J scrutinee is not an identity proof", ("body",)),
+        (_A, J(_motive(_A), _a, _a, _p), "J endpoint does not match the path's right endpoint",
+         ("body", "endpoint")),
+        (_A, J(_a, _a, _b, _p), "J motive must be a two-argument function", ("body", "motive")),
+        (_A, J(Lam("y", _A, _A), _a, _b, _p), "J motive must be a two-argument function",
+         ("body", "motive")),
         (_A, J(_motive(Type(0), path_from=_A), _a, _b, _p),
-         "J motive's first argument must range over the path's type"),
+         "J motive's first argument must range over the path's type", ("body", "motive")),
         (_A, J(_motive(_A, path_from=_b), _a, _b, _p),
-         "J motive's second argument must be a path from the base point"),
-        (_A, J(_motive(_A, sort=_a), _a, _b, _p), "J motive must land in a universe"),
-        (Pi("x", _A, _A), Lam("x", Var(0), _A, implicit=True), "binder plicity mismatch"),
-        (_A, Global("nope"), "unknown global 'nope'"),
-        (_A, Meta(0), "unsolved metavariable ?0 reached the kernel"),
-        (_A, Var(0), "unbound variable index 0"),
-        (_a, J(_motive(_A), _a, _b, _p), "expected a type"),
+         "J motive's second argument must be a path from the base point", ("body", "motive")),
+        (_A, J(_motive(_A, sort=_a), _a, _b, _p), "J motive must land in a universe",
+         ("body", "motive")),
+        (Pi("x", _A, _A), Lam("x", Var(0), _A, implicit=True), "binder plicity mismatch", ("body",)),
+        (_A, Global("nope"), "unknown global 'nope'", ("body",)),
+        (_A, Meta(0), "unsolved metavariable ?0 reached the kernel", ("body",)),
+        (_A, Var(0), "unbound variable index 0", ("body",)),
+        (_a, J(_motive(_A), _a, _b, _p), "expected a type", ("type",)),
         (Pi("x", _A, _A), Lam("x", Var(0), Id(_A, _a, _a)),
-         "lambda annotation does not match expected domain"),
-        (_A, App(_a, _a), "applied a term whose type is not a function type"),
-        (_A, J(_motive(_A), _p, _b, _p), "type mismatch"),
+         "lambda annotation does not match expected domain", ("body", "annotation")),
+        (_A, App(_a, _a), "applied a term whose type is not a function type", ("body",)),
+        (_A, J(_motive(_A), _p, _b, _p), "type mismatch", ("body", "base")),
+        (_A, Lam("x", Var(0), None), "unrecognized term None", ("body", "annotation")),
     ],
     ids=["scrutinee", "endpoint", "motive-not-a-function", "motive-of-one-argument",
          "motive-domain", "motive-path", "motive-sort", "plicity", "unknown-global", "meta",
-         "unbound-variable", "not-a-type", "annotation", "not-a-function", "mismatch"],
+         "unbound-variable", "not-a-type", "annotation", "not-a-function", "mismatch",
+         "unrecognized-term"],
 )
-def test_the_kernel_rejects_each_single_fault(ty, body, message):
+def test_the_kernel_rejects_each_single_fault(ty, body, message, path):
     from hpt.core import CoreDecl
 
     env = _kernel_env()
     check_decl(env, CoreDecl("ok", _A, J(_motive(_A), _a, _b, _p)))
     with pytest.raises(KernelTypeError) as info:
         check_decl(env, CoreDecl("bad", ty, body))
-    assert info.value.message == message
+    assert (info.value.message, info.value.path) == (message, ("bad", *path))
+
+
+def test_rechecking_the_corpus_does_a_fixed_amount_of_kernel_work(env, monkeypatch):
+    """`check_decl` on the 52 elaborated corpus cores makes these many calls,
+    recursion included (it calls through the module globals the wrappers
+    replace): how the checker dispatches does not change how much it does."""
+    from hpt.core import CoreDecl
+
+    counts = {}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("infer_type", "eval_term", "conv", "readback"):
+        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
+    monkeypatch.setattr(Closure, "apply", counted("Closure.apply", Closure.apply))
+    checked = GlobalEnv()
+    for entry in env:
+        checked = check_decl(checked, CoreDecl(entry.name, entry.type_core, entry.body_core))
+    assert len(checked) == 52
+    assert counts == {"infer_type": 46_526, "eval_term": 181_272, "conv": 227_336,
+                      "readback": 133, "Closure.apply": 23_679}
 
 
 def test_assert_defeq_reflexivity(env):
