@@ -109,9 +109,9 @@ class UnifyFailure(ElabError):
 
 class MetaStore:
     """The id counter and the undo log of a session's metas, each of which
-    is its `Meta` node. Nothing caches a solution's value: it is evaluated
-    afresh wherever it is forced, so `rollback` only has to restore
-    `solution` and `depth`."""
+    is its `Meta` node. A solution's value is evaluated afresh wherever it is
+    forced; `rollback` restores `solution` and `depth`, and empties the
+    kernel's intern table, whose glued values may have unfolded under them."""
 
     def __init__(self) -> None:
         self._next = 0
@@ -131,6 +131,7 @@ class MetaStore:
     def rollback(self, mark: int) -> None:
         for m, solution, depth in reversed(self._log[mark:]):
             m.solution, m.depth = solution, depth
+            kernel.clear_table()
         del self._log[mark:]
 
     def update(self, m: Meta, solution: CoreTerm | None, depth: int) -> None:

@@ -22,9 +22,20 @@ closure application, once on every argument a glued global's unfolding
 binds in its body's λ prefix (`VTop.force`), and once on every J
 elimination, which any divergent computation must pass through.
 `Closure.apply` never memoizes, but `normalize` skips applications whose
-normal form it already has, and those are not charged. One budget is active
-at a time, held in a module-level variable: `step_budget` installs a fresh
-one for a block, and the driver opens one per declaration.
+normal form it already has, and a glued value unfolds once, charged to the
+budget active then: every occurrence sharing it reuses that unfolding
+uncharged. One budget is active at a time, held in a module-level variable:
+`step_budget` installs a fresh one for a block, and the driver opens one
+per declaration.
+
+Values are hash-consed per block: each `step_budget` block has an intern
+table, and evaluation builds its glued, neutral, path and `refl` values
+(never a closure or an `EJ`) by looking each up there by class and parts, so
+equal values built from the same parts are one object, and conversion,
+unification, readback's memo and a shared unfolding answer by identity,
+which is only ever a shortcut. `check_decl`, `assert_defeq` and `normalize`
+start a table of their own, so the kernel never reaches a value the
+elaborator built. Outside every block values are built plain.
 
 Readback memoizes per top-level call: a value reached twice at the same
 depth is read back once, so the normal form shares that subterm in memory.
@@ -33,7 +44,7 @@ depth is read back once, so the normal form shares that subterm in memory.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 
 from .core import (
@@ -98,32 +109,43 @@ class _Budget:
         self.remaining = limit
 
 
-# The active budget; None outside every `step_budget` block.
+# The active budget and intern table; None outside every block.
 _budget: _Budget | None = None
+_table: dict[tuple, Value] | None = None
+
+# A table is emptied at this many values: a huge declaration keeps only recent ones alive.
+TABLE_LIMIT = 1 << 12
 
 
 @contextmanager
-def step_budget(limit: int | None = None) -> Iterator[_Budget]:
-    """Install a fresh step budget of `limit` steps for the block and yield it.
+def _block(budget: _Budget) -> Iterator[_Budget]:
+    """Make `budget` and a fresh intern table the active ones for the block."""
+    global _budget, _table
+    outer = _budget, _table
+    _budget, _table = budget, {}
+    try:
+        yield budget
+    finally:
+        _budget, _table = outer
+
+
+def step_budget(limit: int | None = None) -> AbstractContextManager[_Budget]:
+    """Install a fresh step budget of `limit` steps and a fresh intern table
+    for the block, and yield the budget.
 
     The limit defaults to that of the enclosing budget, or to
     DEFAULT_STEP_BUDGET when none is active. Steps taken inside the block are
     not charged to the enclosing budget.
     """
-    global _budget
-    outer = _budget
     if limit is None:
-        limit = DEFAULT_STEP_BUDGET if outer is None else outer.limit
-    _budget = _Budget(limit)
-    try:
-        yield _budget
-    finally:
-        _budget = outer
+        limit = DEFAULT_STEP_BUDGET if _budget is None else _budget.limit
+    return _block(_Budget(limit))
 
 
-def _ensure_budget() -> AbstractContextManager:
-    """A default step budget, unless one is already active."""
-    return step_budget() if _budget is None else nullcontext()
+def clear_table() -> None:
+    """Empty the active intern table, so later values are built afresh."""
+    if _table is not None:
+        _table.clear()
 
 
 def _tick(steps: int = 1) -> None:
@@ -137,6 +159,7 @@ def _tick(steps: int = 1) -> None:
 # ---------------------------------------------------------------------------
 # Values: unfrozen records, so built by plain slot stores, immutable by
 # convention; `==` and `hash` are identity, which readback's memo keys on.
+# Evaluation interns its glued, neutral, path and `refl` values (`_value`).
 
 
 class Value:
@@ -256,6 +279,31 @@ class VTop(Value):
         return v
 
 
+def _value(key: tuple, *fields: object) -> Value:
+    """The value of class `key[0]` with `fields`; in a block, the one the
+    table holds under `key`, the class and parts, built on a miss."""
+    table = _table
+    if table is None:
+        return key[0](*fields)
+    v = table.get(key)
+    if v is None:
+        if len(table) >= TABLE_LIMIT:
+            table.clear()
+        v = table[key] = key[0](*fields)
+    return v
+
+
+def _neutral(head: int | Global | Meta, spine: tuple[Value | EJ, ...] = ()) -> Value:
+    # a head by level, by name (as `conv` compares it), or a meta by identity
+    th = type(head)
+    return _value((VNeutral, head if th is int else head.name if th is Global else (id(head),), spine),
+                  head, spine)
+
+
+def _top(spine: tuple[Value, ...], entry: "GlobalEntry") -> Value:
+    return _value((VTop, entry, spine), spine, entry)
+
+
 def force_top(v: Value) -> Value:
     """Unfold defined-global applications until a canonical shape appears."""
     while type(v) is VTop:
@@ -263,11 +311,14 @@ def force_top(v: Value) -> Value:
     return v
 
 
-def fresh_var(depth: int) -> Value:
-    return VNeutral(depth)
-
-
 _IDENTITY_ENV: list[Value] = []
+
+
+def fresh_var(depth: int) -> Value:
+    """The variable of level `depth`, made once and shared by every table."""
+    while len(_IDENTITY_ENV) <= depth:
+        _IDENTITY_ENV.append(VNeutral(len(_IDENTITY_ENV)))
+    return _IDENTITY_ENV[depth]
 
 
 # The argument given to a closure whose body never reads its binder; readback
@@ -276,10 +327,8 @@ UNUSED = VNeutral(Global("<unused>"))
 
 
 def identity_env(depth: int) -> list[Value]:
-    """A new list of the fresh variables of levels 0 .. depth-1; the
-    variables themselves are made once and shared."""
-    while len(_IDENTITY_ENV) < depth:
-        _IDENTITY_ENV.append(fresh_var(len(_IDENTITY_ENV)))
+    """A new list of the shared variables of levels 0 .. depth-1."""
+    fresh_var(depth)
     return _IDENTITY_ENV[:depth]
 
 
@@ -340,9 +389,9 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         for a in reversed(terms):
             args.append(env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a))
         if type(f) is VTop:
-            return VTop(f.spine + tuple(args), f.entry)
+            return _top(f.spine + tuple(args), f.entry)
         if type(f) is VNeutral:
-            return VNeutral(f.head, f.spine + tuple(args))
+            return _neutral(f.head, f.spine + tuple(args))
         for x in args:
             f = apply_value(f, x)
         return f
@@ -350,19 +399,21 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         dom = env[-1 - t.ann.index] if type(t.ann) is Var else eval_term(env, globals, t.ann)
         return VLam(t.hint, Closure(tuple(env), t.body, globals), dom, t.implicit)
     if tt is Refl:
-        return VRefl(env[-1 - t.point.index] if type(t.point) is Var else eval_term(env, globals, t.point))
+        p = env[-1 - t.point.index] if type(t.point) is Var else eval_term(env, globals, t.point)
+        return _value((VRefl, p), p)
     if tt is Id:
         a, l, r = t.type, t.lhs, t.rhs
-        return VId(env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a),
-                   env[-1 - l.index] if type(l) is Var else eval_term(env, globals, l),
-                   env[-1 - r.index] if type(r) is Var else eval_term(env, globals, r))
+        a = env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a)
+        l = env[-1 - l.index] if type(l) is Var else eval_term(env, globals, l)
+        r = env[-1 - r.index] if type(r) is Var else eval_term(env, globals, r)
+        return _value((VId, a, l, r), a, l, r)
     if tt is Global:
         entry = globals.get(t.name)
         if entry is None:
             raise KernelError(f"unknown global {t.name!r}")
         if entry.body_value is not None:
-            return VTop((), entry)
-        return VNeutral(t)
+            return _top((), entry)
+        return _neutral(t)
     if tt is J:
         return j_apply(
             eval_term(env, globals, t.motive),
@@ -375,7 +426,7 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         return VPi(t.hint, dom, Closure(tuple(env), t.codomain, globals), t.implicit)
     if tt is Meta:
         if t.solution is None:
-            return VNeutral(t)
+            return _neutral(t)
         # The solution is an open term over the meta's first `depth`
         # binders; evaluate it under the env prefix.
         return eval_term(env[:t.depth], globals, t.solution)
@@ -387,11 +438,11 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
 def apply_value(f: Value, x: Value) -> Value:
     tf = type(f)
     if tf is VTop:
-        return VTop(f.spine + (x,), f.entry)
+        return _top(f.spine + (x,), f.entry)
     if tf is VLam:
         return f.closure.apply(x)
     if tf is VNeutral:
-        return VNeutral(f.head, f.spine + (x,))
+        return _neutral(f.head, f.spine + (x,))
     raise KernelError("applied a non-function value (ill-typed input)")
 
 
@@ -436,8 +487,8 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
     tables live for the call: `nodes` hash-conses the output, each node looked
     up by its class, scalar fields and children's ids before it is built, so
     equal subterms are one object and every node built is kept; `known` holds
-    the normal forms of λ, Π and glued global values by what each depends on,
-    so `normalize` skips applications whose normal form it has, uncharged.
+    the normal forms of λ and Π values by what each depends on, so
+    `normalize` skips applications whose normal form it has, uncharged.
     All of these per-call tables are freed by reference count when the call
     returns or raises: no reference cycle outlives it for the collector.
     """
@@ -446,13 +497,10 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
     if force is force_top:
         nodes, known = {}, {}
 
-        def known_key(depth: int, v: VTop | VLam | VPi) -> tuple | None:
+        def known_key(depth: int, v: VLam | VPi) -> tuple | None:
             """What the normal form of `v` depends on, values counting by their
-            normal forms' ids: a glued global's entry and arguments; a closure's
-            term, globals, binder, domain, and the env entries its body uses
-            (free index i >= 1 names env[-i])."""
-            if type(v) is VTop:
-                return (v.entry, depth, *[id(rb(depth, e)) for e in v.spine])
+            normal forms' ids: its term, globals, binder, domain, and the env
+            entries its body uses (free index i >= 1 names env[-i])."""
             c = v.closure
             if c.term.has_meta:  # a solved meta's indices count from its own depth
                 return None
@@ -476,7 +524,7 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             return t
         w, key = v, None
         if type(v) is not VRefl and type(v) is not VId:  # canonical: not in `known`, kept by `force`
-            key = known is not None and type(v) in (VTop, VLam, VPi) and known_key(depth, v)
+            key = known is not None and type(v) in (VLam, VPi) and known_key(depth, v)
             if key and key in known:
                 t = seen[v] = known[key]
                 return t
@@ -603,8 +651,9 @@ def infer_type(
     if tt is Refl:
         pt = infer_type(ctx, globals, t.point, path + ("point",))
         # `Refl(q)` evaluates to VRefl of q's endpoint: a chain evaluates one point
-        pv = VRefl(pt.lhs) if type(t.point) is Refl else eval_term(identity_env(depth), globals, t.point)
-        return VId(pt, pv, pv)
+        pv = (_value((VRefl, pt.lhs), pt.lhs) if type(t.point) is Refl
+              else eval_term(identity_env(depth), globals, t.point))
+        return _value((VId, pt, pv, pv), pt, pv, pv)
     if tt is Global:
         entry = globals.get(t.name)
         if entry is None:
@@ -671,13 +720,13 @@ def infer_type(
         inner = force_top(mty.closure.apply(x))
         if type(inner) is not VPi:
             raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
-        _require_conv(depth + 1, inner.domain, VId(pty.type, base_pt, x), path + ("motive",),
-                      "J motive's second argument must be a path from the base point")
+        _require_conv(depth + 1, inner.domain, _value((VId, pty.type, base_pt, x), pty.type, base_pt, x),
+                      path + ("motive",), "J motive's second argument must be a path from the base point")
         sort = force_top(inner.closure.apply(fresh_var(depth + 1)))
         if type(sort) is not Type:
             raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
         mv = eval_term(env, globals, t.motive)
-        base_wanted = apply_value(apply_value(mv, base_pt), VRefl(base_pt))
+        base_wanted = apply_value(apply_value(mv, base_pt), _value((VRefl, base_pt), base_pt))
         base_ty = infer_type(ctx, globals, t.base, path + ("base",))
         _require_conv(depth, base_ty, base_wanted, path + ("base",), "type mismatch")
         pv = eval_term(env, globals, t.path)
@@ -734,7 +783,7 @@ def check_decl(globals: GlobalEnv, d: CoreDecl) -> GlobalEnv:
     must check against it. Returns the extended environment."""
     if d.name in globals:
         raise DuplicateName(d.name)
-    with _ensure_budget():
+    with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
         _infer_universe([], globals, d.type, (d.name, "type"))
         ty_v = eval_term([], globals, d.type)
         body_v = None
@@ -750,7 +799,7 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
     Raises KernelTypeError if either side fails to check; returns the
     conversion verdict otherwise.
     """
-    with _ensure_budget():
+    with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
         _infer_universe([], globals, ty, ("assert", "type"))
         ty_v = eval_term([], globals, ty)
         _check_against([], globals, l, ty_v, ("assert", "lhs"))
@@ -760,6 +809,6 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
 
 def normalize(globals: GlobalEnv, t: CoreTerm) -> CoreTerm:
     """Full normal form of a well-typed closed term (defined globals unfolded)."""
-    with _ensure_budget():
+    with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
         return readback(0, eval_term([], globals, t), force=force_top)
 

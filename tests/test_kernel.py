@@ -286,8 +286,50 @@ def test_rechecking_the_corpus_does_a_fixed_amount_of_kernel_work(env, monkeypat
     for entry in env:
         checked = check_decl(checked, CoreDecl(entry.name, entry.type_core, entry.body_core))
     assert len(checked) == 52
-    assert counts == {"infer_type": 46_526, "eval_term": 181_272, "conv": 227_336,
-                      "readback": 133, "Closure.apply": 23_679}
+    assert counts == {"infer_type": 46_526, "eval_term": 139_044, "conv": 39_118,
+                      "readback": 133, "Closure.apply": 23_371}
+
+
+def test_a_corpus_run_unifies_and_unfolds_a_fixed_amount(monkeypatch):
+    """Loading the corpus and checking its pinned assertions, as `hpt corpus`
+    does, makes these many `elab._unify` calls (recursion included) and
+    unfolds this many glued values: a value shared by many occurrences
+    unfolds once."""
+    counts = {"unify": 0, "unfold": 0}
+    unify, force = elab._unify, VTop.force
+
+    def counted_unify(*args):
+        counts["unify"] += 1
+        return unify(*args)
+
+    def counted_force(self):
+        counts["unfold"] += self._forced is None
+        return force(self)
+
+    monkeypatch.setattr(elab, "_unify", counted_unify)
+    monkeypatch.setattr(VTop, "force", counted_force)
+    loaded, _ = corpus.load_corpus()
+    assert all(ok for _, ok in corpus.run_required_assertions(loaded))
+    assert counts == {"unify": 40_900, "unfold": 2_147}
+
+
+# The bodies of the `normalize` benchmark workload.
+NORMALIZE_BODIES = (
+    "EH", "EH-1-L", "EH-1-R", "EH-L-nat", "EH-R-nat", "EH-L-nat-refl",
+    "EH-R-nat-refl", "EH-L-nat-refl-gen", "EH-R-nat-refl-gen",
+    "syllepsis-triangle", "syllepsis-triangle-core", "syllepsis-hexagon",
+)
+
+
+def test_normalizing_the_benchmark_bodies_takes_a_fixed_number_of_steps(env):
+    """A glued value that many occurrences share unfolds once, and its
+    unfolding's steps are charged once."""
+    used = 0
+    for name in NORMALIZE_BODIES:
+        with step_budget() as budget:
+            normalize(env, env.get(name).body_core)
+        used += budget.limit - budget.remaining
+    assert used == 28_916
 
 
 def test_assert_defeq_reflexivity(env):
@@ -700,6 +742,96 @@ def test_checking_leaves_no_reference_cycles():
         if enabled:
             gc.enable()
     assert found == dict.fromkeys(found, 0)
+
+
+def _concat_over_variables():
+    """`concat {T} {a b c} p q` over six bound variables, as a new term."""
+    t = Global("concat")
+    for i in range(5, -1, -1):
+        t = App(t, Var(i))
+    return t
+
+
+def test_a_block_builds_one_value_from_equal_parts(env):
+    """Inside one `step_budget` block two distinct cores of one value
+    evaluate to one object; outside any block each evaluation builds its own."""
+    xs = kernel.identity_env(6)
+    with step_budget():
+        assert eval_term([], env, Refl(Global("star"))) is eval_term([], env, Refl(Global("star")))
+        assert eval_term(xs, env, _concat_over_variables()) is eval_term(xs, env, _concat_over_variables())
+    assert eval_term([], env, Refl(Global("star"))) is not eval_term([], env, Refl(Global("star")))
+    assert eval_term(xs, env, _concat_over_variables()) is not eval_term(xs, env, _concat_over_variables())
+
+
+def test_the_kernel_entry_points_build_from_a_table_of_their_own(env, monkeypatch):
+    """`check_decl`, `assert_defeq` and `normalize`, run in a block where the
+    elaborator has interned values, evaluate into tables of their own: no
+    value they build is one the elaborator's table holds."""
+    from hpt.core import CoreDecl
+
+    built, evaluate = [], kernel.eval_term
+
+    def recording(*args):
+        v = evaluate(*args)
+        built.append(v)
+        return v
+
+    with step_budget():
+        core, ty_core = _elab(env, "concat (refl star) (refl star)")
+        elaborated = list(kernel._table.values())
+        assert elaborated
+        monkeypatch.setattr(kernel, "eval_term", recording)
+        for run in (lambda: check_decl(env, CoreDecl("t", ty_core, core)),
+                    lambda: assert_defeq(env, core, core, ty_core),
+                    lambda: normalize(env, core)):
+            built.clear()
+            run()
+            assert built
+            assert not {id(v) for v in built} & {id(v) for v in elaborated}
+
+
+def test_a_rollback_that_undoes_a_solution_empties_the_table():
+    """A glued value unfolded while a speculative solution held is not handed
+    to a later construction from the same parts once the solution is undone;
+    a rollback that undoes nothing keeps the table."""
+    env, _ = driver.check_source(GlobalEnv(), "axiom A : Type\naxiom star : A\n"
+                                 "def ap-star (f : A -> A) : A := f star\n", "t.hpt")
+    with step_budget():
+        ctx = elab.ElabCtx(env)
+        m, _ = ctx.fresh_meta(DUMMY_SPAN)
+        lam = VLam("x", Closure((), m, env), eval_term([], env, Global("A")))
+        top = kernel.apply_value(eval_term([], env, Global("ap-star")), lam)
+
+        def fails(solve):
+            def thunk():
+                if solve:
+                    ctx.metas.update(m, Global("star"), 0)
+                    assert top.force().head == Global("star")
+                raise elab.UnifyFailure(DUMMY_SPAN, "l", "r")
+            return thunk
+
+        held = len(kernel._table)
+        assert not elab._attempt(ctx, fails(solve=False))
+        assert len(kernel._table) == held
+        assert not elab._attempt(ctx, fails(solve=True))
+        assert m.solution is None and kernel._table == {}
+        again = kernel.apply_value(eval_term([], env, Global("ap-star")), lam)
+        assert again is not top and again.force().head is m
+
+
+def test_an_intern_table_holds_at_most_its_limit(env):
+    """A table that reaches `TABLE_LIMIT` values is emptied before it takes
+    another, so a declaration that builds many keeps only the recent ones."""
+    assert kernel.TABLE_LIMIT == 4096
+    args = [VNeutral(i) for i in range(kernel.TABLE_LIMIT + 10)]
+    with step_budget():
+        head = eval_term([], env, Global("A"))
+        sizes = set()
+        for x in args:
+            v = kernel.apply_value(head, x)
+            assert v.spine == (x,) and kernel.apply_value(head, x) is v
+            sizes.add(len(kernel._table))
+    assert max(sizes) == kernel.TABLE_LIMIT and min(sizes) < 20
 
 
 def _hpt_imports(module):
