@@ -13,7 +13,7 @@ ignore its solution.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 
 
@@ -243,14 +243,15 @@ _PREC_ATOM = 5
 _INFIX = {"concat": (6, "*", _PREC_CONCAT), "par-concat": (10, "**", _PREC_PAR)}
 
 
-def fresh_name(hint: str, used: set[str]) -> str:
+def fresh_name(hint: str, used: Container[str], more: Container[str] = ()) -> str:
+    """`hint`, or `x` when it is empty or `_`, numbered from 1 until the
+    name is in neither `used` nor `more`."""
     base = hint if hint and hint != "_" else "x"
-    if base not in used:
-        return base
-    i = 1
-    while f"{base}{i}" in used:
+    name, i = base, 0
+    while name in used or name in more:
         i += 1
-    return f"{base}{i}"
+        name = f"{base}{i}"
+    return name
 
 
 def pretty(t: CoreTerm, names: list[str] | None = None) -> str:
@@ -264,7 +265,8 @@ def pretty(t: CoreTerm, names: list[str] | None = None) -> str:
 
 
 def _pp(t: CoreTerm, names: list[str], prec: int, taken: list) -> str:
-    # Exact-type tests, most frequent first, as in `kernel.eval_term`.
+    # Exact-type tests, most frequent first, as in `kernel.eval_term`; each
+    # case parenthesizes itself when `prec` is tighter than its own level.
     # `taken` holds the root until the first binder replaces it by the set of
     # the names of the globals in the term, so a term without one costs no walk.
     tt = type(t)
@@ -276,10 +278,11 @@ def _pp(t: CoreTerm, names: list[str], prec: int, taken: list) -> str:
     if tt is Global:
         return t.name
     if tt is Refl:
-        return _parens(f"refl {_pp(t.point, names, _PREC_ATOM, taken)}", prec, _PREC_APP)
+        s = f"refl {_pp(t.point, names, _PREC_ATOM, taken)}"
+        return f"({s})" if prec > _PREC_APP else s
     if tt is Id:
         s = f"{_pp(t.lhs, names, _PREC_CONCAT, taken)} = {_pp(t.rhs, names, _PREC_CONCAT, taken)}"
-        return _parens(s, prec, _PREC_ID)
+        return f"({s})" if prec > _PREC_ID else s
     if tt is Lam or tt is Pi and (t.implicit or t.codomain.free & 1):
         if type(taken[0]) is not set:  # each shared node is visited once
             seen, stack = {}, [taken[0]]
@@ -290,22 +293,24 @@ def _pp(t: CoreTerm, names: list[str], prec: int, taken: list) -> str:
                     for name, _ in _fields(u):
                         stack.append(getattr(u, name))
             taken[0] = {u.name for u in seen.values() if type(u) is Global}
-        n = fresh_name(t.hint, taken[0].union(names))
+        n = fresh_name(t.hint, taken[0], names)
         dom, cod = (t.ann, t.body) if tt is Lam else (t.domain, t.codomain)
         dom_s, cod_s = _pp(dom, names, _PREC_ARROW, taken), _pp(cod, names + [n], _PREC_ARROW, taken)
         binder = f"{{{n} : {dom_s}}}" if t.implicit else f"({n} : {dom_s})"
-        return _parens(f"fun {binder} => {cod_s}" if tt is Lam else f"{binder} -> {cod_s}", prec, _PREC_ARROW)
+        s = f"fun {binder} => {cod_s}" if tt is Lam else f"{binder} -> {cod_s}"
+        return f"({s})" if prec > _PREC_ARROW else s
     if tt is Pi:
         # non-dependent: print as an arrow; the domain is term1, so
         # equations and nested arrows need parentheses
         dom_s = _pp(t.domain, names, _PREC_CONCAT, taken)
-        cod_s = _pp(t.codomain, names + ["_"], _PREC_ARROW, taken)
-        return _parens(f"{dom_s} -> {cod_s}", prec, _PREC_ARROW)
+        s = f"{dom_s} -> {_pp(t.codomain, names + ['_'], _PREC_ARROW, taken)}"
+        return f"({s})" if prec > _PREC_ARROW else s
     if tt is J:
-        parts = ["J", *(_pp(u, names, _PREC_ATOM, taken) for u in (t.motive, t.base, t.path))]
-        return _parens(" ".join(parts), prec, _PREC_APP)
+        s = (f"J {_pp(t.motive, names, _PREC_ATOM, taken)} {_pp(t.base, names, _PREC_ATOM, taken)} "
+             f"{_pp(t.path, names, _PREC_ATOM, taken)}")
+        return f"({s})" if prec > _PREC_APP else s
     if tt is Type:
-        return "Type" if t.level == 0 else _parens(f"Type {t.level}", prec, _PREC_APP)
+        return "Type" if t.level == 0 else f"(Type {t.level})" if prec > _PREC_APP else f"Type {t.level}"
     if tt is Meta:
         return f"?{t.id}"
     raise TypeError(f"not a core term: {t!r}")
@@ -327,13 +332,9 @@ def _pp_spine(t: App, names: list[str], prec: int, taken: list) -> str:
     else:
         s, p = _pp(t, names, _PREC_APP, taken), _PREC_APP
     if not args:
-        return _parens(s, prec, p)
-    s = " ".join([_parens(s, _PREC_APP, p), *[_pp(a, names, _PREC_ATOM, taken) for a in args]])
-    return _parens(s, prec, _PREC_APP)
-
-
-def _parens(s: str, outer: int, inner: int) -> str:
-    return f"({s})" if inner < outer else s
+        return f"({s})" if prec > p else s
+    s = " ".join([f"({s})" if p < _PREC_APP else s, *[_pp(a, names, _PREC_ATOM, taken) for a in args]])
+    return f"({s})" if prec > _PREC_APP else s
 
 
 def mentions(t: CoreTerm, lo: int, n: int, meta: int | None = None) -> bool:

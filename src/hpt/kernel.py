@@ -21,9 +21,8 @@ into a BudgetExhausted error instead of a hang. It is charged once on every
 closure application, once on every argument a glued global's unfolding
 binds in its body's λ prefix (`VTop.force`), and once on every J
 elimination, which any divergent computation must pass through.
-`Closure.apply` never memoizes, but `normalize` skips applications whose
-normal form it already has, and a glued value unfolds once, charged to the
-budget active then: every occurrence sharing it reuses that unfolding
+`Closure.apply` never memoizes, and a glued value unfolds once, charged to
+the budget active then: every occurrence sharing it reuses that unfolding
 uncharged. One budget is active at a time, held in a module-level variable:
 `step_budget` installs a fresh one for a block, and the driver opens one
 per declaration.
@@ -181,10 +180,9 @@ class Closure:
     """A suspended body over a captured environment.
 
     Each application charges one budget step and evaluates the body in the
-    environment extended by the argument. `apply` never memoizes, but
-    `normalize` skips applications whose normal form it already has, and
-    those are not charged. `VTop.force` binds a λ prefix without `apply`,
-    charging the same step per argument.
+    environment extended by the argument. `apply` never memoizes.
+    `VTop.force` binds a λ prefix without `apply`, charging the same step
+    per argument.
     """
 
     __slots__ = ("env", "term", "globals")
@@ -483,37 +481,22 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
 
     Results are memoized by depth and value identity for the call, so a value
     reached twice is read back once and its normal form is shared. Without
-    `force_top`, nodes are built by their constructors. With it, two more
-    tables live for the call: `nodes` hash-conses the output, each node looked
-    up by its class, scalar fields and children's ids before it is built, so
-    equal subterms are one object and every node built is kept; `known` holds
-    the normal forms of λ and Π values by what each depends on, so
-    `normalize` skips applications whose normal form it has, uncharged.
-    All of these per-call tables are freed by reference count when the call
-    returns or raises: no reference cycle outlives it for the collector.
+    `force_top`, nodes are built by their constructors. With it, `nodes`
+    hash-conses the output for the call, each node looked up by its class,
+    scalar fields and children's ids before it is built, so equal subterms
+    are one object and every node built is kept. Both per-call tables are
+    freed by reference count when the call returns or raises: no reference
+    cycle outlives it for the collector.
     """
     memo: dict[int, dict[Value, CoreTerm]] = {}
-    nodes = known = None
-    if force is force_top:
-        nodes, known = {}, {}
+    nodes = {} if force is force_top else None
 
-        def known_key(depth: int, v: VLam | VPi) -> tuple | None:
-            """What the normal form of `v` depends on, values counting by their
-            normal forms' ids: its term, globals, binder, domain, and the env
-            entries its body uses (free index i >= 1 names env[-i])."""
-            c = v.closure
-            if c.term.has_meta:  # a solved meta's indices count from its own depth
-                return None
-            free = c.term.free
-            return (type(v), id(c.term), c.globals, depth, v.hint, v.implicit, id(rb(depth, v.domain)),
-                    *[id(rb(depth, c.env[-i])) for i in range(1, free.bit_length()) if free >> i & 1])
-
-        def node(key: tuple, *fields: object) -> CoreTerm:
-            """The node of class `key[0]` with `fields`, built on a miss."""
-            t = nodes.get(key)
-            if t is None:
-                t = nodes[key] = key[0](*fields)
-            return t
+    def node(key: tuple, *fields: object) -> CoreTerm:
+        """The node of class `key[0]` with `fields`, built on a miss."""
+        t = nodes.get(key)
+        if t is None:
+            t = nodes[key] = key[0](*fields)
+        return t
 
     def rb(depth: int, v: Value) -> CoreTerm:
         seen = memo.get(depth)
@@ -522,13 +505,7 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         t = seen.get(v)
         if t is not None:
             return t
-        w, key = v, None
-        if type(v) is not VRefl and type(v) is not VId:  # canonical: not in `known`, kept by `force`
-            key = known is not None and type(v) in (VLam, VPi) and known_key(depth, v)
-            if key and key in known:
-                t = seen[v] = known[key]
-                return t
-            w = v if force is None else force(v)
+        w = v if force is None or type(v) is VRefl or type(v) is VId else force(v)
         tw = type(w)
         if tw is VRefl:
             p = rb(depth, w.point)
@@ -555,8 +532,6 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
             t = w if nodes is None else node((Type, w.level), w.level)
         else:
             raise KernelError(f"cannot read back {w!r}")
-        if key:
-            known[key] = t
         seen[v] = t
         return t
 

@@ -21,6 +21,7 @@ from hpt.core import (
     Refl,
     Type,
     Var,
+    fresh_name,
     mentions,
     pretty,
     rebuild,
@@ -213,6 +214,31 @@ def test_pretty_examples():
     # a Π prints as an arrow exactly when its codomain does not use the binder
     xx = Id(Global("A"), Var(1), Var(1))
     assert pretty(Pi("x", Global("A"), Pi("y", Global("A"), xx))) == "(x : A) -> A -> x = x"
+
+
+def test_fresh_name_avoids_both_containers():
+    assert fresh_name("x", set()) == "x"
+    assert fresh_name("x", {"x"}) == "x1"
+    assert fresh_name("x", {"x1"}, ["x"]) == "x2"
+    assert fresh_name("x", {"x"}, ["x1", "x3"]) == "x2"
+    assert fresh_name("y", ["y", "y1"]) == "y2"
+    for hint in ("_", ""):
+        assert fresh_name(hint, set()) == "x"
+        assert fresh_name(hint, {"x1"}, ["x"]) == "x2"
+
+
+def test_a_binder_avoids_the_names_in_scope_and_the_globals_together():
+    """The inner `x` may be neither `x` (in scope) nor `x1` (a global)."""
+    from hpt import driver
+    from hpt.kernel import GlobalEnv
+
+    prelude = "axiom A : Type\naxiom x1 : A\naxiom g : A -> A -> A -> A\n"
+    env, _ = driver.check_source(GlobalEnv(), prelude, "t.hpt")
+    _, result = driver.check_source(
+        env, "#check fun (x : A) => fun (y : A) => (fun (x : A) => g x1 x y)\n", "t.hpt")
+    assert result.error is None
+    assert [e.text for e in result.events] == [
+        "fun (x : A) => fun (y : A) => fun (x2 : A) => g x1 x2 y : A -> A -> A -> A"]
 
 
 def test_printing_a_left_nested_arrow_costs_calls_linear_in_its_depth(monkeypatch):

@@ -2,13 +2,15 @@
 
 import ast
 import gc
+import hashlib
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from hpt import corpus, driver, elab, kernel
-from hpt.core import App, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var
+from hpt.core import App, Global, Id, J, Lam, Meta, Pi, Refl, Type, Var, pretty
 from hpt.kernel import (
     BudgetExhausted,
     Closure,
@@ -323,13 +325,14 @@ NORMALIZE_BODIES = (
 
 def test_normalizing_the_benchmark_bodies_takes_a_fixed_number_of_steps(env):
     """A glued value that many occurrences share unfolds once, and its
-    unfolding's steps are charged once."""
+    unfolding's steps are charged once; each closure application readback
+    makes is charged, even when its normal form was read back before."""
     used = 0
     for name in NORMALIZE_BODIES:
         with step_budget() as budget:
             normalize(env, env.get(name).body_core)
         used += budget.limit - budget.remaining
-    assert used == 28_916
+    assert used == 33_046
 
 
 def test_assert_defeq_reflexivity(env):
@@ -388,7 +391,7 @@ def _normal_form_and_steps(v):
     return nf, kernel.DEFAULT_STEP_BUDGET - budget.remaining
 
 
-def test_normalize_keys_a_closure_by_the_env_entries_its_body_uses(spine_values):
+def test_normalize_applies_every_closure_and_shares_equal_normal_forms(spine_values):
     """Two λs share the body `Var(1)`, which reads env[-1] and not env[-2]."""
     env = spine_values[0]
     a, star, body = VNeutral(Global("A")), VNeutral(Global("star")), Var(1)
@@ -402,10 +405,11 @@ def test_normalize_keys_a_closure_by_the_env_entries_its_body_uses(spine_values)
     assert nf == App(App(Global("f"), Lam("x", Global("star"), Global("A"))),
                      Lam("x", Global("A"), Global("A")))
     assert steps == 2
-    # They differ only in an unused entry: the second λ costs no application.
+    # They differ only in an unused entry: each λ is applied, and the two
+    # equal normal forms are one node.
     nf, steps = _normal_form_and_steps(f_of((star, star), (a, star)))
     assert nf.fn.arg is nf.arg
-    assert steps == 1
+    assert steps == 2
 
 
 def test_normalize_reads_a_closure_whose_body_holds_a_solved_meta(spine_values):
@@ -443,6 +447,27 @@ def test_normalize_shares_equal_subterms(body_nfs):
     assert {name: sizes[name] for name in NF_DAG_SIZES} == NF_DAG_SIZES
     (nf,) = [nf for entry, nf in body_nfs if entry.name == "syllepsis"]
     assert term_size(nf) == 1_245_691 and sizes["syllepsis"] <= 10_000
+
+
+# SHA-256 and length of the printed normal forms of the two largest bodies.
+LARGEST_PRINTED_NFS = {
+    "syllepsis": ("14cfb72bdac8709498e96fc09ecf5d976cc3e782afccb4cad8ec141f56901efa", 2_640_067),
+    "syllepsis-square": ("2d9c4148bd464696e280d5b995cac4544279fb363bc75bf1479a8274d0c1c7f1", 1_474_615),
+}
+
+
+def test_printed_normal_forms_have_the_pinned_digests(body_nfs):
+    """Each `normalize` benchmark body prints to the text whose SHA-256 the
+    benchmark's oracle holds, and the two largest to pinned texts."""
+    oracle = Path(__file__).resolve().parent.parent / "benchmarks" / "expected" / "normalize.json"
+    expected = json.loads(oracle.read_text())
+    assert list(expected) == list(NORMALIZE_BODIES)
+    printed = {entry.name: pretty(nf) for entry, nf in body_nfs
+               if entry.name in expected or entry.name in LARGEST_PRINTED_NFS}
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in printed.items()}
+    assert {name: digests[name] for name in expected} == {n: e["sha256"] for n, e in expected.items()}
+    for name, (digest, length) in LARGEST_PRINTED_NFS.items():
+        assert (digests[name], len(printed[name])) == (digest, length), name
 
 
 def test_normalize_keeps_lambdas_apart_that_differ_only_in_their_domain(spine_values):
