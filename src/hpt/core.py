@@ -153,17 +153,19 @@ class Meta(CoreTerm):
     Never present in checked declarations.
 
     `solution`, once set, is an open term over the meta's first `depth`
-    binders. Only `elab.MetaStore` writes `solution` and `depth`; `==`,
-    `hash` and `repr` use `id` alone.
+    binders, and `value` its value in their identity environment. Only
+    `elab.MetaStore` writes `solution`, `depth` and `value`; `==`, `hash`
+    and `repr` use `id` alone.
     """
 
     __match_args__ = ("id",)
-    __slots__ = ("id", "depth", "span", "solution")
+    __slots__ = ("id", "depth", "span", "solution", "value")
     has_meta = True
 
     def __init__(self, id: int, depth: int = 0, span: object = None) -> None:
         self.id, self.depth, self.span = id, depth, span
         self.solution: CoreTerm | None = None
+        self.value = None
 
 
 @dataclass(frozen=True)

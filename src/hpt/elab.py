@@ -109,34 +109,34 @@ class UnifyFailure(ElabError):
 
 class MetaStore:
     """The id counter and the undo log of a session's metas, each of which
-    is its `Meta` node. A solution's value is evaluated afresh wherever it is
-    forced; `rollback` restores `solution` and `depth`, and empties the
+    is its `Meta` node. `_solve` stores a solution with its value, evaluated
+    once; `rollback` restores `solution`, `depth` and `value`, and empties the
     kernel's intern table, whose glued values may have unfolded under them."""
 
     def __init__(self) -> None:
         self._next = 0
-        self._log: list[tuple[Meta, CoreTerm | None, int]] = []
+        self._log: list[tuple[Meta, CoreTerm | None, int, Value | None]] = []
 
     def fresh(self, depth: int, span: SourceSpan) -> Meta:
         m = Meta(self._next, depth, span)
         self._next += 1
         return m
 
-    # A log of each change's prior (solution, depth) supports speculative
+    # A log of each change's prior (solution, depth, value) supports speculative
     # unification: glued globals first try spine equality and roll back
     # their solutions if the spines turn out not to match.
     def checkpoint(self) -> int:
         return len(self._log)
 
     def rollback(self, mark: int) -> None:
-        for m, solution, depth in reversed(self._log[mark:]):
-            m.solution, m.depth = solution, depth
+        for m, solution, depth, value in reversed(self._log[mark:]):
+            m.solution, m.depth, m.value = solution, depth, value
             kernel.clear_table()
         del self._log[mark:]
 
-    def update(self, m: Meta, solution: CoreTerm | None, depth: int) -> None:
-        self._log.append((m, m.solution, m.depth))
-        m.solution, m.depth = solution, depth
+    def update(self, m: Meta, solution: CoreTerm | None, depth: int, value: Value | None = None) -> None:
+        self._log.append((m, m.solution, m.depth, m.value))
+        m.solution, m.depth, m.value = solution, depth, value
 
 
 @dataclass
@@ -182,10 +182,9 @@ class ElabCtx:
     def force(self, v: Value) -> Value:
         while type(v) is VNeutral and type(v.head) is Meta:
             m = v.head
-            if m.solution is None:
+            if m.value is None:
                 return v
-            sol = eval_term(identity_env(m.depth), self.globals, m.solution)
-            v = apply_spine(sol, v.spine)
+            v = apply_spine(m.value, v.spine)
         return v
 
     def quote(self, v: Value) -> CoreTerm:
@@ -321,7 +320,7 @@ def _solve(ctx: ElabCtx, meta: Meta, v: Value, span: SourceSpan) -> None:
             raise OccursCheck(span, meta.id)
         raise UnifyFailure(span, f"?{meta.id}", "a value escaping its scope")
     t = t if outside == 0 else shift(t, 0, -outside)
-    ctx.metas.update(meta, t, meta.depth)
+    ctx.metas.update(meta, t, meta.depth, eval_term(identity_env(meta.depth), ctx.globals, t))
     _restrict(ctx.metas, t, meta.depth)
 
 

@@ -9,9 +9,10 @@ unfold lazily: applying one builds a glued value (VTop) that remembers the
 global's entry and its spine, and conversion first tries spine equality of
 tops of one entry before falling back to the unfolding, so a neutral head is
 only a bound variable's level (an `int`), or the `Global` (axiom) or `Meta`
-(unsolved) node it reads back to. A spine entry is an argument's value
-itself, or an `EJ`. A solved `Meta` node carries its own solution, so
-evaluation needs no meta store.
+(unsolved) node it reads back to. A solved `Meta` node carries its own
+solution, so evaluation needs no meta store. Checking yields values: the
+checker returns each term's value with its type, built from its children's
+values once its own checks have passed, so no checked term is evaluated again.
 
 A GlobalEnv is read-only once loaded; check_decl returns an extended
 copy, so older environments stay valid.
@@ -20,7 +21,8 @@ A step budget (default 10**8) turns runaway evaluation of malformed input
 into a BudgetExhausted error instead of a hang. It is charged once on every
 closure application, once on every argument a glued global's unfolding
 binds in its body's λ prefix (`VTop.force`), and once on every J
-elimination, which any divergent computation must pass through.
+elimination, which any divergent computation must pass through; the checker
+charges a J's or a β-redex's steps when it builds its value, after its checks.
 `Closure.apply` never memoizes, and a glued value unfolds once, charged to
 the budget active then: every occurrence sharing it reuses that unfolding
 uncharged. One budget is active at a time, held in a module-level variable:
@@ -33,8 +35,9 @@ table, and evaluation builds its glued, neutral, path and `refl` values
 equal values built from the same parts are one object, and conversion,
 unification, readback's memo and a shared unfolding answer by identity,
 which is only ever a shortcut. `check_decl`, `assert_defeq` and `normalize`
-start a table of their own, so the kernel never reaches a value the
-elaborator built. Outside every block values are built plain.
+start a table of their own, so the kernel reaches no value the elaborator
+built but a variable or an argument-free axiom, one object in every table.
+Outside every block values are built plain.
 
 Readback memoizes per top-level call: a value reached twice at the same
 depth is read back once, so the normal form shares that subterm in memory.
@@ -319,6 +322,15 @@ def fresh_var(depth: int) -> Value:
     return _IDENTITY_ENV[depth]
 
 
+_AXIOMS: dict[str, Value] = {}
+
+
+def _axiom(g: Global) -> Value:
+    """The neutral of an argument-free axiom, made once and shared by every table."""
+    v = _AXIOMS.get(g.name)
+    return v if v is not None else _AXIOMS.setdefault(g.name, VNeutral(g))
+
+
 # The argument given to a closure whose body never reads its binder; readback
 # would print it as `<unused>`.
 UNUSED = VNeutral(Global("<unused>"))
@@ -386,13 +398,7 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         args = []
         for a in reversed(terms):
             args.append(env[-1 - a.index] if type(a) is Var else eval_term(env, globals, a))
-        if type(f) is VTop:
-            return _top(f.spine + tuple(args), f.entry)
-        if type(f) is VNeutral:
-            return _neutral(f.head, f.spine + tuple(args))
-        for x in args:
-            f = apply_value(f, x)
-        return f
+        return _apply_all(f, tuple(args))
     if tt is Lam:
         dom = env[-1 - t.ann.index] if type(t.ann) is Var else eval_term(env, globals, t.ann)
         return VLam(t.hint, Closure(tuple(env), t.body, globals), dom, t.implicit)
@@ -409,9 +415,7 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
         entry = globals.get(t.name)
         if entry is None:
             raise KernelError(f"unknown global {t.name!r}")
-        if entry.body_value is not None:
-            return _top((), entry)
-        return _neutral(t)
+        return _top((), entry) if entry.body_value is not None else _axiom(t)
     if tt is J:
         return j_apply(
             eval_term(env, globals, t.motive),
@@ -431,6 +435,17 @@ def eval_term(env: Sequence[Value], globals: GlobalEnv, t: CoreTerm) -> Value:
     if tt is Type:
         return t
     raise KernelError(f"cannot evaluate {t!r}")
+
+
+def _apply_all(f: Value, args: tuple[Value, ...]) -> Value:
+    """`f` applied to `args`: one glued or neutral value, or one β-step per argument."""
+    if type(f) is VTop:
+        return _top(f.spine + args, f.entry)
+    if type(f) is VNeutral:
+        return _neutral(f.head, f.spine + args)
+    for x in args:
+        f = apply_value(f, x)
+    return f
 
 
 def apply_value(f: Value, x: Value) -> Value:
@@ -607,33 +622,34 @@ def _conv_spines(depth: int, sp1: tuple[Value | EJ, ...], sp2: tuple[Value | EJ,
 # Type checking
 
 
-def infer_type(
-    ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...] = ()
-) -> Value:
+def infer_type(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...] = ()) -> Value:
     """Infer the unique-up-to-conv type of a core term.
 
     `ctx` holds the types of the free variables (innermost last); the term
     is evaluated in the identity environment of fresh variables for them.
     """
-    # Exact-type tests, most frequent first; only evaluating cases build an env.
+    return _infer(ctx, globals, t, path)[0]
+
+
+def _infer(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...]) -> tuple[Value, Value]:
+    """The type of `t` and its value, which each case builds from its checked
+    children's values only once its own checks have passed."""
+    # Exact-type tests, most frequent first.
     depth = len(ctx)
     tt = type(t)
     if tt is Var:
         i = t.index
         if i >= depth:
             raise KernelTypeError(path, f"unbound variable index {i}")
-        return ctx[depth - 1 - i]
+        return ctx[depth - 1 - i], fresh_var(depth - 1 - i)
     if tt is Refl:
-        pt = infer_type(ctx, globals, t.point, path + ("point",))
-        # `Refl(q)` evaluates to VRefl of q's endpoint: a chain evaluates one point
-        pv = (_value((VRefl, pt.lhs), pt.lhs) if type(t.point) is Refl
-              else eval_term(identity_env(depth), globals, t.point))
-        return _value((VId, pt, pv, pv), pt, pv, pv)
+        pt, pv = _infer(ctx, globals, t.point, path + ("point",))
+        return _value((VId, pt, pv, pv), pt, pv, pv), _value((VRefl, pv), pv)
     if tt is Global:
         entry = globals.get(t.name)
         if entry is None:
             raise KernelTypeError(path, f"unknown global {t.name!r}")
-        return entry.type_value
+        return entry.type_value, _top((), entry) if entry.body_value is not None else _axiom(t)
     if tt is App:
         # Flatten the application spine: errors name the k-th argument
         # `arg{k}`, and a long application adds no recursion depth.
@@ -643,8 +659,8 @@ def infer_type(
             spine.append(head.arg)
             head = head.fn
         spine.reverse()
-        fty = infer_type(ctx, globals, head, path + ("fn",))
-        env = identity_env(depth)
+        fty, f = _infer(ctx, globals, head, path + ("fn",))
+        args = []
         for k, x in enumerate(spine):
             fty = force_top(fty)
             if type(fty) is not VPi:
@@ -652,41 +668,40 @@ def infer_type(
                     path, "applied a term whose type is not a function type",
                     found=readback(depth, fty),
                 )
-            _check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",))
-            fty = fty.closure.apply_arg(env, globals, x)
-        return fty
+            args.append(_check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",)))
+            fty = fty.closure.apply(args[-1])
+        return fty, _apply_all(f, tuple(args))
     if tt is Id:
-        i = _infer_universe(ctx, globals, t.type, path + ("type",))
-        ty_v = eval_term(identity_env(depth), globals, t.type)
-        _check_against(ctx, globals, t.lhs, ty_v, path + ("lhs",))
-        _check_against(ctx, globals, t.rhs, ty_v, path + ("rhs",))
-        return Type(i)
+        i, ty_v = _infer_universe(ctx, globals, t.type, path + ("type",))
+        l = _check_against(ctx, globals, t.lhs, ty_v, path + ("lhs",))
+        r = _check_against(ctx, globals, t.rhs, ty_v, path + ("rhs",))
+        return Type(i), _value((VId, ty_v, l, r), ty_v, l, r)
     if tt is Pi:
-        i = _infer_universe(ctx, globals, t.domain, path + ("domain",))
-        dom_v = eval_term(identity_env(depth), globals, t.domain)
-        j = _infer_universe(ctx + [dom_v], globals, t.codomain, path + ("codomain",))
-        return Type(max(i, j))
+        i, dom_v = _infer_universe(ctx, globals, t.domain, path + ("domain",))
+        j, _ = _infer_universe(ctx + [dom_v], globals, t.codomain, path + ("codomain",))
+        env = tuple(identity_env(depth))
+        return Type(max(i, j)), VPi(t.hint, dom_v, Closure(env, t.codomain, globals), t.implicit)
     if tt is Lam:
-        _infer_universe(ctx, globals, t.ann, path + ("annotation",))
-        env = identity_env(depth)
-        dom_v = eval_term(env, globals, t.ann)
-        body_ty = infer_type(ctx + [dom_v], globals, t.body, path + ("body",))
-        cod_core = readback(depth + 1, body_ty)
-        return VPi(t.hint, dom_v, Closure(tuple(env), cod_core, globals), t.implicit)
+        _, dom_v = _infer_universe(ctx, globals, t.ann, path + ("annotation",))
+        body_ty, _ = _infer(ctx + [dom_v], globals, t.body, path + ("body",))
+        env = tuple(identity_env(depth))
+        return (VPi(t.hint, dom_v, Closure(env, readback(depth + 1, body_ty), globals), t.implicit),
+                VLam(t.hint, Closure(env, t.body, globals), dom_v, t.implicit))
     if tt is Type:
-        return Type(t.level + 1)
+        return Type(t.level + 1), t
     if tt is J:
-        env = identity_env(depth)
-        pty = force_top(infer_type(ctx, globals, t.path, path + ("path",)))
+        pty, pv = _infer(ctx, globals, t.path, path + ("path",))
+        pty = force_top(pty)
         if type(pty) is not VId:
             raise KernelTypeError(
                 path, "J scrutinee is not an identity proof", found=readback(depth, pty)
             )
         base_pt, end_v = pty.lhs, pty.rhs
-        _check_against(ctx, globals, t.endpoint, pty.type, path + ("endpoint",))
-        _require_conv(depth, eval_term(env, globals, t.endpoint), end_v, path + ("endpoint",),
+        xv = _check_against(ctx, globals, t.endpoint, pty.type, path + ("endpoint",))
+        _require_conv(depth, xv, end_v, path + ("endpoint",),
                       "J endpoint does not match the path's right endpoint")
-        mty = force_top(infer_type(ctx, globals, t.motive, path + ("motive",)))
+        mty, mv = _infer(ctx, globals, t.motive, path + ("motive",))
+        mty = force_top(mty)
         if type(mty) is not VPi:
             raise KernelTypeError(path + ("motive",), "J motive must be a two-argument function")
         _require_conv(depth, mty.domain, pty.type, path + ("motive",),
@@ -700,12 +715,10 @@ def infer_type(
         sort = force_top(inner.closure.apply(fresh_var(depth + 1)))
         if type(sort) is not Type:
             raise KernelTypeError(path + ("motive",), "J motive must land in a universe")
-        mv = eval_term(env, globals, t.motive)
         base_wanted = apply_value(apply_value(mv, base_pt), _value((VRefl, base_pt), base_pt))
-        base_ty = infer_type(ctx, globals, t.base, path + ("base",))
+        base_ty, bv = _infer(ctx, globals, t.base, path + ("base",))
         _require_conv(depth, base_ty, base_wanted, path + ("base",), "type mismatch")
-        pv = eval_term(env, globals, t.path)
-        return apply_value(apply_value(mv, end_v), pv)
+        return apply_value(apply_value(mv, end_v), pv), j_apply(mv, bv, xv, pv)
     if tt is Meta:
         raise KernelTypeError(path, f"unsolved metavariable ?{t.id} reached the kernel")
     raise KernelTypeError(path, f"unrecognized term {t!r}")
@@ -713,11 +726,12 @@ def infer_type(
 
 def _infer_universe(
     ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...]
-) -> int:
-    ty = force_top(infer_type(ctx, globals, t, path))
+) -> tuple[int, Value]:
+    ty, v = _infer(ctx, globals, t, path)
+    ty = force_top(ty)
     if type(ty) is not Type:
         raise KernelTypeError(path, "expected a type", found=readback(len(ctx), ty))
-    return ty.level
+    return ty.level, v
 
 
 def _check_against(
@@ -726,21 +740,22 @@ def _check_against(
     t: CoreTerm,
     expected: Value,
     path: tuple[str, ...],
-) -> None:
-    """Check t against an expected type, descending through lambdas."""
+) -> Value:
+    """Check t against an expected type, descending through lambdas; t's value."""
     depth = len(ctx)
     expected = force_top(expected)
     if type(t) is Lam and type(expected) is VPi:
         if t.implicit != expected.implicit:
             raise KernelTypeError(path, "binder plicity mismatch")
-        _infer_universe(ctx, globals, t.ann, path + ("annotation",))
-        ann_v = eval_term(identity_env(depth), globals, t.ann)
+        _, ann_v = _infer_universe(ctx, globals, t.ann, path + ("annotation",))
         _require_conv(depth, ann_v, expected.domain, path + ("annotation",),
                       "lambda annotation does not match expected domain")
         body_ty = expected.closure.apply(fresh_var(depth))
         _check_against(ctx + [expected.domain], globals, t.body, body_ty, path + ("body",))
-        return
-    _require_conv(depth, infer_type(ctx, globals, t, path), expected, path, "type mismatch")
+        return VLam(t.hint, Closure(tuple(identity_env(depth)), t.body, globals), ann_v, t.implicit)
+    ty, v = _infer(ctx, globals, t, path)
+    _require_conv(depth, ty, expected, path, "type mismatch")
+    return v
 
 
 def _require_conv(
@@ -759,12 +774,8 @@ def check_decl(globals: GlobalEnv, d: CoreDecl) -> GlobalEnv:
     if d.name in globals:
         raise DuplicateName(d.name)
     with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
-        _infer_universe([], globals, d.type, (d.name, "type"))
-        ty_v = eval_term([], globals, d.type)
-        body_v = None
-        if d.body is not None:
-            _check_against([], globals, d.body, ty_v, (d.name, "body"))
-            body_v = eval_term([], globals, d.body)
+        _, ty_v = _infer_universe([], globals, d.type, (d.name, "type"))
+        body_v = None if d.body is None else _check_against([], globals, d.body, ty_v, (d.name, "body"))
     return globals.extended(GlobalEntry(d.name, ty_v, body_v, d.type, d.body))
 
 
@@ -775,11 +786,9 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
     conversion verdict otherwise.
     """
     with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
-        _infer_universe([], globals, ty, ("assert", "type"))
-        ty_v = eval_term([], globals, ty)
-        _check_against([], globals, l, ty_v, ("assert", "lhs"))
-        _check_against([], globals, r, ty_v, ("assert", "rhs"))
-        return conv(0, eval_term([], globals, l), eval_term([], globals, r))
+        _, ty_v = _infer_universe([], globals, ty, ("assert", "type"))
+        lv = _check_against([], globals, l, ty_v, ("assert", "lhs"))
+        return conv(0, lv, _check_against([], globals, r, ty_v, ("assert", "rhs")))
 
 
 def normalize(globals: GlobalEnv, t: CoreTerm) -> CoreTerm:

@@ -515,7 +515,7 @@ hpt = run.import_hpt()
 layers.Spans(run.Recorder()).install(hpt)
 counts = layers.Counts()
 counts.install(hpt)
-text = "axiom A : Type\\naxiom star : A\\n#check refl star\\n"
+text = "axiom A : Type\\naxiom star : A\\n#eval refl star\\n"
 _, result = hpt.driver.check_source(hpt.kernel.GlobalEnv(), text, "t.hpt")
 assert result.error is None, result.error
 assert counts.counts["kernel.eval_calls"] > 0
