@@ -69,8 +69,8 @@ def read_source(path: str | Path, name: str, what: str = "file") -> str:
 
 
 def located(thunk: Callable[[], tuple], span: SourceSpan) -> tuple:
-    """`thunk()` under a fresh step budget, whose limit is the enclosing
-    budget's (the default if none). A KernelError, which has no span, and a
+    """`thunk()` in a fresh kernel block (`step_budget`) of the enclosing
+    block's step limit, or the default. A KernelError, which has no span, and a
     RecursionError, from a term nested past Python's recursion limit, are
     raised as a SurfaceError at `span`, from the error less its traceback."""
     try:

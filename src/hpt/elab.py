@@ -131,6 +131,7 @@ class MetaStore:
     def rollback(self, mark: int) -> None:
         for m, solution, depth, value in reversed(self._log[mark:]):
             m.solution, m.depth, m.value = solution, depth, value
+        if len(self._log) > mark:
             kernel.clear_table()
         del self._log[mark:]
 

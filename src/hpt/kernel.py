@@ -25,19 +25,18 @@ elimination, which any divergent computation must pass through; the checker
 charges a J's or a β-redex's steps when it builds its value, after its checks.
 `Closure.apply` never memoizes, and a glued value unfolds once, charged to
 the budget active then: every occurrence sharing it reuses that unfolding
-uncharged. One budget is active at a time, held in a module-level variable:
-`step_budget` installs a fresh one for a block, and the driver opens one
-per declaration.
+uncharged. The budget is a block's, and one block is active at a time:
+`step_budget` installs a fresh one, and the driver opens one per declaration.
 
-Values are hash-consed per block: each `step_budget` block has an intern
-table, and evaluation builds its glued, neutral, path and `refl` values
-(never a closure or an `EJ`) by looking each up there by class and parts, so
-equal values built from the same parts are one object, and conversion,
-unification, readback's memo and a shared unfolding answer by identity,
-which is only ever a shortcut. `check_decl`, `assert_defeq` and `normalize`
-start a table of their own, so the kernel reaches no value the elaborator
+Values are hash-consed per block: evaluation builds its glued, neutral, path
+and `refl` values (never a closure or an `EJ`) by looking each up in the
+active block's intern table by class and parts, so equal values built from
+the same parts are one object, and conversion, unification, readback's memo
+and a shared unfolding answer by identity, which is only ever a shortcut.
+`check_decl`, `assert_defeq` and `normalize` empty that table first (outside
+every block they open one), so the kernel reaches no value the elaborator
 built but a variable or an argument-free axiom, one object in every table.
-Outside every block values are built plain.
+Outside every block, other code builds values plain.
 
 Readback memoizes per top-level call: a value reached twice at the same
 depth is read back once, so the normal form shares that subterm in memory.
@@ -46,7 +45,7 @@ depth is read back once, so the normal form shares that subterm in memory.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 
 from .core import (
@@ -103,58 +102,57 @@ class KernelTypeError(KernelError):
         self.message = message
 
 
-class _Budget:
-    __slots__ = ("limit", "remaining")
+class _Block:
+    __slots__ = ("limit", "remaining", "table")  # the step limit, the steps left, the intern table
 
     def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.remaining = limit
+        self.limit = self.remaining = limit
+        self.table: dict[tuple, Value] = {}
 
 
-# The active budget and intern table; None outside every block.
-_budget: _Budget | None = None
-_table: dict[tuple, Value] | None = None
+# The active block, with its step budget and intern table; None outside every block.
+_active: _Block | None = None
 
 # A table is emptied at this many values: a huge declaration keeps only recent ones alive.
 TABLE_LIMIT = 1 << 12
 
 
 @contextmanager
-def _block(budget: _Budget) -> Iterator[_Budget]:
-    """Make `budget` and a fresh intern table the active ones for the block."""
-    global _budget, _table
-    outer = _budget, _table
-    _budget, _table = budget, {}
-    try:
-        yield budget
-    finally:
-        _budget, _table = outer
-
-
-def step_budget(limit: int | None = None) -> AbstractContextManager[_Budget]:
-    """Install a fresh step budget of `limit` steps and a fresh intern table
-    for the block, and yield the budget.
-
-    The limit defaults to that of the enclosing budget, or to
-    DEFAULT_STEP_BUDGET when none is active. Steps taken inside the block are
-    not charged to the enclosing budget.
-    """
+def step_budget(limit: int | None = None) -> Iterator[_Block]:
+    """Make a block of `limit` steps and a fresh intern table the active one
+    for the `with` body, and yield it. The limit defaults to the enclosing
+    block's, or to DEFAULT_STEP_BUDGET outside every block; steps taken
+    inside are not charged to the enclosing block."""
+    global _active
+    outer = _active
     if limit is None:
-        limit = DEFAULT_STEP_BUDGET if _budget is None else _budget.limit
-    return _block(_Budget(limit))
+        limit = DEFAULT_STEP_BUDGET if outer is None else outer.limit
+    block = _active = _Block(limit)
+    try:
+        yield block
+    finally:
+        _active = outer
 
 
 def clear_table() -> None:
-    """Empty the active intern table, so later values are built afresh."""
-    if _table is not None:
-        _table.clear()
+    """Empty the active block's intern table, so later values are built afresh."""
+    if _active is not None:
+        _active.table.clear()
+
+
+def _entry() -> AbstractContextManager[_Block]:
+    """An entry point's block: the active one with its table emptied, else a fresh one."""
+    if _active is None:
+        return step_budget()
+    clear_table()
+    return nullcontext(_active)
 
 
 def _tick(steps: int = 1) -> None:
-    budget = _budget
-    if budget is not None:
-        budget.remaining -= steps
-        if budget.remaining < 0:
+    block = _active
+    if block is not None:
+        block.remaining -= steps
+        if block.remaining < 0:
             raise BudgetExhausted()
 
 
@@ -283,9 +281,10 @@ class VTop(Value):
 def _value(key: tuple, *fields: object) -> Value:
     """The value of class `key[0]` with `fields`; in a block, the one the
     table holds under `key`, the class and parts, built on a miss."""
-    table = _table
-    if table is None:
+    block = _active
+    if block is None:
         return key[0](*fields)
+    table = block.table
     v = table.get(key)
     if v is None:
         if len(table) >= TABLE_LIMIT:
@@ -773,7 +772,7 @@ def check_decl(globals: GlobalEnv, d: CoreDecl) -> GlobalEnv:
     must check against it. Returns the extended environment."""
     if d.name in globals:
         raise DuplicateName(d.name)
-    with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
+    with _entry():
         _, ty_v = _infer_universe([], globals, d.type, (d.name, "type"))
         body_v = None if d.body is None else _check_against([], globals, d.body, ty_v, (d.name, "body"))
     return globals.extended(GlobalEntry(d.name, ty_v, body_v, d.type, d.body))
@@ -785,7 +784,7 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
     Raises KernelTypeError if either side fails to check; returns the
     conversion verdict otherwise.
     """
-    with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
+    with _entry():
         _, ty_v = _infer_universe([], globals, ty, ("assert", "type"))
         lv = _check_against([], globals, l, ty_v, ("assert", "lhs"))
         return conv(0, lv, _check_against([], globals, r, ty_v, ("assert", "rhs")))
@@ -793,6 +792,6 @@ def assert_defeq(globals: GlobalEnv, l: CoreTerm, r: CoreTerm, ty: CoreTerm) -> 
 
 def normalize(globals: GlobalEnv, t: CoreTerm) -> CoreTerm:
     """Full normal form of a well-typed closed term (defined globals unfolded)."""
-    with _block(_budget or _Budget(DEFAULT_STEP_BUDGET)):
+    with _entry():
         return readback(0, eval_term([], globals, t), force=force_top)
 

@@ -858,7 +858,7 @@ def test_the_kernel_entry_points_build_from_a_table_of_their_own(env, monkeypatc
 
     with step_budget():
         core, ty_core = _elab(env, "concat (refl star) (refl star)")
-        elaborated = list(kernel._table.values())
+        elaborated = list(kernel._active.table.values())
         assert elaborated
         monkeypatch.setattr(kernel, "eval_term", recording)
         for run in (lambda: check_decl(env, CoreDecl("t", ty_core, core)),
@@ -868,6 +868,37 @@ def test_the_kernel_entry_points_build_from_a_table_of_their_own(env, monkeypatc
             run()
             assert built
             assert not {id(v) for v in built} & {id(v) for v in elaborated}
+
+
+def test_the_entry_points_charge_and_empty_the_enclosing_block(env):
+    """A nested `step_budget` inherits the enclosing limit and charges nothing
+    to it. Inside a block, `check_decl`, `assert_defeq` and `normalize` charge
+    that block what a fresh one records for the same call, and empty its
+    table first; outside every block, they leave none active."""
+    from hpt.core import CoreDecl
+
+    core, ty_core = _elab(env, "concat (refl star) (refl star)")
+    with step_budget(10**6) as outer:
+        with step_budget() as inner:
+            assert inner is not outer and inner.limit == 10**6 and inner.table == {}
+            kernel.readback(0, eval_term([], env, core), force=kernel.force_top)
+            assert inner.remaining < inner.limit
+        assert kernel._active is outer and outer.remaining == outer.limit
+    for run in (lambda: check_decl(env, CoreDecl("t", ty_core, core)),
+                lambda: assert_defeq(env, core, core, ty_core),
+                lambda: normalize(env, core)):
+        with step_budget() as fresh:
+            run()
+        with step_budget() as block:
+            _elab(env, "concat (refl star) (refl star)")
+            held, before = list(block.table.values()), block.remaining
+            assert held
+            run()
+            assert before - block.remaining == fresh.limit - fresh.remaining > 0
+            assert not {id(v) for v in block.table.values()} & {id(v) for v in held}
+        assert kernel._active is None
+        run()
+        assert kernel._active is None
 
 
 def test_a_rollback_that_undoes_a_solution_empties_the_table():
@@ -890,11 +921,11 @@ def test_a_rollback_that_undoes_a_solution_empties_the_table():
                 raise elab.UnifyFailure(DUMMY_SPAN, "l", "r")
             return thunk
 
-        held = len(kernel._table)
+        held = len(kernel._active.table)
         assert not elab._attempt(ctx, fails(solve=False))
-        assert len(kernel._table) == held
+        assert len(kernel._active.table) == held
         assert not elab._attempt(ctx, fails(solve=True))
-        assert m.solution is None and kernel._table == {}
+        assert m.solution is None and kernel._active.table == {}
         again = kernel.apply_value(eval_term([], env, Global("ap-star")), lam)
         assert again is not top and again.force().head is m
 
@@ -910,7 +941,7 @@ def test_an_intern_table_holds_at_most_its_limit(env):
         for x in args:
             v = kernel.apply_value(head, x)
             assert v.spine == (x,) and kernel.apply_value(head, x) is v
-            sizes.add(len(kernel._table))
+            sizes.add(len(kernel._active.table))
     assert max(sizes) == kernel.TABLE_LIMIT and min(sizes) < 20
 
 
