@@ -111,6 +111,9 @@ class Type(CoreTerm):
     def __init__(self, level: int) -> None:
         self.level = level
 
+    def __hash__(self) -> int:  # the kernel's memo hashes it as a context entry
+        return hash((self.level,))
+
 
 class Id(CoreTerm):
     __match_args__ = ("type", "lhs", "rhs")

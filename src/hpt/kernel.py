@@ -33,13 +33,25 @@ and `refl` values (never a closure or an `EJ`) by looking each up in the
 active block's intern table by class and parts, so equal values built from
 the same parts are one object, and conversion, unification, readback's memo
 and a shared unfolding answer by identity, which is only ever a shortcut.
-`check_decl`, `assert_defeq` and `normalize` empty that table first (outside
-every block they open one), so the kernel reaches no value the elaborator
-built but a variable or an argument-free axiom, one object in every table.
-Outside every block, other code builds values plain.
+`check_decl`, `assert_defeq`, `normalize` and `infer_type` empty that table
+first (outside every block they open one), so the kernel reaches no value
+the elaborator built but a variable or an argument-free axiom, one object in
+every table. Outside every block, other code builds values plain.
 
 Readback memoizes per top-level call: a value reached twice at the same
-depth is read back once, so the normal form shares that subterm in memory.
+depth is read back once. Its output is hash-consed per block: every node is
+looked up in the block's node table by class, scalar fields and children's
+ids, so equal subterms of all of a block's readbacks, such as a
+declaration's quotes in the elaborator, are one object, and a meta-free core
+the elaborator builds from them is a DAG. Nodes built elsewhere keep their
+own identity.
+
+The checker memoizes per entry point: in a block, `_infer` of an
+application, identity type or `refl` whose free variables are in scope is
+computed once per node object, depth and context entries those variables
+name, and each later occurrence takes the stored type and value. A hit
+charges no budget steps. The memo lives in the block and is emptied by
+each entry point, so it never outlives one set of globals.
 """
 
 from __future__ import annotations
@@ -47,6 +59,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from .core import (
     App,
@@ -103,14 +117,17 @@ class KernelTypeError(KernelError):
 
 
 class _Block:
-    __slots__ = ("limit", "remaining", "table")  # the step limit, the steps left, the intern table
+    # the step limit, the steps left, the intern table, readback's node table, the checker's memo
+    __slots__ = ("limit", "remaining", "table", "nodes", "memo")
 
     def __init__(self, limit: int) -> None:
         self.limit = self.remaining = limit
         self.table: dict[tuple, Value] = {}
+        self.nodes: dict[tuple, CoreTerm] = {}
+        self.memo: dict[tuple, tuple[CoreTerm, Value, Value]] = {}
 
 
-# The active block, with its step budget and intern table; None outside every block.
+# The active block, with its step budget, tables and memo; None outside every block.
 _active: _Block | None = None
 
 # A table is emptied at this many values: a huge declaration keeps only recent ones alive.
@@ -119,10 +136,10 @@ TABLE_LIMIT = 1 << 12
 
 @contextmanager
 def step_budget(limit: int | None = None) -> Iterator[_Block]:
-    """Make a block of `limit` steps and a fresh intern table the active one
-    for the `with` body, and yield it. The limit defaults to the enclosing
-    block's, or to DEFAULT_STEP_BUDGET outside every block; steps taken
-    inside are not charged to the enclosing block."""
+    """Make a block of `limit` steps, with fresh tables and memo, the active
+    one for the `with` body, and yield it. The limit defaults to the
+    enclosing block's, or to DEFAULT_STEP_BUDGET outside every block; steps
+    taken inside are not charged to the enclosing block."""
     global _active
     outer = _active
     if limit is None:
@@ -141,10 +158,11 @@ def clear_table() -> None:
 
 
 def _entry() -> AbstractContextManager[_Block]:
-    """An entry point's block: the active one with its table emptied, else a fresh one."""
+    """An entry point's block: the active one with its table and memo emptied, else a fresh one."""
     if _active is None:
         return step_budget()
     clear_table()
+    _active.memo.clear()
     return nullcontext(_active)
 
 
@@ -494,16 +512,18 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
     the global applied to its spine.
 
     Results are memoized by depth and value identity for the call, so a value
-    reached twice is read back once and its normal form is shared. Without
-    `force_top`, nodes are built by their constructors. With it, `nodes`
-    hash-conses the output for the call, each node looked up by its class,
-    scalar fields and children's ids before it is built, so equal subterms
-    are one object and every node built is kept. Both per-call tables are
-    freed by reference count when the call returns or raises: no reference
-    cycle outlives it for the collector.
+    reached twice is read back once. The output is hash-consed: each node is
+    looked up by its class, scalar fields (`Lam.ann` included) and children's
+    ids in the active block's node table, or in a table of the call's own
+    outside every block, before it is built. So equal subterms are one object
+    across every readback of a block, such as all of a declaration's quotes,
+    and each node built is kept for the block. An unsolved `Meta` head is
+    returned as it is. The call's own tables are freed by reference count
+    when it returns or raises: no reference cycle outlives it for the
+    collector.
     """
     memo: dict[int, dict[Value, CoreTerm]] = {}
-    nodes = {} if force is force_top else None
+    nodes = {} if _active is None else _active.nodes
 
     def node(key: tuple, *fields: object) -> CoreTerm:
         """The node of class `key[0]` with `fields`, built on a miss."""
@@ -523,27 +543,26 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         tw = type(w)
         if tw is VRefl:
             p = rb(depth, w.point)
-            t = Refl(p) if nodes is None else node((Refl, id(p)), p)
+            t = node((Refl, id(p)), p)
         elif tw is VId:
             a, l, r = rb(depth, w.type), rb(depth, w.lhs), rb(depth, w.rhs)
-            t = Id(a, l, r) if nodes is None else node((Id, id(a), id(l), id(r)), a, l, r)
+            t = node((Id, id(a), id(l), id(r)), a, l, r)
         elif tw is VNeutral or tw is VTop:
-            h = w.head if tw is VNeutral else Global(w.entry.name)
-            if type(h) is int:
-                h = Var(depth - 1 - h) if nodes is None else node((Var, depth - 1 - h), depth - 1 - h)
-            elif nodes is not None and type(h) is Global:
+            h = w.head if tw is VNeutral else w.entry
+            th = type(h)
+            if th is int:
+                h = node((Var, depth - 1 - h), depth - 1 - h)
+            elif th is not Meta:
                 h = node((Global, h.name), h.name)
             t = spine(depth, h, w.spine)
         elif tw is VLam:
             body, ann = rb(depth + 1, w.closure.apply(fresh_var(depth))), rb(depth, w.domain)
-            t = (Lam(w.hint, body, ann, w.implicit) if nodes is None else
-                 node((Lam, w.hint, id(body), id(ann), w.implicit), w.hint, body, ann, w.implicit))
+            t = node((Lam, w.hint, id(body), id(ann), w.implicit), w.hint, body, ann, w.implicit)
         elif tw is VPi:
             cod, dom = rb(depth + 1, w.closure.apply(fresh_var(depth))), rb(depth, w.domain)
-            t = (Pi(w.hint, dom, cod, w.implicit) if nodes is None else
-                 node((Pi, w.hint, id(dom), id(cod), w.implicit), w.hint, dom, cod, w.implicit))
+            t = node((Pi, w.hint, id(dom), id(cod), w.implicit), w.hint, dom, cod, w.implicit)
         elif tw is Type:
-            t = w if nodes is None else node((Type, w.level), w.level)
+            t = node((Type, w.level), w.level)
         else:
             raise KernelError(f"cannot read back {w!r}")
         seen[v] = t
@@ -553,10 +572,10 @@ def readback(depth: int, v: Value, force: Callable[[Value], Value] | None = None
         for e in entries:
             if type(e) is EJ:
                 m, b, x = rb(depth, e.motive), rb(depth, e.base), rb(depth, e.endpoint)
-                t = J(m, b, x, t) if nodes is None else node((J, id(m), id(b), id(x), id(t)), m, b, x, t)
+                t = node((J, id(m), id(b), id(x), id(t)), m, b, x, t)
             else:
                 a = rb(depth, e)
-                t = App(t, a) if nodes is None else node((App, id(t), id(a)), t, a)
+                t = node((App, id(t), id(a)), t, a)
         return t
 
     try:
@@ -627,12 +646,30 @@ def infer_type(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[st
     `ctx` holds the types of the free variables (innermost last); the term
     is evaluated in the identity environment of fresh variables for them.
     """
-    return _infer(ctx, globals, t, path)[0]
+    with _entry():
+        return _infer(ctx, globals, t, path)[0]
+
+
+# The node classes `_infer` memoizes. No λ, Π or J node of the corpus recurs
+# under one context, so their memo entries would never be taken.
+_MEMOIZED = frozenset((App, Refl, Id))
+
+
+@lru_cache(maxsize=TABLE_LIMIT)
+def _reader(free: int) -> Callable[[list[Value]], object]:
+    """The reader of the context entries that the free indices in the mask `free` name."""
+    indices = [-1 - i for i in range(free.bit_length()) if free >> i & 1]
+    return itemgetter(*indices) if indices else lambda ctx: ()
 
 
 def _infer(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, ...]) -> tuple[Value, Value]:
     """The type of `t` and its value, which each case builds from its checked
-    children's values only once its own checks have passed."""
+    children's values only once its own checks have passed.
+
+    In a block, an application, identity type or `refl` whose free variables
+    are in scope is checked once per depth and context entries those
+    variables name: the block's memo keeps its type and value under that
+    key, and a later occurrence takes them, charging no steps."""
     # Exact-type tests, most frequent first.
     depth = len(ctx)
     tt = type(t)
@@ -641,15 +678,22 @@ def _infer(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, .
         if i >= depth:
             raise KernelTypeError(path, f"unbound variable index {i}")
         return ctx[depth - 1 - i], fresh_var(depth - 1 - i)
-    if tt is Refl:
-        pt, pv = _infer(ctx, globals, t.point, path + ("point",))
-        return _value((VId, pt, pv, pv), pt, pv, pv), _value((VRefl, pv), pv)
     if tt is Global:
         entry = globals.get(t.name)
         if entry is None:
             raise KernelTypeError(path, f"unknown global {t.name!r}")
         return entry.type_value, _top((), entry) if entry.body_value is not None else _axiom(t)
-    if tt is App:
+    block, key = _active, None
+    if block is not None and tt in _MEMOIZED and not t.free >> depth:
+        # The node by identity, kept alive by its entry; each named context entry as it is.
+        key = (id(t), depth, _reader(t.free)(ctx))
+        hit = block.memo.get(key)
+        if hit is not None:
+            return hit[1], hit[2]
+    if tt is Refl:
+        pt, pv = _infer(ctx, globals, t.point, path + ("point",))
+        ty, v = _value((VId, pt, pv, pv), pt, pv, pv), _value((VRefl, pv), pv)
+    elif tt is App:
         # Flatten the application spine: errors name the k-th argument
         # `arg{k}`, and a long application adds no recursion depth.
         spine: list[CoreTerm] = []
@@ -669,26 +713,26 @@ def _infer(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, .
                 )
             args.append(_check_against(ctx, globals, x, fty.domain, path + (f"arg{k}",)))
             fty = fty.closure.apply(args[-1])
-        return fty, _apply_all(f, tuple(args))
-    if tt is Id:
+        ty, v = fty, _apply_all(f, tuple(args))
+    elif tt is Id:
         i, ty_v = _infer_universe(ctx, globals, t.type, path + ("type",))
         l = _check_against(ctx, globals, t.lhs, ty_v, path + ("lhs",))
         r = _check_against(ctx, globals, t.rhs, ty_v, path + ("rhs",))
-        return Type(i), _value((VId, ty_v, l, r), ty_v, l, r)
-    if tt is Pi:
+        ty, v = Type(i), _value((VId, ty_v, l, r), ty_v, l, r)
+    elif tt is Pi:
         i, dom_v = _infer_universe(ctx, globals, t.domain, path + ("domain",))
         j, _ = _infer_universe(ctx + [dom_v], globals, t.codomain, path + ("codomain",))
         env = tuple(identity_env(depth))
-        return Type(max(i, j)), VPi(t.hint, dom_v, Closure(env, t.codomain, globals), t.implicit)
-    if tt is Lam:
+        ty, v = Type(max(i, j)), VPi(t.hint, dom_v, Closure(env, t.codomain, globals), t.implicit)
+    elif tt is Lam:
         _, dom_v = _infer_universe(ctx, globals, t.ann, path + ("annotation",))
         body_ty, _ = _infer(ctx + [dom_v], globals, t.body, path + ("body",))
         env = tuple(identity_env(depth))
-        return (VPi(t.hint, dom_v, Closure(env, readback(depth + 1, body_ty), globals), t.implicit),
-                VLam(t.hint, Closure(env, t.body, globals), dom_v, t.implicit))
-    if tt is Type:
+        ty = VPi(t.hint, dom_v, Closure(env, readback(depth + 1, body_ty), globals), t.implicit)
+        v = VLam(t.hint, Closure(env, t.body, globals), dom_v, t.implicit)
+    elif tt is Type:
         return Type(t.level + 1), t
-    if tt is J:
+    elif tt is J:
         pty, pv = _infer(ctx, globals, t.path, path + ("path",))
         pty = force_top(pty)
         if type(pty) is not VId:
@@ -717,10 +761,14 @@ def _infer(ctx: list[Value], globals: GlobalEnv, t: CoreTerm, path: tuple[str, .
         base_wanted = apply_value(apply_value(mv, base_pt), _value((VRefl, base_pt), base_pt))
         base_ty, bv = _infer(ctx, globals, t.base, path + ("base",))
         _require_conv(depth, base_ty, base_wanted, path + ("base",), "type mismatch")
-        return apply_value(apply_value(mv, end_v), pv), j_apply(mv, bv, xv, pv)
-    if tt is Meta:
+        ty, v = apply_value(apply_value(mv, end_v), pv), j_apply(mv, bv, xv, pv)
+    elif tt is Meta:
         raise KernelTypeError(path, f"unsolved metavariable ?{t.id} reached the kernel")
-    raise KernelTypeError(path, f"unrecognized term {t!r}")
+    else:
+        raise KernelTypeError(path, f"unrecognized term {t!r}")
+    if key is not None:
+        block.memo[key] = (t, ty, v)
+    return ty, v
 
 
 def _infer_universe(

@@ -267,6 +267,22 @@ def test_the_kernel_rejects_each_single_fault(ty, body, message, path):
     assert (info.value.message, info.value.path) == (message, ("bad", *path))
 
 
+def test_the_memo_keys_a_node_by_the_types_of_its_free_variables():
+    """One `Id(A, x, a)` node object is the body of two λs at one depth, whose
+    domains differ: well typed where `x : A`, ill typed where `x : a = b`.
+    The memo must not answer the second occurrence from the first, so the
+    error names the second."""
+    from hpt.core import CoreDecl
+
+    shared, path_type = Id(_A, Var(0), _a), Id(_A, _a, _b)
+    families = Pi("_", Pi("x", _A, Type(0)), Pi("_", Pi("y", path_type, Type(0)), Type(0)))
+    env = check_decl(_kernel_env(), CoreDecl("k", families, None))
+    body = App(App(Global("k"), Lam("x", shared, _A)), Lam("y", shared, path_type))
+    with pytest.raises(KernelTypeError) as info:
+        check_decl(env, CoreDecl("bad", Type(0), body))
+    assert (info.value.message, info.value.path) == ("type mismatch", ("bad", "body", "arg1", "body", "lhs"))
+
+
 def test_checked_values_read_back_as_the_evaluated_terms_do(env):
     """The type and body values `check_decl` stores are the ones its checks
     built, never an evaluation of the checked term; each reads back,
@@ -292,7 +308,8 @@ def test_checked_values_read_back_as_the_evaluated_terms_do(env):
 def test_rechecking_the_corpus_does_a_fixed_amount_of_kernel_work(env, monkeypatch):
     """`check_decl` on the 52 elaborated corpus cores makes these many calls,
     recursion included (it calls through the module globals the wrappers
-    replace): how the checker dispatches does not change how much it does."""
+    replace): how the checker dispatches does not change how much it does.
+    The cores are DAGs, and each `_infer` call the memo answers is counted."""
     from hpt.core import CoreDecl
 
     counts = {}
@@ -310,8 +327,8 @@ def test_rechecking_the_corpus_does_a_fixed_amount_of_kernel_work(env, monkeypat
     for entry in env:
         checked = check_decl(checked, CoreDecl(entry.name, entry.type_core, entry.body_core))
     assert len(checked) == 52
-    assert counts == {"_infer": 46_526, "eval_term": 82_927, "conv": 36_070,
-                      "readback": 133, "Closure.apply": 23_371}
+    assert counts == {"_infer": 18_524, "eval_term": 64_649, "conv": 19_680,
+                      "readback": 133, "Closure.apply": 12_593}
 
 
 def _refl_tower(n):
@@ -323,14 +340,17 @@ def _refl_tower(n):
 
 
 @pytest.mark.parametrize("n, want", [
-    (50, {"_infer": 2_654, "eval_term": 2_600, "conv": 101}),
-    (100, {"_infer": 10_304, "eval_term": 10_200, "conv": 201}),
+    (50, {"_infer": 350, "eval_term": 2_600, "conv": 101}),
+    (100, {"_infer": 700, "eval_term": 10_200, "conv": 201}),
+    (400, {"_infer": 2_800, "eval_term": 160_800, "conv": 801}),
 ])
 def test_the_def_tower_is_checked_in_a_fixed_amount_of_kernel_work(n, want, monkeypatch):
     """The declared type's core is a tree of (n + 1)² nodes over a DAG of
-    2n + 1. The kernel still walks the tree (`_infer` is quadratic), but
-    evaluates each `Id` level's carrier once, from its check, and compares
-    the one shared `star`: `eval_term` and `conv` grow linearly. Counted with
+    2n + 1. The kernel checks the DAG: the memo answers each repeated node
+    (2n - 5 hits, counted as calls), so `_infer` is linear, and it compares
+    the one shared `star`, so `conv` is linear too. The kernel evaluates
+    nothing here: every `eval_term` call is the elaborator's evaluation of
+    the declared type, which walks the tree and is quadratic. Counted with
     recursion, through the kernel's module globals, for the whole file."""
     counts = dict.fromkeys(want, 0)
 
@@ -845,8 +865,8 @@ def test_a_block_builds_one_value_from_equal_parts(env):
 
 def test_the_kernel_entry_points_build_from_a_table_of_their_own(env, monkeypatch):
     """`check_decl`, `assert_defeq` and `normalize`, run in a block where the
-    elaborator has interned values, evaluate into tables of their own: no
-    value they build is one the elaborator's table holds."""
+    elaborator has interned values, empty that block's table first: no value
+    they build is one the elaborator's table holds."""
     from hpt.core import CoreDecl
 
     built, evaluate = [], kernel.eval_term
